@@ -10,9 +10,7 @@ from .algebra import (
     FiniteAlgebra,
     Representation,
     State,
-    dirac_state,
     element_from_coordinates,
-    evaluate,
     hermitian_basis,
     product_state,
     pure_states,
@@ -24,7 +22,6 @@ from .distance import (
     DistanceResult,
     DistanceSolver,
     distance_matrix,
-    quarter_disk_sup,
     spectral_distance,
 )
 from .khomology import (
@@ -46,7 +43,6 @@ from .triples import (
     SpectralTriple,
     amplified_two_point,
     amplify,
-    is_unital,
     lattice_line,
     product,
     triple_from_json,

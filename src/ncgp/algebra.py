@@ -234,12 +234,6 @@ def _is_faithful(rep: Representation) -> bool:
     return int(rank) == sum(n * n for n in rep.algebra.blocks)
 
 
-def require_faithful(rep: Representation) -> Representation:
-    if not rep.faithful:
-        raise ValueError("representation is not faithful")
-    return rep
-
-
 @dataclass(frozen=True, eq=False)
 class State:
     """Positive normalized functional, one density matrix per block."""
@@ -267,14 +261,6 @@ class State:
     def __call__(self, a: AlgebraElement) -> complex:
         _same_algebra(self, a)
         return complex(sum(np.trace(rho @ m) for rho, m in zip(self.densities, a.blocks)))
-
-    def tensor(self, other: "State", product: FiniteAlgebra | None = None) -> "State":
-        return product_state(self, other, product)
-
-
-def evaluate(phi: State, a: AlgebraElement) -> complex:
-    """phi(a) = sum_i trace(rho_i a_i)."""
-    return phi(a)
 
 
 def product_state(phi1: State, phi2: State,
@@ -331,15 +317,6 @@ def pure_states(algebra: FiniteAlgebra) -> list[State]:
         densities = [np.array([[1.0 if j == i else 0.0]], dtype=complex) for j in range(k)]
         states.append(State(algebra, tuple(densities)))
     return states
-
-
-def dirac_state(algebra: FiniteAlgebra, index: int) -> State:
-    """The pure state picking coordinate `index` of a commutative algebra."""
-    if not algebra.is_commutative:
-        raise ValueError("dirac_state requires a commutative algebra")
-    densities = [np.array([[1.0 if j == index else 0.0]], dtype=complex)
-                 for j in range(len(algebra.blocks))]
-    return State(algebra, tuple(densities))
 
 
 def random_state(algebra: FiniteAlgebra, rng: np.random.Generator) -> State:
@@ -429,11 +406,6 @@ def state_from_json(obj: dict) -> State:
 def element_to_json(a: AlgebraElement) -> dict:
     return {"algebra": algebra_to_json(a.algebra),
             "blocks": [matrix_to_json(b) for b in a.blocks]}
-
-
-def element_from_json(obj: dict) -> AlgebraElement:
-    alg = algebra_from_json(obj["algebra"])
-    return AlgebraElement(alg, tuple(matrix_from_json(b) for b in obj["blocks"]))
 
 
 def representation_to_json(rep: Representation) -> dict:

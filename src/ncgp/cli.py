@@ -8,7 +8,7 @@
     ncgp khomology [--json PATH]
 
 Exit status: 0 if every assertion passed, 1 on a failed assertion, 2 on usage
-errors.  NCGP_SEED overrides the default seed 0.
+errors and bad input.  NCGP_SEED overrides the default seed 0.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .distance import distance_result_to_json, spectral_distance
 from .experiments import CHECKS, SWEEPS, check_khomology
 from .triples import triple_from_json
 from .wasserstein import measure_from_json, space_from_json, w1
+
+# what loading and validating input files can raise; each means exit 2
+INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
 
 def _default_seed() -> int:
@@ -115,7 +118,7 @@ def _run_sweep(args) -> int:
         kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
     try:
         report = SWEEPS[args.sweep](**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"ncgp: bad parameters for {args.sweep}: {exc}", file=sys.stderr)
         return 2
     if args.csv_path:
@@ -188,17 +191,21 @@ def parse_triple_spec(spec: str):
     raise ValueError(f"unknown catalog constructor {name!r}")
 
 
+def _load_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_triple(arg: str):
     if arg.endswith(".json"):
-        with open(arg) as fh:
-            return triple_from_json(json.load(fh))
+        return triple_from_json(_load_json(arg))
     return parse_triple_spec(arg)
 
 
 def _run_distance(args) -> int:
     try:
         triple = _load_triple(args.triple)
-    except ValueError as exc:
+    except INPUT_ERRORS as exc:
         print(f"ncgp: {exc}", file=sys.stderr)
         return 2
     if args.pure is not None:
@@ -214,24 +221,27 @@ def _run_distance(args) -> int:
         if args.states is None:
             print("ncgp: need --states FILE or --pure i,j", file=sys.stderr)
             return 2
-        with open(args.states) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list) or len(raw) != 2:
-            print("ncgp: --states must hold a two-element list", file=sys.stderr)
+        try:
+            raw = _load_json(args.states)
+            if not isinstance(raw, list) or len(raw) != 2:
+                raise ValueError("must hold a two-element list")
+            phi, phi2 = (state_from_json(obj) for obj in raw)
+        except INPUT_ERRORS as exc:
+            print(f"ncgp: bad --states file: {exc}", file=sys.stderr)
             return 2
-        phi, phi2 = (state_from_json(obj) for obj in raw)
     result = spectral_distance(triple, phi, phi2, args.tol)
     _emit(distance_result_to_json(result), args.json_path)
     return 0
 
 
 def _run_w1(args) -> int:
-    with open(args.space) as fh:
-        space = space_from_json(json.load(fh))
-    with open(args.mu) as fh:
-        mu = measure_from_json(space, json.load(fh))
-    with open(args.nu) as fh:
-        nu = measure_from_json(space, json.load(fh))
+    try:
+        space = space_from_json(_load_json(args.space))
+        mu = measure_from_json(space, _load_json(args.mu))
+        nu = measure_from_json(space, _load_json(args.nu))
+    except INPUT_ERRORS as exc:
+        print(f"ncgp: bad w1 input: {exc}", file=sys.stderr)
+        return 2
     res = w1(space, mu, nu)
     _emit({"value": res.value,
            "potential": [float(v) for v in res.potential],

@@ -66,7 +66,7 @@ class DistanceSolver:
         flat = np.concatenate([L.reshape(k, -1).real, L.reshape(k, -1).imag], axis=1)
         u, s, _ = np.linalg.svd(flat, full_matrices=True)
         smax = float(s[0]) if s.size else 0.0
-        rank = int(np.sum(s > KERNEL_SVD_TOL * max(1.0, smax)))
+        rank = int(np.sum(s > KERNEL_SVD_TOL * smax))
         self.range_basis = u[:, :rank]           # k x r
         self.kernel_basis = u[:, rank:]          # k x (k - r)
         self.L_reduced = np.einsum("jr,jpq->rpq", self.range_basis, L)
@@ -145,29 +145,3 @@ def distance_result_to_json(r: DistanceResult) -> dict:
             "upper": "inf" if math.isinf(r.upper) else r.upper,
             "status": r.status,
             "optimizer": element_to_json(r.optimizer)}
-
-
-def quarter_disk_sup(x: float, y: float) -> float:
-    """sup of alpha*x + beta*y over alpha, beta >= 0 with alpha^2+beta^2 <= 1.
-
-    Numerical maximization over the arc (golden-section on the angle); equals
-    hypot(x, y) for x, y >= 0.  Documents the scalar step used to assemble the
-    lower Pythagoras bound from the two factor distances; not used elsewhere.
-    """
-    if x < 0 or y < 0:
-        raise ValueError("quarter_disk_sup is defined for nonnegative x, y")
-    f = lambda t: math.cos(t) * x + math.sin(t) * y
-    lo, hi = 0.0, math.pi / 2.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fa, fb = f(a), f(b)
-    for _ in range(120):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + invphi * (hi - lo)
-            fb = f(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - invphi * (hi - lo)
-            fa = f(a)
-    return max(f(lo), f(hi), f(0.0), f(math.pi / 2.0))

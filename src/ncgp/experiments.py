@@ -266,6 +266,8 @@ def check_lattice_bound(n: int = 5, lam: float = 2.0, h: float = 1.0,
 def sweep_wasserstein(lambda_steps: int = 9, tol: float = 1e-9) -> ExperimentReport:
     """Sweep lam over a uniform grid; rows (lambda, W1, W2, W, ratio) must match
     W = k_lam sqrt(W1^2 + W2^2) with k_lam = lam + sqrt(2)(1 - lam)."""
+    if lambda_steps < 1:
+        raise ValueError("lambda_steps must be at least 1")
     t0 = time.perf_counter()
     seg = FiniteMetricSpace.segment()
     square = product_space(seg, seg)
@@ -298,6 +300,8 @@ def sweep_theorem1(trials: int = 200, seed: int = 0,
     """Random unital products with separable states: the spectral distance obeys
     d <= d1 + d2, d >= sqrt(d1^2 + d2^2) and d <= sqrt(2) sqrt(d1^2 + d2^2)
     within the solver brackets."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     violations = []
@@ -335,6 +339,8 @@ def sweep_lemmas(trials: int = 1000, seed: int = 0,
     """Operator lemmas behind the main theorem, on random instances:
     the norm Pythagoras identity for a1 (x) 1 + 1 (x) a2, the odd/even max
     bound, and the slice-map contraction."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     counts = {"norm_pythagoras": 0, "odd_even_max": 0, "slice_contraction": 0}

@@ -20,15 +20,8 @@ from .algebra import (
     State,
     pure_states,
 )
-from .linalg import (
-    STRUCT_TOL,
-    anticommutator,
-    as_operator,
-    commutator,
-    is_grading,
-    require_hermitian,
-)
-from .triples import GRADING_TOL, SpectralTriple, amplified_two_point, two_point
+from .linalg import STRUCT_TOL, as_operator, commutator
+from .triples import SpectralTriple, amplified_two_point, two_point
 
 PAIRING_REAL_TOL = 1e-10
 PAIRING_INT_TOL = 1e-8
@@ -44,23 +37,14 @@ class FredholmModule:
     grading: np.ndarray
 
     def __post_init__(self):
-        h = self.rep.hilbert_dim
-        f = require_hermitian(self.f_op, what="F")
-        if f.shape != (h, h):
-            raise ValueError("F must act on the representation space")
-        if np.abs(f @ f - np.eye(h)).max() > STRUCT_TOL:
+        if self.grading is None:
+            raise ValueError("a Fredholm module needs a grading")
+        # F = F*, the shapes and the grading axioms are the spectral-triple ones
+        t = SpectralTriple(self.rep, self.f_op, self.grading)
+        if np.abs(t.dirac @ t.dirac - np.eye(t.hilbert_dim)).max() > STRUCT_TOL:
             raise ValueError("F^2 must be the identity")
-        g = as_operator(self.grading)
-        if g.shape != (h, h) or not is_grading(g, GRADING_TOL):
-            raise ValueError("grading must be a self-adjoint involution")
-        if np.abs(anticommutator(g, f)).max() > GRADING_TOL:
-            raise ValueError("grading must anticommute with F")
-        for arr in self.rep.basis_images:
-            for img in arr.reshape(-1, h, h):
-                if np.abs(commutator(g, img)).max() > GRADING_TOL:
-                    raise ValueError("grading must commute with the represented algebra")
-        object.__setattr__(self, "f_op", f)
-        object.__setattr__(self, "grading", g)
+        object.__setattr__(self, "f_op", t.dirac)
+        object.__setattr__(self, "grading", t.grading)
 
     @property
     def algebra(self) -> FiniteAlgebra:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 STRUCT_TOL = 1e-12     # hermiticity, involutions, trace normalization
-DERIVED_TOL = 1e-10    # algebraic identities of computed quantities
 
 
 def as_operator(m) -> np.ndarray:

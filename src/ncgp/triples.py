@@ -85,11 +85,6 @@ class SpectralTriple:
         return SpectralTriple(self.rep, float(s) * self.dirac, self.grading)
 
 
-def is_unital(t: SpectralTriple) -> bool:
-    """True iff the algebra unit is represented by the identity operator."""
-    return t.is_unital
-
-
 @lru_cache(maxsize=64)
 def _tensor_rep(rep1: Representation, rep2: Representation) -> Representation:
     # representations are immutable; keyed by identity, this avoids

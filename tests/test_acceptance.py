@@ -7,11 +7,9 @@ criterion; each test also enforces its wall-clock budget.
 import math
 import time
 
-import numpy as np
-
-from ncgp.algebra import FiniteAlgebra, product_state, pure_states, random_state
-from ncgp.distance import DistanceSolver, spectral_distance
-from ncgp.experiments import random_triple, sweep_lemmas
+from ncgp.algebra import FiniteAlgebra, product_state, pure_states
+from ncgp.distance import spectral_distance
+from ncgp.experiments import check_lattice_bound, sweep_lemmas, sweep_theorem1
 from ncgp.khomology import (
     Projection,
     chern_pairing,
@@ -22,7 +20,7 @@ from ncgp.khomology import (
     module_f_plus,
     pairing_vector,
 )
-from ncgp.triples import amplified_two_point, product, two_point, two_sheeted_line
+from ncgp.triples import amplified_two_point, product, two_point
 from ncgp.wasserstein import (
     FiniteMetricSpace,
     lambda_measure,
@@ -132,28 +130,10 @@ def test_criterion_06_wasserstein_product_formula():
 
 def test_criterion_07_theorem1_property_suite():
     t0 = time.perf_counter()
-    tol = 1e-4
-    rng = np.random.default_rng(0)
-    blocks = ((1, 1), (2,))
-    violations = 0
-    for trial in range(200):
-        bl1 = blocks[rng.integers(0, 2)]
-        bl2 = blocks[rng.integers(0, 2)]
-        t1 = random_triple(rng, bl1, unital=True, even=True)
-        t2 = random_triple(rng, bl2, unital=True, even=bool(rng.integers(0, 2)))
-        pt = product(t1, t2)
-        phi1, phi1p = random_state(t1.algebra, rng), random_state(t1.algebra, rng)
-        phi2, phi2p = random_state(t2.algebra, rng), random_state(t2.algebra, rng)
-        r1 = spectral_distance(t1, phi1, phi1p, tol)
-        r2 = spectral_distance(t2, phi2, phi2p, tol)
-        r = spectral_distance(pt, product_state(phi1, phi2, pt.algebra),
-                              product_state(phi1p, phi2p, pt.algebra), tol)
-        ok = (r.lower <= r1.upper + r2.upper + 3 * tol
-              and r.upper >= math.hypot(r1.lower, r2.lower) - 3 * tol
-              and r.lower <= math.sqrt(2.0) * math.hypot(r1.upper, r2.upper) + 3 * tol)
-        violations += 0 if ok else 1
+    report = sweep_theorem1(trials=200, seed=0, tol=1e-4)
     elapsed = time.perf_counter() - t0
-    assert violations == 0
+    assert report.passed, report.computed
+    assert len(report.details["rows"]) == 200
     assert elapsed < 300.0
     _report(7, "theorem-1 sandwich on 200 random unital products", f"({elapsed:.1f}s)")
 
@@ -187,21 +167,10 @@ def test_criterion_10_two_sheeted_lattice_bound():
     worst = 0.0
     for n in (5, 9):
         for lam in (0.5, 2.0, 10.0):
-            pt = product(two_point(lam), two_sheeted_line(n, 1.0))
-            deltas = pure_states(pt.algebra.factors[1])
-            solver = DistanceSolver(pt)
-            diag_max = 0.0
-            for x in range(n):
-                for y in range(n):
-                    phi = product_state(PLUS, deltas[x], pt.algebra)
-                    phi2 = product_state(MINUS, deltas[y], pt.algebra)
-                    r = solver.distance(phi, phi2, 1e-5)
-                    assert r.upper <= 1.0 + 1e-5, (n, lam, x, y, r.upper)
-                    worst = max(worst, r.upper)
-                    if x == y:
-                        diag_max = max(diag_max, r.upper)
-            if lam == 2.0:
-                assert diag_max < lam
+            # every distance <= 1 + 1e-5, and the diagonal ones < lambda for lambda > 1
+            report = check_lattice_bound(n, lam, 1.0, 1e-5)
+            assert report.passed, (n, lam, report.computed, report.details["diagonal_max"])
+            worst = max(worst, report.computed)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _report(10, "two-sheeted lattice distances <= 1, diagonal < lambda",

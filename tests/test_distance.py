@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ncgp
 from ncgp.algebra import FiniteAlgebra, product_state, pure_states, random_state
@@ -14,7 +12,6 @@ from ncgp.distance import (
     DistanceSolver,
     distance_matrix,
     distance_result_to_json,
-    quarter_disk_sup,
     spectral_distance,
 )
 from ncgp.experiments import random_triple
@@ -83,6 +80,14 @@ class TestCatalogDistances:
             assert r.status == "finite"
             assert r.lower == pytest.approx(lam, abs=1e-7)
             assert r.upper == pytest.approx(lam, abs=1e-7)
+
+    def test_two_point_at_large_scale(self):
+        # the kernel cutoff is relative to the top singular value, so a small
+        # Dirac operator is not mistaken for D = 0
+        for lam in (1.0, 1e3, 1e6, 1e10, 1e13):
+            r = spectral_distance(two_point(lam), PLUS, MINUS)
+            assert r.status == "finite"
+            assert abs(r.lower - lam) <= 1e-6 * lam
 
     def test_amplified_two_point(self):
         t = amplified_two_point(0.75)
@@ -277,23 +282,6 @@ class TestAscentOracle:
         r = solver.distance(phi, phi2, 1e-7)
         assert val <= r.upper + 1e-9
         assert val == pytest.approx(r.lower, abs=1e-4)
-
-
-class TestQuarterDiskSup:
-    def test_matches_hypot_on_grid(self):
-        for x in (0.0, 0.3, 1.0, 7.0):
-            for y in (0.0, 0.2, 2.5):
-                assert quarter_disk_sup(x, y) == pytest.approx(math.hypot(x, y), abs=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=1e6),
-           st.floats(min_value=0.0, max_value=1e6))
-    def test_matches_hypot(self, x, y):
-        assert abs(quarter_disk_sup(x, y) - math.hypot(x, y)) <= 1e-12 * max(1.0, math.hypot(x, y))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            quarter_disk_sup(-1.0, 2.0)
 
 
 def test_distance_result_json():

@@ -224,6 +224,42 @@ class TestCli:
         assert main(["distance", "--triple", "no_such_triple",
                      "--pure", "0,1"]) == 2
 
+    @staticmethod
+    def _assert_input_error(argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncgp: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["malformed", "missing", "non-metric", "unnormalized"])
+    def test_w1_bad_input_is_usage_error(self, tmp_path, capsys, case):
+        seg = FiniteMetricSpace.segment()
+        space = space_to_json(seg)
+        mu = measure_to_json(lambda_measure(seg, 0.3))
+        if case == "non-metric":
+            space["dist"] = [[0.0, 1.0], [2.0, 0.0]]
+        if case == "unnormalized":
+            mu = {"weights": [0.7, 0.7]}
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        (tmp_path / "mu.json").write_text("{not json" if case == "malformed" else json.dumps(mu))
+        nu = "absent.json" if case == "missing" else "mu.json"
+        self._assert_input_error(["w1", "--space", str(tmp_path / "space.json"),
+                                  "--mu", str(tmp_path / "mu.json"),
+                                  "--nu", str(tmp_path / nu)], capsys)
+
+    def test_distance_malformed_states_is_usage_error(self, tmp_path, capsys):
+        states_file = tmp_path / "states.json"
+        states_file.write_text("[{not json")
+        self._assert_input_error(["distance", "--triple", "two_point:lambda=2",
+                                  "--states", str(states_file)], capsys)
+
+    @pytest.mark.parametrize("argv", [["theorem1", "--trials", "0"],
+                                      ["lemmas", "--trials", "0"],
+                                      ["wasserstein-rsquare", "--lambda-steps", "0"]],
+                             ids=["theorem1", "lemmas", "wasserstein-rsquare"])
+    def test_sweep_without_trials_is_usage_error(self, capsys, argv):
+        self._assert_input_error(["sweep", *argv], capsys)
+
 
 def test_wasserstein_sweep_report():
     r = sweep_wasserstein(lambda_steps=9)

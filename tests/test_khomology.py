@@ -129,6 +129,11 @@ class TestModuleValidation:
         with pytest.raises(ValueError):
             FredholmModule(rep, np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
 
+    def test_grading_is_required(self):
+        rep = ncgp.Representation.defining(C2)
+        with pytest.raises(ValueError):
+            FredholmModule(rep, np.array([[0.0, 1.0], [1.0, 0.0]]), None)
+
     def test_projection_must_be_idempotent(self):
         with pytest.raises(ValueError):
             Projection.from_element(C2.diagonal_element([0.5, 0.0]))

@@ -13,7 +13,6 @@ from ncgp.triples import (
     SpectralTriple,
     amplified_two_point,
     amplify,
-    is_unital,
     lattice_line,
     product,
     triple_from_json,
@@ -159,9 +158,9 @@ class TestProduct:
 
 class TestUnitality:
     def test_catalog(self):
-        assert is_unital(two_point(2.0))
-        assert not is_unital(amplified_two_point(1.0))
-        assert not is_unital(ncgp.module_f_plus().as_spectral_triple())
+        assert two_point(2.0).is_unital
+        assert not amplified_two_point(1.0).is_unital
+        assert not ncgp.module_f_plus().as_spectral_triple().is_unital
 
 
 class TestLatticeLine:

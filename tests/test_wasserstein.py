@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgp.wasserstein import (
@@ -131,10 +131,27 @@ class TestDualityAndFeasibility:
         assert np.abs(res.plan.sum(axis=1) - mu.weights).max() < 1e-10
         assert np.abs(res.plan.sum(axis=0) - nu.weights).max() < 1e-10
 
+    @pytest.mark.parametrize("seed, index", [(204, 62), (708, 27)])
+    def test_grid_inputs_with_degenerate_duals(self, seed, index):
+        # 11 x 11 grid inputs on which solving the dual as a second LP, apart
+        # from the primal, left a duality gap above 1e-9
+        seg = FiniteMetricSpace.euclidean([str(i) for i in range(11)],
+                                          np.linspace(0.0, 1.0, 11)[:, None])
+        grid = product_space(seg, seg)
+        rng = np.random.default_rng(seed)
+        for _ in range(index + 1):
+            a, b = rng.random((2, grid.size)) + 0.05
+        res = w1(grid, Measure(grid, a / a.sum()), Measure(grid, b / b.sum()))
+        assert float(np.sum(res.plan * grid.dist)) == pytest.approx(res.value, abs=1e-9)
+        assert res.potential[0] == 0.0
+        excess = np.abs(res.potential[:, None] - res.potential[None, :]) - grid.dist
+        assert excess.max() <= 1e-9
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.integers(min_value=2, max_value=6),
            st.integers(min_value=2, max_value=6))
+    @example(seed=1_537_517_352, n1=5, n2=6)   # a second dual LP was not 1-Lipschitz here
     def test_pythagoras_sandwich_on_random_products(self, seed, n1, n2):
         rng = np.random.default_rng(seed)
         s1 = FiniteMetricSpace.euclidean(tuple(str(i) for i in range(n1)),
