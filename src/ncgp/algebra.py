@@ -360,15 +360,29 @@ def hermitian_basis(algebra: FiniteAlgebra) -> list[AlgebraElement]:
 
 
 def element_from_coordinates(algebra: FiniteAlgebra, x) -> AlgebraElement:
-    """Self-adjoint element sum_i x_i b_i over the canonical hermitian basis."""
-    basis = hermitian_basis(algebra)
+    """Self-adjoint element sum_i x_i b_i over the canonical hermitian basis.
+
+    Each block is filled from its slice of x in the order of `hermitian_basis`:
+    n diagonal entries, then one (symmetric, antisymmetric) pair per k < l in
+    `np.triu_indices` order.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} coordinates, got {x.shape}")
-    out = algebra.zero()
-    for xi, b in zip(x, basis):
-        out = out + float(xi) * b
-    return out
+    k = algebra.selfadjoint_dim
+    if x.shape != (k,):
+        raise ValueError(f"expected {k} coordinates, got {x.shape}")
+    s = 1.0 / np.sqrt(2.0)
+    blocks = []
+    off = 0
+    for n in algebra.blocks:
+        xb = x[off:off + n * n]
+        off += n * n
+        m = np.diag(xb[:n]).astype(complex)
+        rows, cols = np.triu_indices(n, 1)
+        sym, anti = xb[n::2] * s, xb[n + 1::2] * s
+        m[rows, cols] = sym + 1j * anti
+        m[cols, rows] = sym - 1j * anti
+        blocks.append(m)
+    return AlgebraElement(algebra, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,8 @@ def _run_distance(args) -> int:
             if not isinstance(raw, list) or len(raw) != 2:
                 raise ValueError("must hold a two-element list")
             phi, phi2 = (state_from_json(obj) for obj in raw)
+            if phi.algebra != triple.algebra or phi2.algebra != triple.algebra:
+                raise ValueError("states must live on the triple's algebra")
         except INPUT_ERRORS as exc:
             print(f"ncgp: bad --states file: {exc}", file=sys.stderr)
             return 2

@@ -62,17 +62,28 @@ class DistanceSolver:
         self.triple = triple
         self.basis = hermitian_basis(triple.algebra)
         k = len(self.basis)
+        # row i: the blocks of basis element i, each transposed and flattened,
+        # so that phi(b_i) = sum_b tr(rho_b b_i) = row i . (rho_b flattened)
+        self.basis_matrix = np.stack([np.concatenate([m.T.ravel() for m in b.blocks])
+                                      for b in self.basis])
         L = np.stack([triple.commutator_with_dirac(b) for b in self.basis])
         flat = np.concatenate([L.reshape(k, -1).real, L.reshape(k, -1).imag], axis=1)
-        u, s, _ = np.linalg.svd(flat, full_matrices=True)
+        # thin SVD: only u is read; zero columns keep u square (k x k) when
+        # the map has fewer than k real components, as for a non-faithful pi
+        if flat.shape[1] < k:
+            flat = np.pad(flat, ((0, 0), (0, k - flat.shape[1])))
+        u, s, _ = np.linalg.svd(flat, full_matrices=False)
         smax = float(s[0]) if s.size else 0.0
         rank = int(np.sum(s > KERNEL_SVD_TOL * smax))
         self.range_basis = u[:, :rank]           # k x r
         self.kernel_basis = u[:, rank:]          # k x (k - r)
-        self.L_reduced = np.einsum("jr,jpq->rpq", self.range_basis, L)
+        h = triple.hilbert_dim
+        self.L_reduced = (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
 
     def _objective(self, phi: State, phi2: State) -> np.ndarray:
-        return np.array([(phi(b) - phi2(b)).real for b in self.basis])
+        def values(state: State) -> np.ndarray:
+            return (self.basis_matrix @ np.concatenate([r.ravel() for r in state.densities])).real
+        return values(phi) - values(phi2)
 
     def distance(self, phi: State, phi2: State, tol: float = DEFAULT_TOL) -> DistanceResult:
         alg = self.triple.algebra

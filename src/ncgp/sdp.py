@@ -25,6 +25,20 @@ certified upper bounds tr(Z).  The path is advanced until the bracket closes
 below the tolerance: this plays the role of a bisection on the target value,
 where the query "is the optimum >= t" is answered by the current primal/dual
 pair.
+
+The Newton system is assembled with BLAS matrix products on reshaped arrays,
+not with einsum.  With the L_j kept both as rows of Lflat (k x h^2) and side
+by side as Lp = [L_1 ... L_k] (h x k h):
+
+    L(y)      = (y @ Lflat) reshaped to h x h;
+    L~_j      = U* L_j V  from  U* @ Lp  (h x k h), reshaped to (h k) x h, @ V;
+    K1        = (L~ * dp dp^T) (k x h^2)  @  conj(L~)^T (h^2 x k);
+    K2        = M~ with its two matrix axes swapped (k x h^2)  @  M~^T,
+                M~_j = conj(L~_j) diag(dq);
+    gradient  = c - 2 mu Re diag(L~) @ dq    (diag(L~) is k x h);
+
+and the certificate residual <Z, A_j> is Lflat @ conj(Z_12) flattened.  The
+Gram matrix of the L_j is Lflat @ Lflat*.
 """
 
 from __future__ import annotations
@@ -57,6 +71,32 @@ def _chol_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(K, b, rcond=None)[0]
 
 
+def _newton_system(c: np.ndarray, Lp: np.ndarray, mu: float, U: np.ndarray,
+                   s: np.ndarray, V: np.ndarray):
+    """Gradient and K = -Hessian/mu of the barrier c.y + mu logdet M at
+    L(y) = U diag(s) V*.
+
+    Lp = [L_1 ... L_k] is h x k h.  With slack 1 - s^2, dp = 1/slack and
+    dq = s/slack, the gradient is c_j - 2 mu Re tr(diag(dq) L~_j) and
+    K_ij = 2 Re [tr(P L_i R L_j*) + tr(T L_i* T L_j*)] for L~_j = U* L_j V.
+    Returns (grad, K, dp, dq).
+    """
+    h = Lp.shape[0]
+    k = Lp.shape[1] // h
+    slack = 1.0 - s * s
+    dq = s / slack
+    dp = 1.0 / slack
+    # two GEMMs give L~ as [p, j, q]; one copy makes it [j, p, q]
+    Lt = ((np.conj(U).T @ Lp).reshape(h * k, h) @ V).reshape(h, k, h)
+    Lt = np.ascontiguousarray(Lt.transpose(1, 0, 2))
+    grad = c - 2.0 * mu * (np.diagonal(Lt, axis1=1, axis2=2) @ dq).real
+    K1 = (Lt * np.outer(dp, dp)).reshape(k, h * h) @ np.conj(Lt).reshape(k, h * h).T
+    Mt = np.conj(Lt) * dq
+    K2 = Mt.transpose(0, 2, 1).reshape(k, h * h) @ Mt.reshape(k, h * h).T
+    K = 2.0 * (K1 + K2).real
+    return grad, K, dp, dq
+
+
 def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
                             max_outer: int = 60, max_newton: int = 1200) -> LMISolution:
     """Path-following solve of max c.y s.t. ||sum_j y_j L_j||_op <= 1.
@@ -66,11 +106,12 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
     """
     c = np.asarray(c, dtype=float)
     k, h = L.shape[0], L.shape[1]
-    Lc = np.conj(L)
+    Lflat = L.reshape(k, h * h)
+    Lp = np.concatenate(L, axis=1)
 
     # Gram matrix of the L_j; PD by linear independence.  For any feasible y,
     # ||L(y)||_F <= sqrt(h) ||L(y)||_op <= sqrt(h), hence ||y|| <= ybound.
-    G = np.einsum("ipq,jpq->ij", L, Lc).real
+    G = (Lflat @ np.conj(Lflat).T).real
     gmin = float(np.linalg.eigvalsh(G)[0])
     if gmin <= 0:
         raise ValueError("L_j must be linearly independent (project out the kernel first)")
@@ -83,38 +124,26 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
     steps = 0
     converged = False
 
-    def sigmas(yv: np.ndarray) -> np.ndarray:
-        return np.linalg.svd(np.einsum("j,jpq->pq", yv, L), compute_uv=False)
-
-    def barrier(yv: np.ndarray) -> float:
-        s = sigmas(yv)
+    def barrier(yv: np.ndarray, s: np.ndarray | None = None) -> float:
+        """Barrier value at yv, from the singular values s of L(yv) if known."""
+        if s is None:
+            s = np.linalg.svd((yv @ Lflat).reshape(h, h), compute_uv=False)
         if s[0] >= 1.0:
             return -np.inf
         return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
 
     def newton_data(yv: np.ndarray):
-        """SVD pieces, gradient, Hessian factor K and Newton direction at yv.
+        """SVD pieces, Newton direction and decrement at yv.
 
-        Everything lives in the SVD basis X = U diag(s) V*: with slack
-        1 - s^2, the barrier gradient is c_j - 2 mu Re tr(diag(s/slack) L~_j)
-        and -Hessian/mu has entries 2 Re [tr(P L_i R L_j*) + tr(T L_i* T L_j*)]
-        for L~_j = U* L_j V.
+        L(yv) is one GEMV on Lflat; its SVD X = U diag(s) V* feeds the
+        GEMM-assembled gradient and K of `_newton_system`, and d solves
+        K d = grad / mu.
         """
-        X = np.einsum("j,jpq->pq", yv, L)
-        U, s, Vh = np.linalg.svd(X)
+        U, s, Vh = np.linalg.svd((yv @ Lflat).reshape(h, h))
         if s[0] >= 1.0 - 1e-15:
             return None
         V = Vh.conj().T
-        Lt = np.conj(U).T @ L @ V        # batched over j
-        slack = 1.0 - s * s
-        dq = s / slack
-        dp = 1.0 / slack
-        grad = c - 2.0 * mu * np.einsum("jpp,p->j", Lt, dq).real
-        K1 = np.einsum("ipq,jpq->ij", Lt * dp[None, :, None] * dp[None, None, :],
-                       np.conj(Lt))
-        Mt = np.conj(Lt) * dq[None, None, :]
-        K2 = np.einsum("iqp,jpq->ij", Mt, Mt)
-        K = 2.0 * (K1 + K2).real
+        grad, K, dp, dq = _newton_system(c, Lp, mu, U, s, V)
         d = _chol_solve(K, grad) / mu
         lam2 = abs(float(grad @ d)) / mu   # Newton decrement of the mu-barrier
         return U, s, V, dp, dq, d, lam2
@@ -131,10 +160,10 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
                 y = 0.999 * y
                 steps += 1
                 continue
-            _, _, _, _, _, d, lam2 = data
+            _, s, _, _, _, d, lam2 = data
             if lam2 <= 1e-6:
                 break
-            f0 = barrier(y)
+            f0 = barrier(y, s)
             gd = lam2 * mu   # equals grad.d by definition of the decrement
             t = 1.0
             while t > 1e-14 and barrier(y + t * d) < f0 + 0.01 * t * gd:
@@ -164,12 +193,12 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
         # folded in via the a-priori bound on feasible ||y||.
         minv = np.block([[(U * dp) @ np.conj(U).T, -(U * dq) @ V.conj().T],
                          [-(V * dq) @ np.conj(U).T, (V * dp) @ V.conj().T]])
-        ld = np.einsum("j,jpq->pq", d, L)
+        ld = (d @ Lflat).reshape(h, h)
         dM = np.zeros((2 * h, 2 * h), dtype=complex)
         dM[:h, h:] = ld
         dM[h:, :h] = np.conj(ld).T
         Z = mu * (minv - minv @ dM @ minv)
-        resid2 = 2.0 * np.einsum("pq,jpq->j", np.conj(Z[:h, h:]), L).real + c
+        resid2 = 2.0 * (Lflat @ np.conj(Z[:h, h:]).ravel()).real + c
         zmin = float(np.linalg.eigvalsh(Z)[0])
         ub = float(np.trace(Z).real) + 2 * h * max(0.0, -zmin) \
             + float(np.linalg.norm(resid2)) * ybound

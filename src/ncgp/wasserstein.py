@@ -6,6 +6,10 @@ c-transform f_i = min_j (d_ij - v_j) of the column duals v is 1-Lipschitz
 because d is a metric, and by Kantorovich duality f.(mu - nu) equals the
 transport cost.  The marginals, the duality gap (to 1e-9) and the Lipschitz
 bound are checked on every solve.
+
+HiGHS runs with feasibility tolerances of 1e-10.  At its default of 1e-7 the
+simplex may stop at a basis with reduced costs near -3e-8, whose plan costs
+a few 1e-9 more than the optimum: the duality-gap check then rightly fails.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from scipy.optimize import linprog
 TRIANGLE_TOL = 1e-12
 GAP_TOL = 1e-9
 MARGINAL_TOL = 1e-10
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +121,8 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     eye, ones = sparse.identity(n), np.ones((1, n))
     a_eq = sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csc")
     b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(d.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(d.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options=HIGHS_OPTIONS)
     if not res.success:
         raise ValueError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n, n)

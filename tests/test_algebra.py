@@ -268,6 +268,29 @@ class TestHermitianBasis:
                 for basis_el in hermitian_basis(alg)]
         assert np.allclose(back, x, atol=1e-13)
 
+    @pytest.mark.parametrize("alg", [FiniteAlgebra((1, 1)), FiniteAlgebra((2, 3)),
+                                     FiniteAlgebra((1, 2)).tensor(FiniteAlgebra((2, 1)))],
+                             ids=["C2", "M2+M3", "product"])
+    def test_coordinates_match_partial_sums(self, alg):
+        # reference: the sum over the basis, one validated partial sum per term
+        def partial_sums(x):
+            out = alg.zero()
+            for xi, b in zip(x, hermitian_basis(alg)):
+                out = out + float(xi) * b
+            return out
+
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            x = rng.normal(size=alg.selfadjoint_dim)
+            got, want = element_from_coordinates(alg, x), partial_sums(x)
+            assert got.algebra == alg
+            for g, w in zip(got.blocks, want.blocks, strict=True):
+                assert np.array_equal(g, w)
+
+    def test_coordinates_reject_wrong_length(self):
+        with pytest.raises(ValueError):
+            element_from_coordinates(FiniteAlgebra((2,)), np.zeros(3))
+
 
 def test_json_round_trips_exact():
     rng = np.random.default_rng(9)

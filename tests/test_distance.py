@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import ncgp
-from ncgp.algebra import FiniteAlgebra, product_state, pure_states, random_state
+from ncgp.algebra import (
+    FiniteAlgebra,
+    Representation,
+    product_state,
+    pure_states,
+    random_state,
+)
 from ncgp.distance import (
     DistanceSolver,
     distance_matrix,
@@ -17,7 +23,13 @@ from ncgp.distance import (
 from ncgp.experiments import random_triple
 from ncgp.linalg import op_norm
 from ncgp.sdp import ratio_ascent
-from ncgp.triples import SpectralTriple, amplified_two_point, product, two_point
+from ncgp.triples import (
+    SpectralTriple,
+    amplified_two_point,
+    product,
+    two_point,
+    two_sheeted_line,
+)
 
 C2 = FiniteAlgebra((1, 1))
 PLUS, MINUS = pure_states(C2)
@@ -170,6 +182,54 @@ class TestResultInvariants:
         other = pure_states(FiniteAlgebra((1, 1, 1)))[0]
         with pytest.raises(ValueError):
             spectral_distance(t, other, other)
+
+
+def coordinate_triple(k, h, lam=1.0):
+    """C^k acting on C^h (h <= 2) through its first h coordinates, diagonally.
+
+    The other k - h coordinates act as zero, so pi is not faithful; with
+    k > 2 h^2 the commutator map has fewer real components than coordinates.
+    """
+    images = [np.zeros((1, 1, h, h), dtype=complex) for _ in range(k)]
+    for i in range(h):
+        images[i][0, 0, i, i] = 1.0
+    dirac = np.array([[0.0, 1.0], [1.0, 0.0]]) / lam if h == 2 else np.ones((1, 1))
+    return SpectralTriple(Representation(FiniteAlgebra((1,) * k), h, tuple(images)), dirac)
+
+
+class TestKernelSplit:
+    @pytest.mark.parametrize("k,h", [(3, 1), (9, 2)])
+    def test_thin_svd_kernel_matches_full_svd(self, k, h):
+        t = coordinate_triple(k, h, lam=3.0)
+        solver = DistanceSolver(t)
+        L = np.stack([t.commutator_with_dirac(b) for b in solver.basis])
+        flat = np.concatenate([L.reshape(k, -1).real, L.reshape(k, -1).imag], axis=1)
+        assert flat.shape[1] < k
+        u, s, _ = np.linalg.svd(flat, full_matrices=True)
+        rank = int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
+        assert solver.range_basis.shape == (k, rank)
+        assert solver.kernel_basis.shape == (k, k - rank)
+        assert np.allclose(solver.kernel_basis @ solver.kernel_basis.T,
+                           u[:, rank:] @ u[:, rank:].T, atol=1e-12)
+
+        states = pure_states(t.algebra)
+        # the last coordinate acts as zero: distances to it are infinite,
+        # witnessed by a kernel element with a positive objective
+        r = solver.distance(states[0], states[-1], 1e-7)
+        assert r.status == "infinite" and math.isinf(r.upper)
+        assert op_norm(t.commutator_with_dirac(r.optimizer)) <= 1e-12
+        assert r.lower == pytest.approx(
+            (states[0](r.optimizer) - states[-1](r.optimizer)).real, abs=1e-12)
+        assert r.lower > 0
+        if h == 2:
+            r = solver.distance(states[0], states[1], 1e-7)
+            assert r.status == "finite" and r.lower == pytest.approx(3.0, abs=1e-6)
+
+    def test_lattice_n15_ranks(self):
+        # the benchmark's lattice-n15 triple: full-rank commutator map
+        solver = DistanceSolver(product(two_point(2.0), two_sheeted_line(15)))
+        assert solver.range_basis.shape == (30, 30)
+        assert solver.kernel_basis.shape == (30, 0)
 
 
 class TestDistanceMatrix:

@@ -253,6 +253,16 @@ class TestCli:
         self._assert_input_error(["distance", "--triple", "two_point:lambda=2",
                                   "--states", str(states_file)], capsys)
 
+    def test_distance_states_on_other_algebra_is_usage_error(self, tmp_path, capsys):
+        from ncgp.algebra import state_to_json
+        plus, minus = ncgp.pure_states(ncgp.FiniteAlgebra((1, 1)))
+        states_file = tmp_path / "states.json"
+        states_file.write_text(json.dumps([state_to_json(plus), state_to_json(minus)]))
+        assert main(["distance", "--triple", "lattice_line:n=3",
+                     "--states", str(states_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ncgp: bad --states file: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [["theorem1", "--trials", "0"],
                                       ["lemmas", "--trials", "0"],
                                       ["wasserstein-rsquare", "--lambda-steps", "0"]],

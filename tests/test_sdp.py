@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ncgp.sdp import maximize_over_unit_ball, ratio_ascent
+from ncgp.sdp import _newton_system, maximize_over_unit_ball, ratio_ascent
 
 
 def lp_oracle_diagonal(c, diags):
@@ -77,3 +77,64 @@ class TestAgainstLpOracle:
         L[1] = 2.0 * np.eye(2)
         with pytest.raises(ValueError):
             maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
+
+
+def interior_instance(seed, k, h):
+    """Random complex L_j, objective c, mu and a point y with ||L(y)|| = 0.6."""
+    rng = np.random.default_rng(seed)
+    L = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
+    c = rng.normal(size=k)
+    y = rng.normal(size=k)
+    y *= 0.6 / np.linalg.norm(np.einsum("j,jpq->pq", y, L), 2)
+    return L, c, float(rng.uniform(0.1, 2.0)), y
+
+
+def newton_system_at(c, L, mu, y):
+    U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, L))
+    grad, K, _, _ = _newton_system(c, np.concatenate(L, axis=1), mu, U, s, Vh.conj().T)
+    return grad, K, (U, s, Vh.conj().T)
+
+
+SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
+
+
+class TestNewtonSystem:
+    @pytest.mark.parametrize("k,h", SHAPES)
+    def test_matches_einsum_formulas(self, k, h):
+        L, c, mu, y = interior_instance(k * 10 + h, k, h)
+        grad, K, (U, s, V) = newton_system_at(c, L, mu, y)
+        # reference: the contractions written with einsum over L~_j = U* L_j V
+        slack = 1.0 - s * s
+        dq, dp = s / slack, 1.0 / slack
+        Lt = np.conj(U).T @ L @ V
+        want_grad = c - 2.0 * mu * np.einsum("jpp,p->j", Lt, dq).real
+        K1 = np.einsum("ipq,jpq->ij", Lt * dp[None, :, None] * dp[None, None, :], np.conj(Lt))
+        Mt = np.conj(Lt) * dq[None, None, :]
+        K2 = np.einsum("iqp,jpq->ij", Mt, Mt)
+        want_K = 2.0 * (K1 + K2).real
+        scale = np.abs(want_K).max()
+        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+        assert np.allclose(K, want_K, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("k,h", SHAPES)
+    def test_matches_finite_differences_of_the_barrier(self, k, h):
+        L, c, mu, y = interior_instance(k * 10 + h + 500, k, h)
+
+        def barrier(yv):
+            s = np.linalg.svd(np.einsum("j,jpq->pq", yv, L), compute_uv=False)
+            return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
+
+        grad, K, _ = newton_system_at(c, L, mu, y)
+        eps = 1e-4
+        steps = eps * np.eye(k)
+        fd_grad = np.array([(barrier(y + e) - barrier(y - e)) / (2 * eps) for e in steps])
+        # -mu K is the barrier's Hessian
+        fd_hess = np.array([[(barrier(y + a + b) - barrier(y + a - b)
+                              - barrier(y - a + b) + barrier(y - a - b)) / (4 * eps * eps)
+                             for b in steps] for a in steps])
+        assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
+        assert np.allclose(-mu * K, fd_hess, rtol=1e-5, atol=1e-5 * np.abs(mu * K).max())
+        # K is symmetric, and positive definite when the L_j are independent
+        assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
+        if k <= 2 * h * h:
+            assert np.linalg.eigvalsh(K)[0] > 0
