@@ -207,24 +207,31 @@ class Representation:
 
 
 def _check_star_rep(rep: Representation) -> None:
-    """Validate *-linearity and multiplicativity on matrix units."""
+    """Validate *-linearity and multiplicativity on matrix units, block by block.
+
+    Within a block, E_ij* = E_ji is one array comparison and E_ij E_kl =
+    delta_jk E_il one (n^2 h x h) @ (h x n^2 h) product.  Across blocks these
+    make each pi(1_b) a projection, and their sum S is a projection exactly
+    when they are pairwise orthogonal, as tr(S^2 - S) = sum_{a != b}
+    ||pi(1_a) pi(1_b)||_F^2; then every E^a_ij E^b_kl = E^a_ij 1_a 1_b E^b_kl
+    vanishes.
+    """
+    h = rep.hilbert_dim
+    units = np.zeros((h, h), dtype=complex)
     for arr in rep.basis_images:
         n = arr.shape[0]
-        for i, j in itertools.product(range(n), repeat=2):
-            if np.abs(arr[i, j].conj().T - arr[j, i]).max() > STRUCT_TOL:
-                raise ValueError("representation is not *-compatible on matrix units")
-        # E_ij E_kl = delta_jk E_il within each block
-        prod = np.einsum("ijpq,klqr->ijklpr", arr, arr)
-        want = np.zeros_like(prod)
-        for i, j, l in itertools.product(range(n), repeat=3):
-            want[i, j, j, l] = arr[i, l]
-        if np.abs(prod - want).max() > STRUCT_TOL:
+        if np.abs(arr.transpose(1, 0, 3, 2).conj() - arr).max() > STRUCT_TOL:
+            raise ValueError("representation is not *-compatible on matrix units")
+        # prod[i, j, p, k, l, r] = (E_ij E_kl)[p, r], less E_il where j = k
+        prod = (arr.reshape(n * n * h, h)
+                @ arr.transpose(2, 0, 1, 3).reshape(h, n * n * h)).reshape(n, n, h, n, n, h)
+        for j in range(n):
+            prod[:, j, :, j] -= arr.transpose(0, 2, 1, 3)
+        if np.abs(prod).max() > STRUCT_TOL:
             raise ValueError("representation is not multiplicative on matrix units")
-    # cross-block products must vanish
-    for a1, a2 in itertools.combinations(rep.basis_images, 2):
-        cross = np.einsum("ijpq,klqr->ijklpr", a1, a2)
-        if np.abs(cross).max() > STRUCT_TOL:
-            raise ValueError("images of distinct blocks do not multiply to zero")
+        units += np.trace(arr)
+    if np.abs(units @ units - units).max() > STRUCT_TOL:
+        raise ValueError("images of distinct blocks do not multiply to zero")
 
 
 def _is_faithful(rep: Representation) -> bool:

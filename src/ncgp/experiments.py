@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -91,14 +90,6 @@ def _report(experiment_id, inputs, claimed, computed, passed, tolerance, t0,
                             details=details or {})
 
 
-@lru_cache(maxsize=32)
-def _doubled_rep(blocks: tuple, unital: bool) -> Representation:
-    base = Representation.defining(FiniteAlgebra(blocks))
-    if not unital:
-        base = base.padded(1)
-    return base.with_multiplicity(2)
-
-
 def random_triple(seed, blocks=(1, 1), unital: bool = True,
                   even: bool = True) -> SpectralTriple:
     """Seeded random spectral triple over A = sum of M_n blocks.
@@ -111,7 +102,10 @@ def random_triple(seed, blocks=(1, 1), unital: bool = True,
     if sum(blocks) > 8:
         raise ValueError("random_triple supports total block dimension <= 8")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    rep = _doubled_rep(tuple(int(n) for n in blocks), bool(unital))
+    rep = Representation.defining(FiniteAlgebra(blocks))
+    if not unital:
+        rep = rep.padded(1)
+    rep = rep.with_multiplicity(2)
     n = rep.hilbert_dim // 2
     raw = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
     dirac = (raw + raw.conj().T) / 2.0

@@ -47,6 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_OUTER = 60      # barrier-parameter reductions per solve
+MAX_NEWTON = 1200   # Newton steps per solve, over all outer iterations
+
 
 @dataclass
 class LMISolution:
@@ -97,8 +100,7 @@ def _newton_system(c: np.ndarray, Lp: np.ndarray, mu: float, U: np.ndarray,
     return grad, K, dp, dq
 
 
-def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
-                            max_outer: int = 60, max_newton: int = 1200) -> LMISolution:
+def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float) -> LMISolution:
     """Path-following solve of max c.y s.t. ||sum_j y_j L_j||_op <= 1.
 
     Requires the L_j to be linearly independent; returns a certified bracket
@@ -148,12 +150,12 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
         lam2 = abs(float(grad @ d)) / mu   # Newton decrement of the mu-barrier
         return U, s, V, dp, dq, d, lam2
 
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         # center at the current mu: drive the barrier Newton decrement small
         # so the Newton-corrected dual point below is positive definite
         data = None
         for _ in range(60):
-            if steps >= max_newton:
+            if steps >= MAX_NEWTON:
                 break
             data = newton_data(y)
             if data is None:
@@ -207,7 +209,7 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float,
         if upper - lower <= tol * max(1.0, lower):
             converged = True
             break
-        if steps >= max_newton or mu <= 1e-13 * max(1.0, float(np.linalg.norm(c))):
+        if steps >= MAX_NEWTON or mu <= 1e-13 * max(1.0, float(np.linalg.norm(c))):
             break
         mu *= 0.15
 

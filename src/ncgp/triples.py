@@ -8,7 +8,7 @@ A1 (x) A2 and H1 (x) H2 with Dirac operator D1 (x) 1 + gamma1 (x) D2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +54,9 @@ class SpectralTriple:
                 raise ValueError("grading must be a self-adjoint involution on H")
             if np.abs(anticommutator(g, d)).max() > GRADING_TOL:
                 raise ValueError("grading must anticommute with the Dirac operator")
-            for arr in self.rep.basis_images:
-                imgs = arr.reshape(-1, h, h)
-                if max(np.abs(commutator(g, a)).max() for a in imgs) > GRADING_TOL:
-                    raise ValueError("grading must commute with the represented algebra")
+            imgs = np.concatenate([arr.reshape(-1, h, h) for arr in self.rep.basis_images])
+            if np.abs(g @ imgs - imgs @ g).max() > GRADING_TOL:
+                raise ValueError("grading must commute with the represented algebra")
             object.__setattr__(self, "grading", g)
 
     @property
@@ -85,18 +84,11 @@ class SpectralTriple:
         return SpectralTriple(self.rep, float(s) * self.dirac, self.grading)
 
 
-@lru_cache(maxsize=64)
-def _tensor_rep(rep1: Representation, rep2: Representation) -> Representation:
-    # representations are immutable; keyed by identity, this avoids
-    # re-validating the same product representation across many products
-    return rep1.tensor(rep2)
-
-
 def product(t1: SpectralTriple, t2: SpectralTriple) -> SpectralTriple:
     """Product triple D = D1 (x) 1 + gamma1 (x) D2; requires t1 even."""
     if t1.grading is None:
         raise ValueError("product requires the first factor to carry a grading")
-    rep = _tensor_rep(t1.rep, t2.rep)
+    rep = t1.rep.tensor(t2.rep)
     eye2 = np.eye(t2.hilbert_dim)
     dirac = tensor(t1.dirac, eye2) + tensor(t1.grading, t2.dirac)
     grading = tensor(t1.grading, t2.grading) if t2.grading is not None else None

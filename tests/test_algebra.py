@@ -216,6 +216,51 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             Representation(FiniteAlgebra((1,)), 2, (arr,))
 
+    def test_image_not_adjoint_rejected(self):
+        arr = Representation.defining(FiniteAlgebra((2,))).basis_images[0].copy()
+        arr[0, 1] *= 2.0   # pi(E_12) is no longer pi(E_21)*
+        with pytest.raises(ValueError, match="not \\*-compatible"):
+            Representation(FiniteAlgebra((2,)), 2, (arr,))
+
+    def test_overlapping_units_in_block_rejected(self):
+        # pi(E_11) = |e1><e1|, pi(E_22) = |v><v| with <e1, v> != 0, and
+        # pi(E_12) = |e1><v| = pi(E_21)*: star-compatible, not multiplicative
+        e1, v = np.array([1.0, 0.0]), np.array([1.0, 1.0]) / np.sqrt(2.0)
+        arr = np.array([[np.outer(e1, e1), np.outer(e1, v)],
+                        [np.outer(v, e1), np.outer(v, v)]], dtype=complex)
+        with pytest.raises(ValueError, match="not multiplicative"):
+            Representation(FiniteAlgebra((2,)), 2, (arr,))
+
+    @staticmethod
+    def _two_projections(u, v):
+        """C^2 on C^2 with its two coordinates sent to |u><u| and |v><v|."""
+        images = tuple(np.outer(w, w.conj()).reshape(1, 1, 2, 2).astype(complex)
+                       for w in (u, v))
+        return Representation(C2, 2, images)
+
+    def test_blocks_on_same_projection_rejected(self):
+        e1 = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="distinct blocks"):
+            self._two_projections(e1, e1)
+
+    def test_blocks_with_slightly_overlapping_projections_rejected(self):
+        eps = 1e-9
+        e1, v = np.array([1.0, 0.0]), np.array([eps, np.sqrt(1.0 - eps * eps)])
+        with pytest.raises(ValueError, match="distinct blocks"):
+            self._two_projections(e1, v)
+        rep = self._two_projections(e1, np.array([0.0, 1.0]))
+        assert rep.faithful and rep.is_unital
+
+    def test_degenerate_reps_accepted(self):
+        alg = FiniteAlgebra((2, 1))
+        padded = Representation.defining(alg).padded(3)
+        assert padded.faithful and not padded.is_unital
+        # the M_2 block acts on C^2, the C block as zero
+        zero_block = Representation(
+            alg, 2, (Representation.defining(FiniteAlgebra((2,))).basis_images[0],
+                     np.zeros((1, 1, 2, 2), dtype=complex)))
+        assert not zero_block.faithful and zero_block.is_unital
+
 
 class TestState:
     def test_rejects_negative_density(self):

@@ -231,6 +231,15 @@ class TestKernelSplit:
         assert solver.range_basis.shape == (30, 30)
         assert solver.kernel_basis.shape == (30, 0)
 
+    def test_lattice_n25_product_ranks(self):
+        # 50 blocks on h = 100: the largest product representation in the suite
+        t = product(two_point(2.0), two_sheeted_line(25))
+        assert (len(t.algebra.blocks), t.hilbert_dim) == (50, 100)
+        assert t.rep.faithful and not t.rep.is_unital
+        solver = DistanceSolver(t)
+        assert solver.range_basis.shape == (50, 50)
+        assert solver.kernel_basis.shape == (50, 0)
+
 
 class TestDistanceMatrix:
     def test_two_point_matrix(self):
