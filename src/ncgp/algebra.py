@@ -209,10 +209,12 @@ class Representation:
 def _check_star_rep(rep: Representation) -> None:
     """Validate *-linearity and multiplicativity on matrix units, block by block.
 
-    Within a block, E_ij* = E_ji is one array comparison and E_ij E_kl =
-    delta_jk E_il one (n^2 h x h) @ (h x n^2 h) product.  Across blocks these
-    make each pi(1_b) a projection, and their sum S is a projection exactly
-    when they are pairwise orthogonal, as tr(S^2 - S) = sum_{a != b}
+    Within a block, E_ij* = E_ji is one array comparison, and the generator
+    relations E_ij = E_i1 E_1j and E_1i E_j1 = delta_ij E_11 are two batches
+    of n^2 h x h products; together they give E_ij E_kl = E_i1 E_1j E_k1 E_1l
+    = delta_jk E_i1 E_11 E_1l = delta_jk E_il.  Across blocks these make each
+    pi(1_b) a projection, and their sum S is a projection exactly when they
+    are pairwise orthogonal, as tr(S^2 - S) = sum_{a != b}
     ||pi(1_a) pi(1_b)||_F^2; then every E^a_ij E^b_kl = E^a_ij 1_a 1_b E^b_kl
     vanishes.
     """
@@ -222,12 +224,11 @@ def _check_star_rep(rep: Representation) -> None:
         n = arr.shape[0]
         if np.abs(arr.transpose(1, 0, 3, 2).conj() - arr).max() > STRUCT_TOL:
             raise ValueError("representation is not *-compatible on matrix units")
-        # prod[i, j, p, k, l, r] = (E_ij E_kl)[p, r], less E_il where j = k
-        prod = (arr.reshape(n * n * h, h)
-                @ arr.transpose(2, 0, 1, 3).reshape(h, n * n * h)).reshape(n, n, h, n, n, h)
-        for j in range(n):
-            prod[:, j, :, j] -= arr.transpose(0, 2, 1, 3)
-        if np.abs(prod).max() > STRUCT_TOL:
+        col, row = arr[:, :1], arr[:1, :]       # E_i1 at [i, 0], E_1j at [0, j]
+        first = col @ row - arr                 # E_i1 E_1j - E_ij
+        second = row.transpose(1, 0, 2, 3) @ col.transpose(1, 0, 2, 3)   # E_1i E_j1
+        second[np.arange(n), np.arange(n)] -= arr[0, 0]                  # less delta_ij E_11
+        if max(np.abs(first).max(), np.abs(second).max()) > STRUCT_TOL:
             raise ValueError("representation is not multiplicative on matrix units")
         units += np.trace(arr)
     if np.abs(units @ units - units).max() > STRUCT_TOL:

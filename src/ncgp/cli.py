@@ -212,6 +212,8 @@ def _run_distance(args) -> int:
         from .algebra import pure_states
         try:
             i, j = (int(v) for v in args.pure.split(","))
+            if min(i, j) < 0:
+                raise ValueError(f"indices must be non-negative, got {args.pure}")
             states = pure_states(triple.algebra)
             phi, phi2 = states[i], states[j]
         except (ValueError, IndexError) as exc:
@@ -231,7 +233,11 @@ def _run_distance(args) -> int:
         except INPUT_ERRORS as exc:
             print(f"ncgp: bad --states file: {exc}", file=sys.stderr)
             return 2
-    result = spectral_distance(triple, phi, phi2, args.tol)
+    try:
+        result = spectral_distance(triple, phi, phi2, args.tol)
+    except ValueError as exc:
+        print(f"ncgp: {exc}", file=sys.stderr)
+        return 2
     _emit(distance_result_to_json(result), args.json_path)
     return 0
 

@@ -78,7 +78,10 @@ class DistanceSolver:
         self.range_basis = u[:, :rank]           # k x r
         self.kernel_basis = u[:, rank:]          # k x (k - r)
         h = triple.hilbert_dim
-        self.L_reduced = (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
+        # H_j = i L_j is Hermitian as D and pi(b_j) are, and ||H(y)|| = ||L(y)||;
+        # taking its Hermitian part makes that exact in floating point
+        H = 1j * (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
+        self.H_reduced = (H + H.conj().transpose(0, 2, 1)) / 2.0
 
     def _objective(self, phi: State, phi2: State) -> np.ndarray:
         def values(state: State) -> np.ndarray:
@@ -86,6 +89,8 @@ class DistanceSolver:
         return values(phi) - values(phi2)
 
     def distance(self, phi: State, phi2: State, tol: float = DEFAULT_TOL) -> DistanceResult:
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {tol}")
         alg = self.triple.algebra
         if phi.algebra != alg or phi2.algebra != alg:
             raise ValueError("states must live on the triple's algebra")
@@ -106,13 +111,13 @@ class DistanceSolver:
         if np.linalg.norm(c_red) <= 1e-14:
             return DistanceResult(0.0, 0.0, alg.zero(), "finite")
 
-        sol = maximize_over_unit_ball(c_red, self.L_reduced, tol)
+        sol = maximize_over_unit_ball(c_red, self.H_reduced, tol)
         lower, upper, y = sol.lower, sol.upper, sol.y_best
         if not sol.converged:
             # fallback oracle: multi-start supergradient ascent on the ratio
-            val, y_asc = ratio_ascent(c_red, self.L_reduced)
+            val, y_asc = ratio_ascent(c_red, self.H_reduced)
             if val > lower:
-                g = op_norm(np.einsum("j,jpq->pq", y_asc, self.L_reduced))
+                g = op_norm(np.einsum("j,jpq->pq", y_asc, self.H_reduced))
                 if g > 1e-15:
                     lower, y = val, y_asc / g
 

@@ -2,43 +2,35 @@
 
 The problem solved here is
 
-    maximize  c . y   subject to  || L(y) || <= 1,    L(y) = sum_j y_j L_j,
+    maximize  c . y   subject to  || H(y) || <= 1,    H(y) = sum_j y_j H_j,
 
-with L_j complex h x h matrices whose span contains no nonzero kernel
-directions (the caller projects those out first).  The operator-norm ball is
-encoded by the standard linear matrix inequality
+with H_j Hermitian h x h matrices whose span contains no nonzero kernel
+directions (the caller projects those out first).  For Hermitian H(y) the
+norm ball is the pair of linear matrix inequalities -I <= H(y) <= I, solved by
+log-det barrier path following on one eigendecomposition H = W diag(lam) W*:
 
-    || X || <= 1   iff   M = [[I, X], [X*, I]]  is positive semidefinite,
-
-and the LMI is solved by log-det barrier path following.  The two-block
-structure makes everything computable from the singular value decomposition
-X = U diag(s) V*: the eigenvalues of M are 1 +/- s_i, so
-
-    logdet M = sum_i log(1 - s_i^2),
-    M^{-1}   = [[P, -T], [-T*, R]],   P = U diag(1/(1-s^2)) U*,
-                                      R = V diag(1/(1-s^2)) V*,
-                                      T = U diag(s/(1-s^2)) V*.
+    logdet(I + H) + logdet(I - H) = sum_i log(1 - lam_i^2),
+    S+ = (I + H)^-1 = W diag(b) W*,   S- = (I - H)^-1 = W diag(a) W*,
+    b = 1/(1 + lam),                  a = 1/(1 - lam).
 
 Every iterate is strictly feasible, so scaling to the boundary gives
-certified lower bounds; dual certificates Z >= 0 with <Z, A_j> = -c_j give
-certified upper bounds tr(Z).  The path is advanced until the bracket closes
-below the tolerance: this plays the role of a bisection on the target value,
-where the query "is the optimum >= t" is answered by the current primal/dual
-pair.
+certified lower bounds; dual certificates Z+, Z- >= 0 with
+<Z+ - Z-, H_j> = -c_j give certified upper bounds tr Z+ + tr Z-.  The path
+is advanced until the bracket closes below the tolerance: this plays the role
+of a bisection on the target value, where the query "is the optimum >= t" is
+answered by the current primal/dual pair.
 
-The Newton system is assembled with BLAS matrix products on reshaped arrays,
-not with einsum.  With the L_j kept both as rows of Lflat (k x h^2) and side
-by side as Lp = [L_1 ... L_k] (h x k h):
+The Newton system is assembled with BLAS matrix products.  With the H_j kept
+both as rows of Hflat (k x h^2) and side by side as Hp = [H_1 ... H_k]
+(h x k h):
 
-    L(y)      = (y @ Lflat) reshaped to h x h;
-    L~_j      = U* L_j V  from  U* @ Lp  (h x k h), reshaped to (h k) x h, @ V;
-    K1        = (L~ * dp dp^T) (k x h^2)  @  conj(L~)^T (h^2 x k);
-    K2        = M~ with its two matrix axes swapped (k x h^2)  @  M~^T,
-                M~_j = conj(L~_j) diag(dq);
-    gradient  = c - 2 mu Re diag(L~) @ dq    (diag(L~) is k x h);
+    H(y)      = (y @ Hflat) reshaped to h x h;
+    H~_j      = W* H_j W  from  W* @ Hp  (h x k h), reshaped to (h k) x h, @ W;
+    gradient  = c - mu Re diag(H~) @ (a - b)    (diag(H~) is k x h);
+    K         = Re[(H~ o (a a^T + b b^T)) @ H~^H], one real GEMM on real views;
 
-and the certificate residual <Z, A_j> is Lflat @ conj(Z_12) flattened.  The
-Gram matrix of the L_j is Lflat @ Lflat*.
+and the certificate residual <Z+ - Z-, H_j> is Hflat @ conj(Z+ - Z-)
+flattened.  The Gram matrix of the H_j is Hflat @ Hflat*.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ MAX_NEWTON = 1200   # Newton steps per solve, over all outer iterations
 
 @dataclass
 class LMISolution:
-    """Certified bracket for max c.y over the unit ball of ||L(y)||."""
+    """Certified bracket for max c.y over the unit ball of ||H(y)||."""
 
     y_best: np.ndarray        # feasible point on the boundary, achieves `lower`
     lower: float
@@ -74,49 +66,48 @@ def _chol_solve(K: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(K, b, rcond=None)[0]
 
 
-def _newton_system(c: np.ndarray, Lp: np.ndarray, mu: float, U: np.ndarray,
-                   s: np.ndarray, V: np.ndarray):
-    """Gradient and K = -Hessian/mu of the barrier c.y + mu logdet M at
-    L(y) = U diag(s) V*.
+def _newton_system(c: np.ndarray, Hp: np.ndarray, mu: float, W: np.ndarray,
+                   lam: np.ndarray):
+    """Gradient and K = -Hessian/mu of the barrier c.y + mu sum log(1 - lam^2)
+    at H(y) = W diag(lam) W*, for Hp = [H_1 ... H_k] (h x k h).
 
-    Lp = [L_1 ... L_k] is h x k h.  With slack 1 - s^2, dp = 1/slack and
-    dq = s/slack, the gradient is c_j - 2 mu Re tr(diag(dq) L~_j) and
-    K_ij = 2 Re [tr(P L_i R L_j*) + tr(T L_i* T L_j*)] for L~_j = U* L_j V.
-    Returns (grad, K, dp, dq).
+    With a = 1/(1 - lam), b = 1/(1 + lam) and H~_j = W* H_j W, the gradient is
+    c_j + mu tr((S+ - S-) H_j) and K_ij = tr(S+ H_i S+ H_j) + tr(S- H_i S- H_j).
     """
-    h = Lp.shape[0]
-    k = Lp.shape[1] // h
-    slack = 1.0 - s * s
-    dq = s / slack
-    dp = 1.0 / slack
-    # two GEMMs give L~ as [p, j, q]; one copy makes it [j, p, q]
-    Lt = ((np.conj(U).T @ Lp).reshape(h * k, h) @ V).reshape(h, k, h)
-    Lt = np.ascontiguousarray(Lt.transpose(1, 0, 2))
-    grad = c - 2.0 * mu * (np.diagonal(Lt, axis1=1, axis2=2) @ dq).real
-    K1 = (Lt * np.outer(dp, dp)).reshape(k, h * h) @ np.conj(Lt).reshape(k, h * h).T
-    Mt = np.conj(Lt) * dq
-    K2 = Mt.transpose(0, 2, 1).reshape(k, h * h) @ Mt.reshape(k, h * h).T
-    K = 2.0 * (K1 + K2).real
-    return grad, K, dp, dq
+    h = Hp.shape[0]
+    k = Hp.shape[1] // h
+    a = 1.0 / (1.0 - lam)
+    b = 1.0 / (1.0 + lam)
+    # two GEMMs give H~ as [p, j, q]; one copy makes it [j, p, q]
+    Ht = ((np.conj(W).T @ Hp).reshape(h * k, h) @ W).reshape(h, k, h)
+    Ht = np.ascontiguousarray(Ht.transpose(1, 0, 2))
+    grad = c - mu * (np.diagonal(Ht, axis1=1, axis2=2) @ (a - b)).real
+    # Re(X @ Y^H) is the real GEMM of the interleaved (re, im) views
+    weighted = Ht * (np.outer(a, a) + np.outer(b, b))
+    K = weighted.view(np.float64).reshape(k, -1) @ Ht.view(np.float64).reshape(k, -1).T
+    return grad, K
 
 
-def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float) -> LMISolution:
-    """Path-following solve of max c.y s.t. ||sum_j y_j L_j||_op <= 1.
+def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
+    """Path-following solve of max c.y s.t. -I <= sum_j y_j H_j <= I.
 
-    Requires the L_j to be linearly independent; returns a certified bracket
-    [lower, upper] with `lower` attained by `y_best`.
+    Requires the H_j to be exactly Hermitian and linearly independent;
+    returns a certified bracket [lower, upper] with `lower` attained by
+    `y_best`.
     """
+    if not np.array_equal(H, H.conj().transpose(0, 2, 1)):
+        raise ValueError("H_j must be Hermitian")
     c = np.asarray(c, dtype=float)
-    k, h = L.shape[0], L.shape[1]
-    Lflat = L.reshape(k, h * h)
-    Lp = np.concatenate(L, axis=1)
+    k, h = H.shape[0], H.shape[1]
+    Hflat = H.reshape(k, h * h)
+    Hp = np.concatenate(H, axis=1)
 
-    # Gram matrix of the L_j; PD by linear independence.  For any feasible y,
-    # ||L(y)||_F <= sqrt(h) ||L(y)||_op <= sqrt(h), hence ||y|| <= ybound.
-    G = (Lflat @ np.conj(Lflat).T).real
+    # Gram matrix of the H_j; PD by linear independence.  For any feasible y,
+    # ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), hence ||y|| <= ybound.
+    G = (Hflat @ np.conj(Hflat).T).real
     gmin = float(np.linalg.eigvalsh(G)[0])
     if gmin <= 0:
-        raise ValueError("L_j must be linearly independent (project out the kernel first)")
+        raise ValueError("H_j must be linearly independent (project out the kernel first)")
     ybound = float(np.sqrt(h / gmin))
 
     y = np.zeros(k)
@@ -126,29 +117,23 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float) -> LMISolu
     steps = 0
     converged = False
 
-    def barrier(yv: np.ndarray, s: np.ndarray | None = None) -> float:
-        """Barrier value at yv, from the singular values s of L(yv) if known."""
-        if s is None:
-            s = np.linalg.svd((yv @ Lflat).reshape(h, h), compute_uv=False)
-        if s[0] >= 1.0:
+    def barrier(yv: np.ndarray, lam: np.ndarray | None = None) -> float:
+        """Barrier value at yv, from the eigenvalues lam of H(yv) if known."""
+        if lam is None:
+            lam = np.linalg.eigvalsh((yv @ Hflat).reshape(h, h))
+        if max(-lam[0], lam[-1]) >= 1.0:
             return -np.inf
-        return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
+        return float(c @ yv) + mu * float(np.sum(np.log1p(-lam * lam)))
 
     def newton_data(yv: np.ndarray):
-        """SVD pieces, Newton direction and decrement at yv.
-
-        L(yv) is one GEMV on Lflat; its SVD X = U diag(s) V* feeds the
-        GEMM-assembled gradient and K of `_newton_system`, and d solves
-        K d = grad / mu.
-        """
-        U, s, Vh = np.linalg.svd((yv @ Lflat).reshape(h, h))
-        if s[0] >= 1.0 - 1e-15:
+        """Eigenpairs of H(yv), Newton direction d (K d = grad / mu), decrement."""
+        lam, W = np.linalg.eigh((yv @ Hflat).reshape(h, h))
+        if max(-lam[0], lam[-1]) >= 1.0 - 1e-15:
             return None
-        V = Vh.conj().T
-        grad, K, dp, dq = _newton_system(c, Lp, mu, U, s, V)
+        grad, K = _newton_system(c, Hp, mu, W, lam)
         d = _chol_solve(K, grad) / mu
         lam2 = abs(float(grad @ d)) / mu   # Newton decrement of the mu-barrier
-        return U, s, V, dp, dq, d, lam2
+        return W, lam, d, lam2
 
     for _ in range(MAX_OUTER):
         # center at the current mu: drive the barrier Newton decrement small
@@ -162,10 +147,10 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float) -> LMISolu
                 y = 0.999 * y
                 steps += 1
                 continue
-            _, s, _, _, _, d, lam2 = data
+            _, lam, d, lam2 = data
             if lam2 <= 1e-6:
                 break
-            f0 = barrier(y, s)
+            f0 = barrier(y, lam)
             gd = lam2 * mu   # equals grad.d by definition of the decrement
             t = 1.0
             while t > 1e-14 and barrier(y + t * d) < f0 + 0.01 * t * gd:
@@ -180,30 +165,29 @@ def maximize_over_unit_ball(c: np.ndarray, L: np.ndarray, tol: float) -> LMISolu
             data = newton_data(y)
             if data is None:
                 break
-        U, s, V, dp, dq, d, lam2 = data
+        W, lam, d, lam2 = data
 
         # primal bound: scale the strictly feasible iterate to the boundary
-        if s[0] > 1e-15:
-            cand = float(c @ y) / s[0]
+        norm = max(-lam[0], lam[-1])
+        if norm > 1e-15:
+            cand = float(c @ y) / norm
             if cand > lower:
-                lower, y_best = cand, y / s[0]
+                lower, y_best = cand, y / norm
 
-        # dual bound: the Newton-corrected dual point
-        #   Z = mu (M^-1 - M^-1 dM M^-1),   dM = sum_j d_j A_j,
-        # satisfies <Z, A_j> = -c_j exactly by the Newton equations and is
-        # positive definite once the decrement is small; residual roundoff is
-        # folded in via the a-priori bound on feasible ||y||.
-        minv = np.block([[(U * dp) @ np.conj(U).T, -(U * dq) @ V.conj().T],
-                         [-(V * dq) @ np.conj(U).T, (V * dp) @ V.conj().T]])
-        ld = (d @ Lflat).reshape(h, h)
-        dM = np.zeros((2 * h, 2 * h), dtype=complex)
-        dM[:h, h:] = ld
-        dM[h:, :h] = np.conj(ld).T
-        Z = mu * (minv - minv @ dM @ minv)
-        resid2 = 2.0 * (Lflat @ np.conj(Z[:h, h:]).ravel()).real + c
-        zmin = float(np.linalg.eigvalsh(Z)[0])
-        ub = float(np.trace(Z).real) + 2 * h * max(0.0, -zmin) \
-            + float(np.linalg.norm(resid2)) * ybound
+        # dual bound: the Newton-corrected dual pair
+        #   Z+ = mu (S+ - S+ dH S+),   Z- = mu (S- + S- dH S-),   dH = H(d),
+        # satisfies <Z+ - Z-, H_j> = -c_j exactly by the Newton equations and
+        # is positive definite once the decrement is small; residual roundoff
+        # is folded in via the a-priori bound on feasible ||y||.
+        Wh = np.conj(W).T
+        Sp, Sm = (W / (1.0 + lam)) @ Wh, (W / (1.0 - lam)) @ Wh
+        dH = (d @ Hflat).reshape(h, h)
+        Zp = mu * (Sp - Sp @ dH @ Sp)
+        Zm = mu * (Sm + Sm @ dH @ Sm)
+        resid = (Hflat @ np.conj(Zp - Zm).ravel()).real + c
+        zmin = min(float(np.linalg.eigvalsh(Zp)[0]), float(np.linalg.eigvalsh(Zm)[0]))
+        ub = float(np.trace(Zp).real + np.trace(Zm).real) + 2 * h * max(0.0, -zmin) \
+            + float(np.linalg.norm(resid)) * ybound
         upper = min(upper, ub)
 
         if upper - lower <= tol * max(1.0, lower):

@@ -1,6 +1,7 @@
 """Algebras, representations, elements, states and slice maps."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from ncgp.algebra import (
     state_to_json,
     tensor_element,
 )
+from ncgp.experiments import random_triple
+from ncgp.triples import product
 
 C2 = FiniteAlgebra((1, 1))
 
@@ -230,6 +233,28 @@ class TestRepresentation:
                         [np.outer(v, e1), np.outer(v, v)]], dtype=complex)
         with pytest.raises(ValueError, match="not multiplicative"):
             Representation(FiniteAlgebra((2,)), 2, (arr,))
+
+    def test_unit_missing_from_block_rejected(self):
+        # pi(E_22) = 0 while pi(E_21) pi(E_12) = |e2><e2|: star-compatible and
+        # E_1i E_j1 = delta_ij E_11 holds, but E_22 != E_21 E_12
+        e1, e2 = np.eye(2)
+        arr = np.array([[np.outer(e1, e1), np.outer(e1, e2)],
+                        [np.outer(e2, e1), np.zeros((2, 2))]], dtype=complex)
+        with pytest.raises(ValueError, match="not multiplicative"):
+            Representation(FiniteAlgebra((2,)), 2, (arr,))
+
+    def test_check_memory_stays_small_on_3x3_blocks(self):
+        # one 9 x 9 block on h = 36: one (n^2 h) x (n^2 h) complex product
+        # of its matrix-unit images would take 2916^2 x 16 bytes = 136 MB
+        t1, t2 = random_triple(0, (3,)), random_triple(1, (3,), even=False)
+        tracemalloc.start()
+        try:
+            pt = product(t1, t2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pt.algebra.blocks == (9,) and pt.hilbert_dim == 36
+        assert peak < 32e6
 
     @staticmethod
     def _two_projections(u, v):

@@ -177,6 +177,28 @@ class TestResultInvariants:
                 scaled = spectral_distance(t.scaled(s), phi, phi2, 1e-7)
                 assert scaled.lower == pytest.approx(base.lower / s, rel=1e-5)
 
+    @pytest.mark.parametrize("blocks", [(1, 1), (2,), (2, 1)])
+    def test_unitary_conjugation_invariance(self, blocks):
+        # (u pi u*, u D u*, u gamma u*) is the same geometry in rotated
+        # coordinates, which makes the H_j dense and complex
+        rng = np.random.default_rng(sum(blocks) * 10 + len(blocks))
+        t = random_triple(rng, blocks)
+        h = t.hilbert_dim
+        u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
+        images = tuple(u @ arr @ u.conj().T for arr in t.rep.basis_images)
+        rotated = SpectralTriple(Representation(t.algebra, h, images),
+                                 u @ t.dirac @ u.conj().T, u @ t.grading @ u.conj().T)
+        phi, phi2 = random_state(t.algebra, rng), random_state(t.algebra, rng)
+        base = spectral_distance(t, phi, phi2, 1e-7)
+        r = spectral_distance(rotated, phi, phi2, 1e-7)
+        assert base.status == r.status == "finite"
+        assert r.lower == pytest.approx(base.lower, rel=1e-5)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_distance(two_point(1.0), PLUS, MINUS, tol)
+
     def test_state_triple_mismatch(self):
         t = two_point(1.0)
         other = pure_states(FiniteAlgebra((1, 1, 1)))[0]
@@ -347,7 +369,7 @@ class TestAscentOracle:
         phi2 = product_states_pm(pt, MINUS, PLUS)
         c = np.array([(phi(b) - phi2(b)).real for b in solver.basis])
         c_red = solver.range_basis.T @ c
-        val, y = ratio_ascent(c_red, solver.L_reduced)
+        val, y = ratio_ascent(c_red, solver.H_reduced)
         r = solver.distance(phi, phi2, 1e-7)
         assert val <= r.upper + 1e-9
         assert val == pytest.approx(r.lower, abs=1e-4)

@@ -263,6 +263,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ncgp: bad --states file: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["--pure", "0,1", "--tol", "-1"],
+                                      ["--pure", "0,1", "--tol", "nan"],
+                                      ["--pure=-1,0"]],
+                             ids=["negative-tol", "nan-tol", "negative-pure"])
+    def test_distance_bad_tol_or_pure_is_usage_error(self, capsys, argv):
+        self._assert_input_error(["distance", "--triple", "two_point:lambda=2", *argv], capsys)
+
     @pytest.mark.parametrize("argv", [["theorem1", "--trials", "0"],
                                       ["lemmas", "--trials", "0"],
                                       ["wasserstein-rsquare", "--lambda-steps", "0"]],

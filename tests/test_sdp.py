@@ -56,18 +56,19 @@ class TestAgainstLpOracle:
     def test_random_dense_instances_bracket(self, seed):
         rng = np.random.default_rng(100 + seed)
         k, h = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        L = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
-        if np.linalg.matrix_rank(L.reshape(k, -1), tol=1e-8) < k:
+        X = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
+        H = (X + X.conj().transpose(0, 2, 1)) / 2.0
+        if np.linalg.matrix_rank(H.reshape(k, -1), tol=1e-8) < k:
             pytest.skip("dependent draw")
         c = rng.normal(size=k)
-        sol = maximize_over_unit_ball(c, L, 1e-7)
+        sol = maximize_over_unit_ball(c, H, 1e-7)
         assert sol.lower <= sol.upper
         # the boundary-scaled optimizer is genuinely feasible
-        g = np.linalg.norm(np.einsum("j,jpq->pq", sol.y_best, L), 2)
+        g = np.linalg.norm(np.einsum("j,jpq->pq", sol.y_best, H), 2)
         assert g <= 1.0 + 1e-9
         assert float(c @ sol.y_best) == pytest.approx(sol.lower, abs=1e-10)
         # the independent ascent oracle never escapes the certificate
-        val, _ = ratio_ascent(c, L, n_steps=150)
+        val, _ = ratio_ascent(c, H, n_steps=150)
         assert val <= sol.upper + 1e-9
         assert val <= sol.lower + 1e-3 * max(1.0, sol.lower)
 
@@ -78,21 +79,29 @@ class TestAgainstLpOracle:
         with pytest.raises(ValueError):
             maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
 
+    def test_rejects_non_hermitian_generators(self):
+        L = np.zeros((2, 2, 2), dtype=complex)
+        L[0] = np.eye(2)
+        L[1] = [[0.0, 1.0], [-1.0, 0.0]]   # anti-Hermitian
+        with pytest.raises(ValueError, match="Hermitian"):
+            maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
+
 
 def interior_instance(seed, k, h):
-    """Random complex L_j, objective c, mu and a point y with ||L(y)|| = 0.6."""
+    """Random Hermitian H_j, objective c, mu and a point y with ||H(y)|| = 0.6."""
     rng = np.random.default_rng(seed)
-    L = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
+    X = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
+    H = (X + X.conj().transpose(0, 2, 1)) / 2.0
     c = rng.normal(size=k)
     y = rng.normal(size=k)
-    y *= 0.6 / np.linalg.norm(np.einsum("j,jpq->pq", y, L), 2)
-    return L, c, float(rng.uniform(0.1, 2.0)), y
+    y *= 0.6 / np.linalg.norm(np.einsum("j,jpq->pq", y, H), 2)
+    return H, c, float(rng.uniform(0.1, 2.0)), y
 
 
-def newton_system_at(c, L, mu, y):
-    U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, L))
-    grad, K, _, _ = _newton_system(c, np.concatenate(L, axis=1), mu, U, s, Vh.conj().T)
-    return grad, K, (U, s, Vh.conj().T)
+def newton_system_at(c, H, mu, y):
+    lam, W = np.linalg.eigh(np.einsum("j,jpq->pq", y, H))
+    grad, K = _newton_system(c, np.concatenate(H, axis=1), mu, W, lam)
+    return grad, K
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
@@ -101,9 +110,13 @@ SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
 class TestNewtonSystem:
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_einsum_formulas(self, k, h):
-        L, c, mu, y = interior_instance(k * 10 + h, k, h)
-        grad, K, (U, s, V) = newton_system_at(c, L, mu, y)
-        # reference: the contractions written with einsum over L~_j = U* L_j V
+        H, c, mu, y = interior_instance(k * 10 + h, k, h)
+        grad, K = newton_system_at(c, H, mu, y)
+        # reference: the general norm LMI [[I, X], [X*, I]] >= 0 on X = L(y),
+        # L_j = -i H_j, through the SVD X = U diag(s) V* and L~_j = U* L_j V
+        L = -1j * H
+        U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, L))
+        V = Vh.conj().T
         slack = 1.0 - s * s
         dq, dp = s / slack, 1.0 / slack
         Lt = np.conj(U).T @ L @ V
@@ -118,13 +131,13 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_finite_differences_of_the_barrier(self, k, h):
-        L, c, mu, y = interior_instance(k * 10 + h + 500, k, h)
+        H, c, mu, y = interior_instance(k * 10 + h + 500, k, h)
 
         def barrier(yv):
-            s = np.linalg.svd(np.einsum("j,jpq->pq", yv, L), compute_uv=False)
+            s = np.linalg.svd(np.einsum("j,jpq->pq", yv, H), compute_uv=False)
             return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
 
-        grad, K, _ = newton_system_at(c, L, mu, y)
+        grad, K = newton_system_at(c, H, mu, y)
         eps = 1e-4
         steps = eps * np.eye(k)
         fd_grad = np.array([(barrier(y + e) - barrier(y - e)) / (2 * eps) for e in steps])
@@ -134,7 +147,7 @@ class TestNewtonSystem:
                              for b in steps] for a in steps])
         assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
         assert np.allclose(-mu * K, fd_hess, rtol=1e-5, atol=1e-5 * np.abs(mu * K).max())
-        # K is symmetric, and positive definite when the L_j are independent
+        # K is symmetric, and positive definite when the H_j are independent
         assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
-        if k <= 2 * h * h:
+        if k <= h * h:
             assert np.linalg.eigvalsh(K)[0] > 0
