@@ -225,10 +225,12 @@ def _check_star_rep(rep: Representation) -> None:
         if np.abs(arr.transpose(1, 0, 3, 2).conj() - arr).max() > STRUCT_TOL:
             raise ValueError("representation is not *-compatible on matrix units")
         col, row = arr[:, :1], arr[:1, :]       # E_i1 at [i, 0], E_1j at [0, j]
-        first = col @ row - arr                 # E_i1 E_1j - E_ij
-        second = row.transpose(1, 0, 2, 3) @ col.transpose(1, 0, 2, 3)   # E_1i E_j1
-        second[np.arange(n), np.arange(n)] -= arr[0, 0]                  # less delta_ij E_11
-        if max(np.abs(first).max(), np.abs(second).max()) > STRUCT_TOL:
+        err = np.abs(col @ row - arr).max()     # E_i1 E_1j - E_ij
+        if n > 1:   # for n = 1 both relations read E_11 E_11 = E_11
+            second = row.transpose(1, 0, 2, 3) @ col.transpose(1, 0, 2, 3)   # E_1i E_j1
+            second[np.arange(n), np.arange(n)] -= arr[0, 0]                  # less delta_ij E_11
+            err = max(err, np.abs(second).max())
+        if err > STRUCT_TOL:
             raise ValueError("representation is not multiplicative on matrix units")
         units += np.trace(arr)
     if np.abs(units @ units - units).max() > STRUCT_TOL:

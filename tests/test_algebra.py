@@ -219,6 +219,13 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             Representation(FiniteAlgebra((1,)), 2, (arr,))
 
+    def test_one_dimensional_block_not_idempotent_rejected(self):
+        # pi(E_11) = diag(2, 0) is Hermitian, so star-compatible, but not a projection
+        arr = np.zeros((1, 1, 2, 2), dtype=complex)
+        arr[0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="not multiplicative"):
+            Representation(FiniteAlgebra((1,)), 2, (arr,))
+
     def test_image_not_adjoint_rejected(self):
         arr = Representation.defining(FiniteAlgebra((2,))).basis_images[0].copy()
         arr[0, 1] *= 2.0   # pi(E_12) is no longer pi(E_21)*

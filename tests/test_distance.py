@@ -262,6 +262,15 @@ class TestKernelSplit:
         assert solver.range_basis.shape == (50, 50)
         assert solver.kernel_basis.shape == (50, 0)
 
+    def test_lattice_n25_pure_state_solve(self):
+        # the two-sheeted lattice bound d <= 1 at n = 25 (k = 50, h = 100)
+        t = product(two_point(2.0), two_sheeted_line(25))
+        deltas = pure_states(t.algebra.factors[1])
+        tol = 1e-5
+        r = spectral_distance(t, product_state(PLUS, deltas[3], t.algebra),
+                              product_state(MINUS, deltas[17], t.algebra), tol)
+        assert r.status == "finite" and r.upper <= 1.0 + tol
+
 
 class TestDistanceMatrix:
     def test_two_point_matrix(self):

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +113,16 @@ class TestCli:
         assert main(["check", "two-point", "--lambda", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is True and out["computed"] == pytest.approx(3.0, abs=1e-5)
+
+    def test_python_m_ncgp_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(ncgp.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "ncgp", "check", "two-point",
+                               "--lambda", "3"], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["pass"] is True
 
     def test_check_exit_one_on_failed_assertion(self, capsys):
         # demand an unattainable tolerance: the bracket cannot reach 1e-16

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ncgp.sdp import _newton_system, maximize_over_unit_ball, ratio_ascent
+from ncgp.algebra import pure_states
+from ncgp.distance import DistanceSolver, spectral_distance
+from ncgp.experiments import random_triple
+from ncgp.sdp import (_newton_eigenbasis, _newton_support, _support_order_is_cheaper,
+                      _union_support, maximize_over_unit_ball, ratio_ascent)
+from ncgp.triples import product, two_point, two_sheeted_line
 
 
 def lp_oracle_diagonal(c, diags):
@@ -87,10 +92,18 @@ class TestAgainstLpOracle:
             maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
 
 
-def interior_instance(seed, k, h):
-    """Random Hermitian H_j, objective c, mu and a point y with ||H(y)|| = 0.6."""
+def interior_instance(seed, k, h, sparse=False):
+    """Random Hermitian H_j, objective c, mu and a point y with ||H(y)|| = 0.6.
+
+    With sparse=True each H_j lives on its own random Hermitian support (at
+    least one entry, about a third of the h x h entries).
+    """
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
+    if sparse:
+        mask = rng.random(size=(k, h, h)) < 1.0 / 3.0
+        mask[np.arange(k), rng.integers(0, h, size=k), rng.integers(0, h, size=k)] = True
+        X = X * mask
     H = (X + X.conj().transpose(0, 2, 1)) / 2.0
     c = rng.normal(size=k)
     y = rng.normal(size=k)
@@ -98,56 +111,112 @@ def interior_instance(seed, k, h):
     return H, c, float(rng.uniform(0.1, 2.0)), y
 
 
-def newton_system_at(c, H, mu, y):
+def newton_system_at(c, H, mu, y, order):
     lam, W = np.linalg.eigh(np.einsum("j,jpq->pq", y, H))
-    grad, K = _newton_system(c, np.concatenate(H, axis=1), mu, W, lam)
-    return grad, K
+    if order is _newton_support:
+        ia, ib, Hu = _union_support(H)
+        return _newton_support(c, Hu, ia, ib, mu, W, lam)
+    return _newton_eigenbasis(c, np.concatenate(H, axis=1), mu, W, lam)
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
+# each contraction order on dense H_j and on H_j with random sparse supports
+CASES = [(order, sparse) for order in (_newton_support, _newton_eigenbasis)
+         for sparse in (False, True)]
 
 
 class TestNewtonSystem:
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_einsum_formulas(self, k, h):
-        H, c, mu, y = interior_instance(k * 10 + h, k, h)
-        grad, K = newton_system_at(c, H, mu, y)
-        # reference: the general norm LMI [[I, X], [X*, I]] >= 0 on X = L(y),
-        # L_j = -i H_j, through the SVD X = U diag(s) V* and L~_j = U* L_j V
-        L = -1j * H
-        U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, L))
-        V = Vh.conj().T
-        slack = 1.0 - s * s
-        dq, dp = s / slack, 1.0 / slack
-        Lt = np.conj(U).T @ L @ V
-        want_grad = c - 2.0 * mu * np.einsum("jpp,p->j", Lt, dq).real
-        K1 = np.einsum("ipq,jpq->ij", Lt * dp[None, :, None] * dp[None, None, :], np.conj(Lt))
-        Mt = np.conj(Lt) * dq[None, None, :]
-        K2 = np.einsum("iqp,jpq->ij", Mt, Mt)
-        want_K = 2.0 * (K1 + K2).real
-        scale = np.abs(want_K).max()
-        assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
-        assert np.allclose(K, want_K, rtol=1e-12, atol=1e-12 * scale)
+        for order, sparse in CASES:
+            H, c, mu, y = interior_instance(k * 10 + h + 1000 * sparse, k, h, sparse)
+            grad, K = newton_system_at(c, H, mu, y, order)
+            # reference: the general norm LMI [[I, X], [X*, I]] >= 0 on X = L(y),
+            # L_j = -i H_j, through the SVD X = U diag(s) V* and L~_j = U* L_j V
+            L = -1j * H
+            U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, L))
+            V = Vh.conj().T
+            slack = 1.0 - s * s
+            dq, dp = s / slack, 1.0 / slack
+            Lt = np.conj(U).T @ L @ V
+            want_grad = c - 2.0 * mu * np.einsum("jpp,p->j", Lt, dq).real
+            K1 = np.einsum("ipq,jpq->ij", Lt * dp[None, :, None] * dp[None, None, :], np.conj(Lt))
+            Mt = np.conj(Lt) * dq[None, None, :]
+            K2 = np.einsum("iqp,jpq->ij", Mt, Mt)
+            want_K = 2.0 * (K1 + K2).real
+            scale = np.abs(want_K).max()
+            assert np.allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+            assert np.allclose(K, want_K, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_finite_differences_of_the_barrier(self, k, h):
-        H, c, mu, y = interior_instance(k * 10 + h + 500, k, h)
+        for order, sparse in CASES:
+            H, c, mu, y = interior_instance(k * 10 + h + 500 + 1000 * sparse, k, h, sparse)
 
-        def barrier(yv):
-            s = np.linalg.svd(np.einsum("j,jpq->pq", yv, H), compute_uv=False)
-            return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
+            def barrier(yv):
+                s = np.linalg.svd(np.einsum("j,jpq->pq", yv, H), compute_uv=False)
+                return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
 
-        grad, K = newton_system_at(c, H, mu, y)
-        eps = 1e-4
-        steps = eps * np.eye(k)
-        fd_grad = np.array([(barrier(y + e) - barrier(y - e)) / (2 * eps) for e in steps])
-        # -mu K is the barrier's Hessian
-        fd_hess = np.array([[(barrier(y + a + b) - barrier(y + a - b)
-                              - barrier(y - a + b) + barrier(y - a - b)) / (4 * eps * eps)
-                             for b in steps] for a in steps])
-        assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
-        assert np.allclose(-mu * K, fd_hess, rtol=1e-5, atol=1e-5 * np.abs(mu * K).max())
-        # K is symmetric, and positive definite when the H_j are independent
-        assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
-        if k <= h * h:
-            assert np.linalg.eigvalsh(K)[0] > 0
+            grad, K = newton_system_at(c, H, mu, y, order)
+            eps = 1e-4
+            steps = eps * np.eye(k)
+            fd_grad = np.array([(barrier(y + e) - barrier(y - e)) / (2 * eps) for e in steps])
+            # -mu K is the barrier's Hessian
+            fd_hess = np.array([[(barrier(y + a + b) - barrier(y + a - b)
+                                  - barrier(y - a + b) + barrier(y - a - b)) / (4 * eps * eps)
+                                 for b in steps] for a in steps])
+            assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
+            assert np.allclose(-mu * K, fd_hess, rtol=1e-5, atol=1e-5 * np.abs(mu * K).max())
+            # K is symmetric, and positive definite when the H_j are independent
+            assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
+            if np.linalg.matrix_rank(H.reshape(k, -1), tol=1e-8) == k:
+                assert np.linalg.eigvalsh(K)[0] > 0
+
+    def test_order_selection(self):
+        # the lattice-n15 triple (k=30, h=60, 146 support entries) takes the
+        # support order; a (2,) x (2,) random product (k=15, h=16) the eigenbasis order
+        lattice = DistanceSolver(product(two_point(2.0), two_sheeted_line(15))).H_reduced
+        small = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (2,)))).H_reduced
+        for H, want in ((lattice, True), (small, False)):
+            ia, _, _ = _union_support(H)
+            assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is want
+        assert (lattice.shape, _union_support(lattice)[0].size) == ((30, 60, 60), 146)
+        assert small.shape == (15, 16, 16)
+
+
+class TestCholeskyFailure:
+    def test_solve_ends_with_the_bracket_it_has(self, monkeypatch):
+        # Cholesky works for the first 12 Newton systems, then raises: the
+        # solve stops without an exception, unconverged, with a valid bracket
+        rng = np.random.default_rng(7)
+        diags = [rng.normal(size=5) for _ in range(3)]
+        c = rng.normal(size=3)
+        want = lp_oracle_diagonal(c, diags)
+        L = np.zeros((3, 5, 5), dtype=complex)
+        for j, d in enumerate(diags):
+            L[j] = np.diag(d)
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing(a):
+            calls.append(1)
+            if len(calls) > 12:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        sol = maximize_over_unit_ball(c, L, 1e-9)
+        assert len(calls) == 13
+        assert not sol.converged
+        assert 0.0 < sol.lower <= want + 1e-9
+        assert want - 1e-9 <= sol.upper < np.inf
+
+    def test_distance_reports_bracket(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        t = two_point(3.0)
+        plus, minus = pure_states(t.algebra)
+        r = spectral_distance(t, plus, minus, 1e-6)
+        assert r.status == "bracket"
+        assert r.lower <= 3.0 + 1e-9 and r.upper == np.inf
