@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import STRUCT_TOL, as_operator, is_hermitian, matrix_from_json, matrix_to_json
+from .linalg import as_operator, is_hermitian, matrix_from_json, matrix_to_json
+from .tolerances import FAITHFUL_RANK_TOL, STRUCT_TOL
 
 
 @dataclass(frozen=True)
@@ -240,7 +241,7 @@ def _check_star_rep(rep: Representation) -> None:
 def _is_faithful(rep: Representation) -> bool:
     cols = [arr.reshape(arr.shape[0] * arr.shape[1], -1) for arr in rep.basis_images]
     mat = np.concatenate(cols, axis=0)
-    rank = np.linalg.matrix_rank(mat, tol=1e-10)
+    rank = np.linalg.matrix_rank(mat, tol=FAITHFUL_RANK_TOL)
     return int(rank) == sum(n * n for n in rep.algebra.blocks)
 
 

@@ -23,6 +23,7 @@ import sys
 from .algebra import state_from_json
 from .distance import distance_result_to_json, spectral_distance
 from .experiments import CHECKS, SWEEPS, check_khomology
+from .tolerances import DEFAULT_TOL
 from .triples import triple_from_json
 from .wasserstein import measure_from_json, space_from_json, w1
 
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON file with a two-element list of states")
     dist.add_argument("--pure", default=None,
                       help="pick two pure states by index, e.g. 0,1 (commutative algebras)")
-    dist.add_argument("--tol", type=float, default=1e-6)
+    dist.add_argument("--tol", type=float, default=DEFAULT_TOL)
     dist.add_argument("--json", dest="json_path", default=None)
 
     wass = sub.add_parser("w1", help="Wasserstein-1 distance from JSON inputs")

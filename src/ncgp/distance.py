@@ -7,6 +7,9 @@ hermitian basis of the algebra; the commutator map x -> [D, pi(x)] is linear,
 so the problem is a seminorm-constrained linear program.  Distances are
 infinite exactly when the objective fails to vanish on the kernel of that
 map (then multiples of a kernel element are feasible with unbounded value).
+Both tests are relative: the kernel overlap is compared with the objective's
+norm, and a finite bracket must close to tol times its lower end, so states
+that differ by 1e-13 are told apart as well as states that differ by 1.
 """
 
 from __future__ import annotations
@@ -18,22 +21,21 @@ import numpy as np
 
 from .algebra import AlgebraElement, State, element_from_coordinates, hermitian_basis
 from .linalg import op_norm
-from .sdp import maximize_over_unit_ball, ratio_ascent
+# ratio_ascent is not called here: perfbench/tracing.py counts its calls under this name
+from .sdp import maximize_over_unit_ball, ratio_ascent  # noqa: F401
+from .tolerances import DEFAULT_TOL, INFINITY_TOL, KERNEL_SVD_TOL
 from .triples import SpectralTriple
-
-INFINITY_TOL = 1e-10      # |c.n| above this on a unit kernel vector => infinite
-KERNEL_SVD_TOL = 1e-12    # relative singular-value cutoff for the kernel
-DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class DistanceResult:
     """Certified bracket lower <= d <= upper with a feasible optimizer.
 
-    status is "finite" when the bracket closed below the tolerance,
-    "bracket" when the iteration budget ran out first, and "infinite" when a
-    kernel witness proves unboundedness (then upper is +inf and the optimizer
-    is a commutant element whose multiples are all feasible).
+    status is "finite" when the bracket closed to the relative tolerance,
+    upper - lower <= tol * lower, "bracket" when the solve stopped first, and
+    "infinite" when a kernel witness proves unboundedness (then upper is +inf
+    and the optimizer is a commutant element whose multiples are all
+    feasible).
     """
 
     lower: float
@@ -95,11 +97,13 @@ class DistanceSolver:
         if phi.algebra != alg or phi2.algebra != alg:
             raise ValueError("states must live on the triple's algebra")
         c = self._objective(phi, phi2)
+        if not c.any():
+            return DistanceResult(0.0, 0.0, alg.zero(), "finite")
 
         if self.kernel_basis.shape[1] > 0:
             overlap = self.kernel_basis.T @ c
             j = int(np.argmax(np.abs(overlap)))
-            if abs(overlap[j]) > INFINITY_TOL:
+            if abs(overlap[j]) > INFINITY_TOL * np.linalg.norm(c):
                 # witness: kernel element with objective 1; any multiple is
                 # feasible, so the supremum is +infinity
                 witness_x = self.kernel_basis[:, j] / overlap[j]
@@ -107,29 +111,16 @@ class DistanceSolver:
                 lower = float((phi(witness) - phi2(witness)).real)
                 return DistanceResult(lower, math.inf, witness, "infinite")
 
-        c_red = self.range_basis.T @ c
-        if np.linalg.norm(c_red) <= 1e-14:
-            return DistanceResult(0.0, 0.0, alg.zero(), "finite")
-
-        sol = maximize_over_unit_ball(c_red, self.H_reduced, tol)
-        lower, upper, y = sol.lower, sol.upper, sol.y_best
-        if not sol.converged:
-            # fallback oracle: multi-start supergradient ascent on the ratio
-            val, y_asc = ratio_ascent(c_red, self.H_reduced)
-            if val > lower:
-                g = op_norm(np.einsum("j,jpq->pq", y_asc, self.H_reduced))
-                if g > 1e-15:
-                    lower, y = val, y_asc / g
-
-        x = self.range_basis @ y
+        sol = maximize_over_unit_ball(self.range_basis.T @ c, self.H_reduced, tol)
+        x = self.range_basis @ sol.y_best
         optimizer = element_from_coordinates(alg, x)
         gnorm = op_norm(self.triple.commutator_with_dirac(optimizer))
         if gnorm > 1.0:
             x = x / gnorm
             optimizer = element_from_coordinates(alg, x)
         lower = float((phi(optimizer) - phi2(optimizer)).real)
-        upper = max(upper, lower)
-        status = "finite" if upper - lower <= tol * max(1.0, lower) + 1e-12 else "bracket"
+        upper = max(sol.upper, lower)
+        status = "finite" if upper - lower <= tol * lower else "bracket"
         return DistanceResult(lower, upper, optimizer, status)
 
 

@@ -34,6 +34,7 @@ from .khomology import (
     pairing_vector,
 )
 from .linalg import commutator, op_norm, parity_split, tensor
+from .tolerances import CHECK_TOL, SWEEP_TOL
 from .triples import (
     SpectralTriple,
     amplified_two_point,
@@ -51,8 +52,6 @@ from .wasserstein import (
 )
 
 PRNG_ID = "numpy-pcg64"
-CHECK_TOL = 1e-6   # closed-form reproductions
-SWEEP_TOL = 1e-4   # randomized property sweeps (solver limited)
 
 
 @dataclass

@@ -20,11 +20,9 @@ from .algebra import (
     State,
     pure_states,
 )
-from .linalg import STRUCT_TOL, as_operator, commutator
+from .linalg import as_operator, commutator
+from .tolerances import INVERTIBLE_TOL, PAIRING_INT_TOL, PAIRING_REAL_TOL, STRUCT_TOL
 from .triples import SpectralTriple, amplified_two_point, two_point
-
-PAIRING_REAL_TOL = 1e-10
-PAIRING_INT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +146,7 @@ def conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:
     """Conjugate (pi, F, gamma) by a unitary u."""
     u = as_operator(u)
     h = module.rep.hilbert_dim
-    if u.shape != (h, h) or np.abs(u @ u.conj().T - np.eye(h)).max() > 1e-12:
+    if u.shape != (h, h) or np.abs(u @ u.conj().T - np.eye(h)).max() > STRUCT_TOL:
         raise ValueError("u must be unitary on H")
     images = tuple(np.einsum("pr,ijrs,qs->ijpq", u, arr, u.conj())
                    for arr in module.rep.basis_images)
@@ -167,7 +165,7 @@ def _is_character(chi: State) -> bool:
             units.append(AlgebraElement(alg, tuple(blocks)))
     for x in units:
         for y in units:
-            if abs(chi(x @ y) - chi(x) * chi(y)) > 1e-12:
+            if abs(chi(x @ y) - chi(x) * chi(y)) > STRUCT_TOL:
                 return False
     return True
 
@@ -211,7 +209,7 @@ def fredholm_from_dirac(t: SpectralTriple) -> FredholmModule:
     if t.grading is None:
         raise ValueError("an even triple is required")
     w, u = np.linalg.eigh(t.dirac)
-    if np.abs(w).min() <= 1e-12 * max(1.0, np.abs(w).max()):
+    if np.abs(w).min() <= INVERTIBLE_TOL * max(1.0, np.abs(w).max()):
         raise ValueError("Dirac operator must be invertible to normalize F")
     f = (u * np.sign(w)) @ u.conj().T
     return FredholmModule(t.rep, f, t.grading)

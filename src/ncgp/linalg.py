@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-STRUCT_TOL = 1e-12     # hermiticity, involutions, trace normalization
+from .tolerances import STRUCT_TOL
 
 
 def as_operator(m) -> np.ndarray:

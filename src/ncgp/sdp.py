@@ -13,12 +13,26 @@ log-det barrier path following on one eigendecomposition H = W diag(lam) W*:
     S+ = (I + H)^-1 = W diag(d+) W*,   S- = (I - H)^-1 = W diag(d-) W*,
     d+ = 1/(1 + lam),                  d- = 1/(1 - lam).
 
+The problem is homogeneous: for a, b > 0, max (a c).y over ||H(y) / b|| <= 1
+is a b times max c.y over ||H(y)|| <= 1.  So the solve first divides c by
+||c|| and the H_j by sigma = sqrt(lambda_max(G)), G_ij = Re tr(H_i H_j) the
+Gram matrix, runs on that unit-scale data, and scales the bracket by
+||c|| / sigma and y_best by 1 / sigma on return.  On unit-scale data every threshold (the
+decrement, the line-search step, the ridge, the final mu) is relative, and
+the optimum is at least 1 (y = c / ||H(c)|| attains 1 / ||H(c)|| >= 1 /
+||H(c)||_F >= 1), so the bracket closes when upper - lower <= tol * lower,
+at any scale of c and the H_j.  The barrier parameter starts at
+mu = 1 / (2h): centered pairs have duality gap 2 h mu, so the first bracket
+is already within a factor of 2 of the optimum.
+
 Every iterate is strictly feasible, so scaling to the boundary gives
 certified lower bounds; dual certificates Z+, Z- >= 0 with
 <Z+ - Z-, H_j> = -c_j give certified upper bounds tr Z+ + tr Z-.  The path
-is advanced until the bracket closes below the tolerance: this plays the role
-of a bisection on the target value, where the query "is the optimum >= t" is
-answered by the current primal/dual pair.
+is advanced until the bracket closes: this plays the role of a bisection on
+the target value, where the query "is the optimum >= t" is answered by the
+current primal/dual pair.  A boundary iterate or a Newton system that is not
+positive definite to working precision ends the solve with the bracket it
+has.
 
 The H_j are read only on their union support U = {(a, b) : some H_j[a, b] != 0},
 as index arrays ia, ib and the values Hu = H[:, ia, ib] (k x |U|).  Products
@@ -55,8 +69,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_OUTER = 60      # barrier-parameter reductions per solve
-MAX_NEWTON = 1200   # Newton steps per solve, over all outer iterations
+from .tolerances import (ASCENT_STATIONARY, ASCENT_ZERO_NORM, CENTERING_TOL, MIN_MU,
+                         MIN_STEP, RIDGE_TOL)
+
+MAX_OUTER = 60       # barrier-parameter reductions per solve
+MAX_CENTERING = 60   # Newton steps per barrier parameter
+MAX_NEWTON = 1200    # Newton steps per solve, over all outer iterations
 
 
 @dataclass
@@ -125,17 +143,33 @@ def _newton_eigenbasis(c: np.ndarray, Hp: np.ndarray, mu: float, W: np.ndarray,
 def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
     """Path-following solve of max c.y s.t. -I <= sum_j y_j H_j <= I.
 
-    Requires the H_j to be exactly Hermitian and linearly independent;
-    returns a certified bracket [lower, upper] with `lower` attained by
-    `y_best`.  If a Newton system is not positive definite to working
-    precision, the solve ends with the bracket it has and `converged=False`.
+    Requires c != 0 and the H_j to be exactly Hermitian and linearly
+    independent; returns a certified bracket [lower, upper] with
+    `lower` attained by `y_best`, converged when upper - lower <= tol * lower.
+    If an iterate reaches the boundary or a Newton system is not positive
+    definite to working precision, the solve ends with the bracket it has and
+    `converged=False`.
     """
     if not np.array_equal(H, H.conj().transpose(0, 2, 1)):
         raise ValueError("H_j must be Hermitian")
     c = np.asarray(c, dtype=float)
+    if not c.any():
+        raise ValueError("c must be nonzero")
     k, h = H.shape[0], H.shape[1]
     ia, ib, Hu = _union_support(H)
     flat = ia * h + ib
+
+    # Gram matrix of the H_j; PD by linear independence
+    g = np.linalg.eigvalsh((Hu @ np.conj(Hu).T).real)
+    if g[0] <= 0:
+        raise ValueError("H_j must be linearly independent (project out the kernel first)")
+    # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 the top Gram
+    # eigenvalue; the bracket scales back by ||c|| / sigma, y_best by 1 / sigma
+    cnorm, sigma = float(np.linalg.norm(c)), float(np.sqrt(g[-1]))
+    c, Hu = c / cnorm, Hu / sigma
+    # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
+    # normalized Gram matrix has smallest eigenvalue g[0] / g[-1]
+    ybound = float(np.sqrt(h * g[-1] / g[0]))
 
     def H_of(yv: np.ndarray) -> np.ndarray:
         """H(yv) = sum_j yv_j H_j, scattered from the union support."""
@@ -143,18 +177,10 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
         out[flat] = yv @ Hu
         return out.reshape(h, h)
 
-    # Gram matrix of the H_j; PD by linear independence.  For any feasible y,
-    # ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), hence ||y|| <= ybound.
-    G = (Hu @ np.conj(Hu).T).real
-    gmin = float(np.linalg.eigvalsh(G)[0])
-    if gmin <= 0:
-        raise ValueError("H_j must be linearly independent (project out the kernel first)")
-    ybound = float(np.sqrt(h / gmin))
-
     y = np.zeros(k)
     lower, upper = 0.0, np.inf
     y_best = np.zeros(k)
-    mu = max(float(np.linalg.norm(c)), 1e-8)
+    mu = 1.0 / (2 * h)   # first duality gap 2 h mu = 1 <= the optimum
     steps = 0
     converged = False
 
@@ -163,7 +189,7 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
         def newton_system(W, lam):
             return _newton_support(c, Hu, ia, ib, mu, W, lam)
     else:
-        Hp = np.concatenate(H, axis=1)
+        Hp = np.concatenate(H, axis=1) / sigma
 
         def newton_system(W, lam):
             return _newton_eigenbasis(c, Hp, mu, W, lam)
@@ -179,57 +205,44 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     def newton_data(yv: np.ndarray):
         """Eigenpairs of H(yv), Newton direction d (K d = grad / mu), decrement.
 
-        Raises LinAlgError when K is not positive definite to working precision.
+        Raises LinAlgError when yv is not strictly feasible or K is not
+        positive definite to working precision.
         """
         lam, W = np.linalg.eigh(H_of(yv))
-        if max(-lam[0], lam[-1]) >= 1.0 - 1e-15:
-            return None
+        if max(-lam[0], lam[-1]) >= 1.0:
+            raise np.linalg.LinAlgError("iterate on the boundary of the unit ball")
         grad, K = newton_system(W, lam)
-        K.flat[::k + 1] += 1e-13 * max(1.0, float(np.trace(K)) / k)   # relative ridge
+        K.flat[::k + 1] += RIDGE_TOL * float(np.trace(K)) / k
         ch = np.linalg.cholesky(K)
         d = np.linalg.solve(ch.T, np.linalg.solve(ch, grad)) / mu
         lam2 = abs(float(grad @ d)) / mu   # Newton decrement of the mu-barrier
         return W, lam, d, lam2
 
     try:
+        W, lam, d, lam2 = newton_data(y)
         for _ in range(MAX_OUTER):
             # center at the current mu: drive the barrier Newton decrement small
-            # so the Newton-corrected dual point below is positive definite
-            data = None
-            for _ in range(60):
-                if steps >= MAX_NEWTON:
-                    break
-                data = newton_data(y)
-                if data is None:
-                    y = 0.999 * y
-                    steps += 1
-                    continue
-                _, lam, d, lam2 = data
-                if lam2 <= 1e-6:
+            # so the Newton-corrected dual point below is positive definite;
+            # the Newton data (W, lam, d, lam2) always belong to the current y
+            for _ in range(MAX_CENTERING):
+                if lam2 <= CENTERING_TOL or steps >= MAX_NEWTON:
                     break
                 f0 = barrier(y, lam)
                 gd = lam2 * mu   # equals grad.d by definition of the decrement
                 t = 1.0
-                while t > 1e-14 and barrier(y + t * d) < f0 + 0.01 * t * gd:
+                while t > MIN_STEP and barrier(y + t * d) < f0 + 0.01 * t * gd:
                     t *= 0.5
-                if t <= 1e-14:
+                if t <= MIN_STEP:
                     break
                 y = y + t * d
                 steps += 1
-                data = None
-
-            if data is None:
-                data = newton_data(y)
-                if data is None:
-                    break
-            W, lam, d, lam2 = data
+                W, lam, d, lam2 = newton_data(y)
 
             # primal bound: scale the strictly feasible iterate to the boundary
             norm = max(-lam[0], lam[-1])
-            if norm > 1e-15:
-                cand = float(c @ y) / norm
-                if cand > lower:
-                    lower, y_best = cand, y / norm
+            cand = float(c @ y) / norm
+            if cand > lower:
+                lower, y_best = cand, y / norm
 
             # dual bound: the Newton-corrected dual pair
             #   Z+ = mu (S+ - S+ dH S+),   Z- = mu (S- + S- dH S-),   dH = H(d),
@@ -247,16 +260,18 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
                 + float(np.linalg.norm(resid)) * ybound
             upper = min(upper, ub)
 
-            if upper - lower <= tol * max(1.0, lower):
+            if upper - lower <= tol * lower:
                 converged = True
                 break
-            if steps >= MAX_NEWTON or mu <= 1e-13 * max(1.0, float(np.linalg.norm(c))):
+            if steps >= MAX_NEWTON or mu <= MIN_MU:
                 break
             mu *= 0.15
+            W, lam, d, lam2 = newton_data(y)
     except np.linalg.LinAlgError:
-        pass   # K singular to working precision: keep the bracket found so far
+        pass   # boundary iterate or K singular: keep the bracket found so far
 
-    return LMISolution(y_best=y_best, lower=lower, upper=upper,
+    scale = cnorm / sigma
+    return LMISolution(y_best=y_best / sigma, lower=lower * scale, upper=upper * scale,
                        converged=converged, newton_steps=steps)
 
 
@@ -265,9 +280,10 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
     """Multi-start supergradient ascent on the ratio c.y / ||L(y)||.
 
     Heuristic lower-bound oracle for the same problem as
-    `maximize_over_unit_ball`; deterministic given the seed, with the maximum
-    over starts taken in start order.  Returns (best ratio, maximizer on the
-    unit sphere).
+    `maximize_over_unit_ball`, used by the tests to check its brackets; the
+    distance solver never calls it.  Deterministic given the seed, with the
+    maximum over starts taken in start order.  Returns (best ratio, maximizer
+    on the unit sphere).
     """
     c = np.asarray(c, dtype=float)
     k = L.shape[0]
@@ -282,7 +298,7 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
         Ly = np.einsum("j,jpq->pq", y, L)
         u, s, vh = np.linalg.svd(Ly)
         g = float(s[0])
-        if g < 1e-15:
+        if g < ASCENT_ZERO_NORM:
             return -np.inf, np.zeros(k)
         # supergradient of the top singular value from its first (smallest
         # index) singular pair; deterministic tie-breaking at nonsmooth points
@@ -298,7 +314,7 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
             if v > best_val:
                 best_val, best_y = v, y.copy()
             gn = np.linalg.norm(grad)
-            if gn < 1e-14:
+            if gn < ASCENT_STATIONARY:
                 break
             y = y + (0.5 / (1.0 + step / 25.0)) * grad / gn
             y = y / np.linalg.norm(y)

@@ -30,8 +30,7 @@ from .linalg import (
     require_hermitian,
     tensor,
 )
-
-GRADING_TOL = 1e-10
+from .tolerances import GRADING_TOL
 
 
 @dataclass(frozen=True, eq=False)

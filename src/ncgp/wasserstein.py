@@ -20,10 +20,10 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-TRIANGLE_TOL = 1e-12
-GAP_TOL = 1e-9
-MARGINAL_TOL = 1e-10
-HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+from .tolerances import GAP_TOL, HIGHS_FEASIBILITY_TOL, MARGINAL_TOL, STRUCT_TOL, TRIANGLE_TOL
+
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
+                 "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +42,8 @@ class FiniteMetricSpace:
         n = len(self.labels)
         if d.shape != (n, n):
             raise ValueError(f"distance matrix must be {n} x {n}")
+        if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(d))):
+            raise ValueError("coordinates and distances must be finite")
         if np.abs(d - d.T).max() > TRIANGLE_TOL or np.abs(np.diag(d)).max() > TRIANGLE_TOL:
             raise ValueError("distance matrix must be symmetric with zero diagonal")
         if d.min() < -TRIANGLE_TOL:
@@ -81,9 +83,11 @@ class Measure:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.space.size,):
             raise ValueError("one weight per point required")
-        if w.min() < -1e-12:
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        if w.min() < -STRUCT_TOL:
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if abs(w.sum() - 1.0) > STRUCT_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()}")
         object.__setattr__(self, "weights", w)
 

@@ -10,6 +10,7 @@ import ncgp
 from ncgp.algebra import (
     FiniteAlgebra,
     Representation,
+    State,
     product_state,
     pure_states,
     random_state,
@@ -95,11 +96,14 @@ class TestCatalogDistances:
 
     def test_two_point_at_large_scale(self):
         # the kernel cutoff is relative to the top singular value, so a small
-        # Dirac operator is not mistaken for D = 0
-        for lam in (1.0, 1e3, 1e6, 1e10, 1e13):
-            r = spectral_distance(two_point(lam), PLUS, MINUS)
+        # Dirac operator is not mistaken for D = 0; the solver normalizes its
+        # data, so small distances close to the same relative tolerance
+        tol = 1e-6
+        for lam in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10, 1e13):
+            r = spectral_distance(two_point(lam), PLUS, MINUS, tol)
             assert r.status == "finite"
-            assert abs(r.lower - lam) <= 1e-6 * lam
+            assert abs(r.lower - lam) <= tol * lam
+            assert r.upper <= (1.0 + tol) * r.lower
 
     def test_amplified_two_point(self):
         t = amplified_two_point(0.75)
@@ -135,6 +139,16 @@ class TestCatalogDistances:
             t = mod.as_spectral_triple()
             assert op_norm(t.commutator_with_dirac(r.optimizer)) < 1e-9
             assert (PLUS(r.optimizer) - MINUS(r.optimizer)).real == pytest.approx(r.lower)
+        # states that differ by t on the kernel of pi are infinitely far
+        # apart at every t > 0: the kernel test is relative to ||c||
+        t = ncgp.module_f_plus().as_spectral_triple()
+        for eps in (1e-11, 1e-13):
+            near = State(C2, (np.array([[1.0 - eps]]), np.array([[eps]])))
+            r = spectral_distance(t, PLUS, near)
+            assert r.status == "infinite" and math.isinf(r.upper)
+            assert op_norm(t.commutator_with_dirac(r.optimizer)) < 1e-9
+            assert (PLUS(r.optimizer) - near(r.optimizer)).real == pytest.approx(r.lower)
+            assert r.lower == pytest.approx(1.0)
 
     def test_zero_dirac_infinite(self):
         rep = ncgp.Representation.defining(C2)
@@ -169,13 +183,19 @@ class TestResultInvariants:
         assert r1.lower == pytest.approx(r2.lower, abs=1e-6)
 
     def test_scale_covariance(self):
+        # d(sD) = d(D) / s: the solver sees the same unit-scale problem at
+        # every s, so both ends of the bracket scale to roundoff
         rng = np.random.default_rng(1)
-        for t in (two_point(1.3), amplified_two_point(0.8), random_triple(rng, (2,))):
+        for t in (two_point(1.3), amplified_two_point(0.8), random_triple(rng, (2,)),
+                  random_triple(rng, (2, 1))):
             phi, phi2 = random_state(t.algebra, rng), random_state(t.algebra, rng)
             base = spectral_distance(t, phi, phi2, 1e-7)
-            for s in (0.5, 4.0):
+            assert base.status == "finite"
+            for s in (1e-12, 1e-6, 0.5, 4.0, 1e6, 1e12):
                 scaled = spectral_distance(t.scaled(s), phi, phi2, 1e-7)
-                assert scaled.lower == pytest.approx(base.lower / s, rel=1e-5)
+                assert scaled.status == "finite"
+                assert scaled.lower == pytest.approx(base.lower / s, rel=1e-9)
+                assert scaled.upper == pytest.approx(base.upper / s, rel=1e-9)
 
     @pytest.mark.parametrize("blocks", [(1, 1), (2,), (2, 1)])
     def test_unitary_conjugation_invariance(self, blocks):

@@ -124,11 +124,14 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["pass"] is True
 
+    @pytest.mark.usefixtures("no_fallback")
     def test_check_exit_one_on_failed_assertion(self, capsys):
-        # demand an unattainable tolerance: the bracket cannot reach 1e-16
+        # demand an unattainable tolerance: the bracket cannot reach 1e-16,
+        # and the unconverged solve reports its own bracket
         assert main(["check", "prop-indep", "--lambda", "1", "--mu", "1",
                      "--tol", "1e-16"]) == 1
-        assert json.loads(capsys.readouterr().out)["pass"] is False
+        out = json.loads(capsys.readouterr().out)
+        assert out["pass"] is False and out["details"]["status"] == "bracket"
 
     def test_unknown_experiment_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -244,7 +247,8 @@ class TestCli:
         assert err.startswith("ncgp: ") and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("case", ["malformed", "missing", "non-metric", "unnormalized"])
+    @pytest.mark.parametrize("case", ["malformed", "missing", "non-metric", "unnormalized",
+                                      "nan-weight", "nan-distance"])
     def test_w1_bad_input_is_usage_error(self, tmp_path, capsys, case):
         seg = FiniteMetricSpace.segment()
         space = space_to_json(seg)
@@ -253,6 +257,11 @@ class TestCli:
             space["dist"] = [[0.0, 1.0], [2.0, 0.0]]
         if case == "unnormalized":
             mu = {"weights": [0.7, 0.7]}
+        # json writes and reads NaN as the bare token NaN
+        if case == "nan-weight":
+            mu = {"weights": [math.nan, 1.0]}
+        if case == "nan-distance":
+            space["dist"] = [[0.0, math.nan], [math.nan, 0.0]]
         (tmp_path / "space.json").write_text(json.dumps(space))
         (tmp_path / "mu.json").write_text("{not json" if case == "malformed" else json.dumps(mu))
         nu = "absent.json" if case == "missing" else "mu.json"

@@ -77,6 +77,29 @@ class TestAgainstLpOracle:
         assert val <= sol.upper + 1e-9
         assert val <= sol.lower + 1e-3 * max(1.0, sol.lower)
 
+    @pytest.mark.parametrize("a,b", [(1e-12, 1.0), (1.0, 1e-12), (1e9, 1e-7), (3e-5, 2e11)])
+    def test_bracket_scales_with_the_data(self, a, b):
+        # max (a c).y over ||H(y) / b|| <= 1 is a b times max c.y over
+        # ||H(y)|| <= 1: the solver normalizes both on entry, so the bracket
+        # scales to roundoff, whatever the magnitudes
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        H = (X + X.conj().transpose(0, 2, 1)) / 2.0
+        c = rng.normal(size=3)
+        base = maximize_over_unit_ball(c, H, 1e-8)
+        sol = maximize_over_unit_ball(a * c, H / b, 1e-8)
+        assert base.converged and sol.converged
+        assert sol.lower == pytest.approx(a * b * base.lower, rel=1e-9)
+        assert sol.upper == pytest.approx(a * b * base.upper, rel=1e-9)
+        assert sol.upper - sol.lower <= 1e-8 * sol.lower
+        # y_best is feasible for the scaled data and attains the scaled lower bound
+        assert np.linalg.norm(np.einsum("j,jpq->pq", sol.y_best, H / b), 2) <= 1.0 + 1e-12
+        assert float((a * c) @ sol.y_best) == pytest.approx(sol.lower, rel=1e-12)
+
+    def test_rejects_zero_objective(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            maximize_over_unit_ball(np.zeros(1), np.eye(2)[None].astype(complex), 1e-6)
+
     def test_rejects_dependent_generators(self):
         L = np.zeros((2, 2, 2), dtype=complex)
         L[0] = np.eye(2)
@@ -184,6 +207,7 @@ class TestNewtonSystem:
         assert small.shape == (15, 16, 16)
 
 
+@pytest.mark.usefixtures("no_fallback")
 class TestCholeskyFailure:
     def test_solve_ends_with_the_bracket_it_has(self, monkeypatch):
         # Cholesky works for the first 12 Newton systems, then raises: the
@@ -219,4 +243,4 @@ class TestCholeskyFailure:
         plus, minus = pure_states(t.algebra)
         r = spectral_distance(t, plus, minus, 1e-6)
         assert r.status == "bracket"
-        assert r.lower <= 3.0 + 1e-9 and r.upper == np.inf
+        assert r.lower == 0.0 and r.upper == np.inf

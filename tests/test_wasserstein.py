@@ -194,6 +194,21 @@ class TestValidation:
                                         [1.0, 0.0, 1.0],
                                         [5.0, 1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        # every comparison with NaN is false, so the range checks alone let
+        # NaN weights, distances and coordinates through
+        seg = FiniteMetricSpace.segment()
+        with pytest.raises(ValueError, match="finite"):
+            Measure(seg, np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetricSpace(("a", "b"), np.zeros((2, 1)),
+                              np.array([[0.0, bad], [bad, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetricSpace(("a", "b"), np.array([[0.0], [bad]]), seg.dist)
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMetricSpace.euclidean(("a", "b"), [[0.0], [math.nan]])
+
     def test_measure_space_mismatch(self):
         seg = FiniteMetricSpace.segment()
         line3 = FiniteMetricSpace.euclidean(("a", "b", "c"), [[0.0], [1.0], [2.0]])
