@@ -8,8 +8,9 @@ so the problem is a seminorm-constrained linear program.  Distances are
 infinite exactly when the objective fails to vanish on the kernel of that
 map (then multiples of a kernel element are feasible with unbounded value).
 Both tests are relative: the kernel overlap is compared with the objective's
-norm, and a finite bracket must close to tol times its lower end, so states
-that differ by 1e-13 are told apart as well as states that differ by 1.
+norm plus the roundoff of the states' trace-normalized values, and a finite
+bracket must close to tol times its lower end, so states that differ by 1e-13
+are told apart as well as states that differ by 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .algebra import AlgebraElement, State, element_from_coordinates, hermitian_
 from .linalg import op_norm
 # ratio_ascent is not called here: perfbench/tracing.py counts its calls under this name
 from .sdp import maximize_over_unit_ball, ratio_ascent  # noqa: F401
-from .tolerances import DEFAULT_TOL, INFINITY_TOL, KERNEL_SVD_TOL
+from .tolerances import DEFAULT_TOL, INFINITY_TOL, KERNEL_SVD_TOL, ROUNDOFF_TOL
 from .triples import SpectralTriple
 
 
@@ -85,10 +86,12 @@ class DistanceSolver:
         H = 1j * (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
         self.H_reduced = (H + H.conj().transpose(0, 2, 1)) / 2.0
 
-    def _objective(self, phi: State, phi2: State) -> np.ndarray:
-        def values(state: State) -> np.ndarray:
-            return (self.basis_matrix @ np.concatenate([r.ravel() for r in state.densities])).real
-        return values(phi) - values(phi2)
+    def _values(self, state: State) -> np.ndarray:
+        """phi(b_i) / phi(1): a total trace off 1 (State admits STRUCT_TOL)
+        would read as a kernel difference of two states."""
+        rho = np.concatenate([r.ravel() for r in state.densities])
+        total = sum(float(np.trace(r).real) for r in state.densities)
+        return (self.basis_matrix @ rho).real / total
 
     def distance(self, phi: State, phi2: State, tol: float = DEFAULT_TOL) -> DistanceResult:
         if not 0.0 < tol < math.inf:
@@ -96,29 +99,32 @@ class DistanceSolver:
         alg = self.triple.algebra
         if phi.algebra != alg or phi2.algebra != alg:
             raise ValueError("states must live on the triple's algebra")
-        c = self._objective(phi, phi2)
-        if not c.any():
-            return DistanceResult(0.0, 0.0, alg.zero(), "finite")
-
+        v, v2 = self._values(phi), self._values(phi2)
+        c = v - v2
         if self.kernel_basis.shape[1] > 0:
             overlap = self.kernel_basis.T @ c
             j = int(np.argmax(np.abs(overlap)))
-            if abs(overlap[j]) > INFINITY_TOL * np.linalg.norm(c):
+            # c = v - v2 is known only to a few ulps of v and v2: an overlap
+            # that small is no evidence, however small c is
+            noise = ROUNDOFF_TOL * (np.linalg.norm(v) + np.linalg.norm(v2))
+            if abs(overlap[j]) > INFINITY_TOL * np.linalg.norm(c) + noise:
                 # witness: kernel element with objective 1; any multiple is
                 # feasible, so the supremum is +infinity
                 witness_x = self.kernel_basis[:, j] / overlap[j]
                 witness = element_from_coordinates(alg, witness_x)
-                lower = float((phi(witness) - phi2(witness)).real)
-                return DistanceResult(lower, math.inf, witness, "infinite")
+                return DistanceResult(float(c @ witness_x), math.inf, witness, "infinite")
 
-        sol = maximize_over_unit_ball(self.range_basis.T @ c, self.H_reduced, tol)
+        c_red = self.range_basis.T @ c
+        if not c_red.any():
+            return DistanceResult(0.0, 0.0, alg.zero(), "finite")
+        sol = maximize_over_unit_ball(c_red, self.H_reduced, tol)
         x = self.range_basis @ sol.y_best
         optimizer = element_from_coordinates(alg, x)
         gnorm = op_norm(self.triple.commutator_with_dirac(optimizer))
         if gnorm > 1.0:
             x = x / gnorm
             optimizer = element_from_coordinates(alg, x)
-        lower = float((phi(optimizer) - phi2(optimizer)).real)
+        lower = float(c @ x)
         upper = max(sol.upper, lower)
         status = "finite" if upper - lower <= tol * lower else "bracket"
         return DistanceResult(lower, upper, optimizer, status)

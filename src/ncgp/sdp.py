@@ -69,8 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import (ASCENT_STATIONARY, ASCENT_ZERO_NORM, CENTERING_TOL, MIN_MU,
-                         MIN_STEP, RIDGE_TOL)
+from .tolerances import CENTERING_TOL, MIN_MU, MIN_STEP, RIDGE_TOL
 
 MAX_OUTER = 60       # barrier-parameter reductions per solve
 MAX_CENTERING = 60   # Newton steps per barrier parameter
@@ -298,7 +297,7 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
         Ly = np.einsum("j,jpq->pq", y, L)
         u, s, vh = np.linalg.svd(Ly)
         g = float(s[0])
-        if g < ASCENT_ZERO_NORM:
+        if g < 1e-15:
             return -np.inf, np.zeros(k)
         # supergradient of the top singular value from its first (smallest
         # index) singular pair; deterministic tie-breaking at nonsmooth points
@@ -314,7 +313,7 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
             if v > best_val:
                 best_val, best_y = v, y.copy()
             gn = np.linalg.norm(grad)
-            if gn < ASCENT_STATIONARY:
+            if gn < 1e-14:
                 break
             y = y + (0.5 / (1.0 + step / 25.0)) * grad / gn
             y = y / np.linalg.norm(y)

@@ -17,7 +17,8 @@ INVERTIBLE_TOL = 1e-12      # |eigenvalue| of D at most this times max(1, ||D||)
 
 DEFAULT_TOL = 1e-6          # "finite": upper - lower <= DEFAULT_TOL * lower
 KERNEL_SVD_TOL = 1e-12      # singular values up to this times the largest span the kernel
-INFINITY_TOL = 1e-10        # kernel overlap above this times ||c|| proves d = +inf
+INFINITY_TOL = 1e-10        # kernel overlap above this times ||c|| proves d = +inf ...
+ROUNDOFF_TOL = 1e-15        # ... once it also exceeds this times ||phi|| + ||phi'||, c's roundoff
 
 # Interior-point method, on data normalized to ||c|| = 1, lambda_max(Gram) = 1
 
@@ -25,11 +26,6 @@ CENTERING_TOL = 1e-6        # Newton decrement that ends centering at one mu
 MIN_STEP = 1e-14            # line-search step below which centering stops
 RIDGE_TOL = 1e-13           # shift of K's diagonal, relative to its mean diagonal entry
 MIN_MU = 1e-13              # barrier parameter below which path following stops
-
-# ratio_ascent, the heuristic oracle of the tests
-
-ASCENT_ZERO_NORM = 1e-15    # ||H(y)|| below this on the unit sphere scores -inf
-ASCENT_STATIONARY = 1e-14   # supergradient norm that ends one start
 
 # Experiments
 
@@ -46,4 +42,3 @@ PAIRING_INT_TOL = 1e-8      # distance of an index pairing from an integer
 TRIANGLE_TOL = 1e-12        # symmetry, zero diagonal, sign and triangle inequality of d
 GAP_TOL = 1e-9              # LP duality gap and the potential's Lipschitz excess
 MARGINAL_TOL = 1e-10        # transport plan against its prescribed marginals
-HIGHS_FEASIBILITY_TOL = 1e-10   # HiGHS primal and dual feasibility; its default 1e-7 is too loose

@@ -20,10 +20,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .tolerances import GAP_TOL, HIGHS_FEASIBILITY_TOL, MARGINAL_TOL, STRUCT_TOL, TRIANGLE_TOL
+from .tolerances import GAP_TOL, MARGINAL_TOL, STRUCT_TOL, TRIANGLE_TOL
 
-HIGHS_OPTIONS = {"primal_feasibility_tolerance": HIGHS_FEASIBILITY_TOL,
-                 "dual_feasibility_tolerance": HIGHS_FEASIBILITY_TOL}
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +61,8 @@ class FiniteMetricSpace:
     @classmethod
     def euclidean(cls, labels, coords) -> "FiniteMetricSpace":
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coordinates and distances must be finite")
         if coords.ndim == 2 and coords.shape[0] == 1 and len(labels) > 1:
             coords = coords.T
         diff = coords[:, None, :] - coords[None, :, :]

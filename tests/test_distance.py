@@ -156,6 +156,32 @@ class TestCatalogDistances:
         r = spectral_distance(t, PLUS, MINUS)
         assert r.status == "infinite"
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_near_states_stay_finite(self, gap):
+        # neither a total trace off 1 (State admits up to 1e-12) nor the
+        # rounding of 0.5 +- gap may read as a kernel difference of the states
+        def state(alg, values):
+            return State(alg, tuple(np.array([[v]]) for v in values))
+
+        half = state(C2, (0.5, 0.5))
+        r = spectral_distance(two_point(1.0), half, state(C2, (0.5 + gap, 0.5 - gap)))
+        assert r.status == "finite" and r.lower == pytest.approx(gap, rel=1e-5)
+        # the distance is the one between the trace-normalized states
+        heavy = state(C2, (0.5 + gap, 0.5 - gap + 1e-13))
+        r = spectral_distance(two_point(1.0), half, heavy)
+        assert r.status == "finite"
+        assert r.lower == pytest.approx((0.5 + gap) / (1.0 + 1e-13) - 0.5, rel=1e-5)
+        # C^3 with its third point isolated: the kernel holds more than the unit
+        C3 = FiniteAlgebra((1, 1, 1))
+        D = np.zeros((3, 3))
+        D[0, 1] = D[1, 0] = 1.0
+        t = SpectralTriple(Representation.defining(C3), D)
+        base = state(C3, (0.5, 0.2, 0.3))
+        r = spectral_distance(t, base, state(C3, (0.5 + gap, 0.2 - gap, 0.3)))
+        assert r.status == "finite" and r.lower == pytest.approx(gap, rel=1e-5)
+        r = spectral_distance(t, base, state(C3, (0.5, 0.2 + gap, 0.3 - gap)))
+        assert r.status == "infinite"
+
 
 class TestResultInvariants:
     def test_certificate_feasibility(self):

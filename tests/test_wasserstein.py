@@ -207,7 +207,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             FiniteMetricSpace(("a", "b"), np.array([[0.0], [bad]]), seg.dist)
         with pytest.raises(ValueError, match="finite"):
-            FiniteMetricSpace.euclidean(("a", "b"), [[0.0], [math.nan]])
+            FiniteMetricSpace.euclidean(("a", "b"), [[0.0], [bad]])
 
     def test_measure_space_mismatch(self):
         seg = FiniteMetricSpace.segment()
