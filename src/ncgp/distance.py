@@ -43,6 +43,7 @@ class DistanceResult:
     upper: float
     optimizer: AlgebraElement
     status: str
+    newton_steps: int = 0   # interior-point steps; 0 when no solve ran
 
     @property
     def value(self) -> float:
@@ -127,7 +128,7 @@ class DistanceSolver:
         lower = float(c @ x)
         upper = max(sol.upper, lower)
         status = "finite" if upper - lower <= tol * lower else "bracket"
-        return DistanceResult(lower, upper, optimizer, status)
+        return DistanceResult(lower, upper, optimizer, status, sol.newton_steps)
 
 
 def spectral_distance(triple: SpectralTriple, phi: State, phi2: State,
@@ -156,5 +157,5 @@ def distance_result_to_json(r: DistanceResult) -> dict:
     from .algebra import element_to_json
     return {"lower": r.lower,
             "upper": "inf" if math.isinf(r.upper) else r.upper,
-            "status": r.status,
+            "status": r.status, "newton_steps": r.newton_steps,
             "optimizer": element_to_json(r.optimizer)}

@@ -209,7 +209,7 @@ def fredholm_from_dirac(t: SpectralTriple) -> FredholmModule:
     if t.grading is None:
         raise ValueError("an even triple is required")
     w, u = np.linalg.eigh(t.dirac)
-    if np.abs(w).min() <= INVERTIBLE_TOL * max(1.0, np.abs(w).max()):
+    if np.abs(w).min() <= INVERTIBLE_TOL * np.abs(w).max():
         raise ValueError("Dirac operator must be invertible to normalize F")
     f = (u * np.sign(w)) @ u.conj().T
     return FredholmModule(t.rep, f, t.grading)

@@ -7,11 +7,11 @@ The problem solved here is
 with H_j Hermitian h x h matrices whose span contains no nonzero kernel
 directions (the caller projects those out first).  For Hermitian H(y) the
 norm ball is the pair of linear matrix inequalities -I <= H(y) <= I, solved by
-log-det barrier path following on one eigendecomposition H = W diag(lam) W*:
-
-    logdet(I + H) + logdet(I - H) = sum_i log(1 - lam_i^2),
-    S+ = (I + H)^-1 = W diag(d+) W*,   S- = (I - H)^-1 = W diag(d-) W*,
-    d+ = 1/(1 + lam),                  d- = 1/(1 - lam).
+log-det barrier path following without ever diagonalizing the iterate
+(Vandenberghe and Boyd, *Semidefinite programming*, SIAM Rev. 38 (1996)): one
+batched Cholesky factorization of the pair I +- H tests strict feasibility and
+gives logdet(I + H) + logdet(I - H) = 2 sum log diag(L+) + 2 sum log diag(L-),
+and one batched inverse gives S+- = (I +- H)^-1 at each accepted iterate.
 
 The problem is homogeneous: for a, b > 0, max (a c).y over ||H(y) / b|| <= 1
 is a b times max c.y over ||H(y)|| <= 1.  So the solve first divides c by
@@ -25,39 +25,32 @@ at any scale of c and the H_j.  The barrier parameter starts at
 mu = 1 / (2h): centered pairs have duality gap 2 h mu, so the first bracket
 is already within a factor of 2 of the optimum.
 
-Every iterate is strictly feasible, so scaling to the boundary gives
-certified lower bounds; dual certificates Z+, Z- >= 0 with
-<Z+ - Z-, H_j> = -c_j give certified upper bounds tr Z+ + tr Z-.  The path
-is advanced until the bracket closes: this plays the role of a bisection on
-the target value, where the query "is the optimum >= t" is answered by the
-current primal/dual pair.  A boundary iterate or a Newton system that is not
-positive definite to working precision ends the solve with the bracket it
-has.
+Once per outer iteration, the strictly feasible iterate scaled to the
+boundary by its exact norm (one eigvalsh of H(y)) gives a certified lower
+bound, and dual certificates Z+, Z- >= 0 built from S+- with
+<Z+ - Z-, H_j> = -c_j (one eigvalsh of the stack [Z+, Z-]) give a certified
+upper bound tr Z+ + tr Z-.  The path is advanced until the bracket closes;
+a line search without ascent or a Newton system that is not positive
+definite to working precision ends the solve with the bracket it has.
 
 The H_j are read only on their union support U = {(a, b) : some H_j[a, b] != 0},
-as index arrays ia, ib and the values Hu = H[:, ia, ib] (k x |U|).  Products
-of spectral triples give sparse H_j (6 to 8 entries each on the two-sheeted
-lattices), so every use of the H_j goes through Hu:
-
-    H(y)      = zero h x h matrix with y @ Hu scattered into (ia, ib);
-    Gram      = Hu @ Hu*, once per solve;
-    residual  = Hu @ conj(Z+ - Z-)[ia, ib], once per outer iteration.
-
+as index arrays ia, ib and the values Hu = H[:, ia, ib] (k x |U|): H(y) is
+y @ Hu scattered into (ia, ib), the Gram matrix is Hu @ Hu*, and the
+certificate residual is Hu @ conj(Z+ - Z-)[ia, ib].  Products of spectral
+triples give sparse H_j (6 to 8 entries each on the two-sheeted lattices).
 The Newton system (gradient c_j + mu tr((S+ - S-) H_j) and
-K_ij = tr(S+ H_i S+ H_j) + tr(S- H_i S- H_j)) has two contraction orders,
-after the sparse Schur-complement assembly of Fujisawa, Kojima and Nakata
-(Math. Program. 79, 1997), which also picks its formula by operation count:
+K_ij = tr(S+ H_i S+ H_j) + tr(S- H_i S- H_j)) has two contraction orders on
+top of the shared S+-, after the sparse Schur-complement assembly of
+Fujisawa, Kojima and Nakata (Math. Program. 79, 1997):
 
-  * support order: A+- = S+-[ib, ia] = (W[ib] d+-) W[ia]* holds S+- only at
-    the support (|U| x |U|), and
+  * support order: gather A+- = S+-[ib, ia] (|U| x |U|), then
         gradient = c + mu Re(Hu diag(A+ - A-)),
         K        = Re(Hu (A+ o A+^T + A- o A-^T) Hu^T);
-    it costs 2|U|^2 h + k|U|^2 + k^2|U| flops;
-  * eigenbasis order: H~_j = W* H_j W from two GEMMs on Hp = [H_1 ... H_k]
-    (h x k h), then
-        gradient = c - mu Re diag(H~) @ (d- - d+),
-        K        = Re[(H~ o (d- d-^T + d+ d+^T)) @ H~^H], one real GEMM;
-    it costs 2k h^3 + 2k^2 h^2 flops.
+    k|U|^2 + k^2|U| flops, plus memory-bound passes over the 2|U|^2 entries
+    of A+- (gather, Hadamard products) that take about as long as 16|U|^2;
+  * dense order: X = [S+; S-] [H_1 ... H_k], one GEMM holding every S+- H_j,
+    then gradient = c + mu Re tr(X+_j - X-_j) and
+    K_ij = Re tr(X+_i X+_j + X-_i X-_j), one real GEMM; 2k h^3 + 2k^2 h^2 flops.
 
 Each solve computes both counts from (k, h, |U|) and runs the cheaper order;
 both give the same numbers up to roundoff.
@@ -94,48 +87,62 @@ def _union_support(H: np.ndarray):
     return ia, ib, np.ascontiguousarray(H[:, ia, ib])
 
 
+def _log_det(P: np.ndarray) -> float:
+    """log det P[0] + log det P[1] from one batched Cholesky factorization;
+    -inf unless both are positive definite to working precision."""
+    try:
+        ch = np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    return 2.0 * float(np.sum(np.log(np.diagonal(ch, axis1=1, axis2=2).real)))
+
+
+def _inverse(P: np.ndarray) -> np.ndarray:
+    """[P[0]^-1, P[1]^-1] from one batched inverse, made exactly Hermitian:
+    eigvalsh reads one triangle of the certificate built from it."""
+    S = np.linalg.inv(P)
+    return (S + np.conj(S.transpose(0, 2, 1))) / 2.0
+
+
 def _support_order_is_cheaper(k: int, h: int, m: int) -> bool:
-    """Whether `_newton_support` takes fewer flops than `_newton_eigenbasis`
-    for k generators of size h x h with m entries in their union support."""
-    return 2 * m * m * h + k * m * m + k * k * m < 2 * k * h ** 3 + 2 * k * k * h * h
+    """Whether `_newton_support` is cheaper than `_newton_dense`, by the module
+    docstring's counts, for k generators h x h with m union-support entries."""
+    return (k + 16) * m * m + k * k * m < 2 * k * h ** 3 + 2 * k * k * h * h
 
 
-def _newton_support(c: np.ndarray, Hu: np.ndarray, ia: np.ndarray, ib: np.ndarray,
-                    mu: float, W: np.ndarray, lam: np.ndarray):
-    """Gradient and K = -Hessian/mu of the barrier c.y + mu sum log(1 - lam^2)
-    at H(y) = W diag(lam) W*, from S+- evaluated on the union support only.
+def _newton_support(c: np.ndarray, Hu: np.ndarray, gather: np.ndarray, mu: float,
+                    S: np.ndarray):
+    """Gradient and K = -Hessian/mu of the barrier c.y + mu log det(I - H(y)^2)
+    from S = [S+, S-] (2 x h x h), read on the union support only, where
+    gather = ib[:, None] * h + ia indexes the flattened S.
 
     tr(S H_j) = sum_p Hu[j, p] S[ib_p, ia_p] and tr(S H_i S H_j) =
     sum_{p, q} Hu[i, p] S[ib_p, ia_q] Hu[j, q] S[ib_q, ia_p], so with
     A = S[ib, ia] the gradient reads diag(A) and K reads A o A^T.
     """
-    k, m = Hu.shape
-    Wb = W[ib]
-    # one GEMM gives A+ (rows :m) and A- (rows m:)
-    A = np.concatenate([Wb / (1.0 + lam), Wb / (1.0 - lam)]) @ np.conj(W[ia]).T
-    Ap, Am = A[:m], A[m:]
-    grad = c + mu * (Hu @ (np.diagonal(Ap) - np.diagonal(Am))).real
+    k = Hu.shape[0]
+    A = np.take(S.reshape(2, -1), gather, axis=1)   # A[0] = A+, A[1] = A-
+    grad = c + mu * (Hu @ (np.diagonal(A[0]) - np.diagonal(A[1]))).real
+    AA = A * A.transpose(0, 2, 1)
     # Re(X @ Y^T) is the real GEMM of the interleaved (re, im) views of X, conj(Y)
-    B = Hu @ (Ap * Ap.T + Am * Am.T)
+    B = Hu @ (AA[0] + AA[1])
     K = B.view(np.float64).reshape(k, -1) @ np.conj(Hu).view(np.float64).reshape(k, -1).T
     return grad, K
 
 
-def _newton_eigenbasis(c: np.ndarray, Hp: np.ndarray, mu: float, W: np.ndarray,
-                       lam: np.ndarray):
-    """The same gradient and K as `_newton_support`, through the dense
-    H~_j = W* H_j W, for Hp = [H_1 ... H_k] (h x k h)."""
-    h = Hp.shape[0]
-    k = Hp.shape[1] // h
-    dm = 1.0 / (1.0 - lam)
-    dp = 1.0 / (1.0 + lam)
-    # two GEMMs give H~ as [p, j, q]; one copy makes it [j, p, q]
-    Ht = ((np.conj(W).T @ Hp).reshape(h * k, h) @ W).reshape(h, k, h)
-    Ht = np.ascontiguousarray(Ht.transpose(1, 0, 2))
-    grad = c - mu * (np.diagonal(Ht, axis1=1, axis2=2) @ (dm - dp)).real
-    # Re(X @ Y^H) is the real GEMM of the interleaved (re, im) views
-    weighted = Ht * (np.outer(dm, dm) + np.outer(dp, dp))
-    K = weighted.view(np.float64).reshape(k, -1) @ Ht.view(np.float64).reshape(k, -1).T
+def _newton_dense(c: np.ndarray, Hp: np.ndarray, mu: float, S: np.ndarray):
+    """The same gradient and K as `_newton_support`, from the dense products
+    S+- H_j, for Hp = [H_1 ... H_k] (h x k h)."""
+    h, k = Hp.shape[0], Hp.shape[1] // Hp.shape[0]
+    # one GEMM gives X[s, a, j, b] = (S_s H_j)[a, b]
+    X = (S.reshape(2 * h, h) @ Hp).reshape(2, h, k, h)
+    tr = np.diagonal(X, axis1=1, axis2=3).sum(axis=-1)   # tr(S_s H_j), s x j
+    grad = c + mu * (tr[0] - tr[1]).real
+    # K_ij = Re sum_s tr(S_s H_i S_s H_j) = Re sum_{s, a, b} X[s, a, i, b] X[s, b, j, a],
+    # the real GEMM of the interleaved (re, im) views of X and conj(X) transposed
+    P = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
+    Q = np.conj(X.transpose(2, 0, 3, 1), order="C")
+    K = P.view(np.float64).reshape(k, -1) @ Q.view(np.float64).reshape(k, -1).T
     return grad, K
 
 
@@ -145,8 +152,8 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     Requires c != 0 and the H_j to be exactly Hermitian and linearly
     independent; returns a certified bracket [lower, upper] with
     `lower` attained by `y_best`, converged when upper - lower <= tol * lower.
-    If an iterate reaches the boundary or a Newton system is not positive
-    definite to working precision, the solve ends with the bracket it has and
+    If a Newton system is not positive definite to working precision or the
+    line search finds no ascent, the solve ends with the bracket it has and
     `converged=False`.
     """
     if not np.array_equal(H, H.conj().transpose(0, 2, 1)):
@@ -169,6 +176,8 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
     # normalized Gram matrix has smallest eigenvalue g[0] / g[-1]
     ybound = float(np.sqrt(h * g[-1] / g[0]))
+    # the two sides of the LMI, stacked: index 0 is I + H, index 1 is I - H
+    eye, signs = np.eye(h), np.array([1.0, -1.0])[:, None, None]
 
     def H_of(yv: np.ndarray) -> np.ndarray:
         """H(yv) = sum_j yv_j H_j, scattered from the union support."""
@@ -176,68 +185,61 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
         out[flat] = yv @ Hu
         return out.reshape(h, h)
 
-    y = np.zeros(k)
+    y, y_best = np.zeros(k), np.zeros(k)
     lower, upper = 0.0, np.inf
-    y_best = np.zeros(k)
     mu = 1.0 / (2 * h)   # first duality gap 2 h mu = 1 <= the optimum
-    steps = 0
-    converged = False
+    steps, converged = 0, False
 
-    # the contraction order with the smaller flop count at these (k, h, |U|)
+    # the cheaper contraction order at these (k, h, |U|)
     if _support_order_is_cheaper(k, h, ia.size):
-        def newton_system(W, lam):
-            return _newton_support(c, Hu, ia, ib, mu, W, lam)
+        gather = ib[:, None] * h + ia
+
+        def newton_system(S):
+            return _newton_support(c, Hu, gather, mu, S)
     else:
         Hp = np.concatenate(H, axis=1) / sigma
 
-        def newton_system(W, lam):
-            return _newton_eigenbasis(c, Hp, mu, W, lam)
+        def newton_system(S):
+            return _newton_dense(c, Hp, mu, S)
 
-    def barrier(yv: np.ndarray, lam: np.ndarray | None = None) -> float:
-        """Barrier value at yv, from the eigenvalues lam of H(yv) if known."""
-        if lam is None:
-            lam = np.linalg.eigvalsh(H_of(yv))
-        if max(-lam[0], lam[-1]) >= 1.0:
-            return -np.inf
-        return float(c @ yv) + mu * float(np.sum(np.log1p(-lam * lam)))
+    def barrier(yv: np.ndarray) -> float:
+        """c.yv + mu log det(I - H(yv)^2), -inf off the open unit ball."""
+        return float(c @ yv) + mu * _log_det(eye + signs * H_of(yv))
 
     def newton_data(yv: np.ndarray):
-        """Eigenpairs of H(yv), Newton direction d (K d = grad / mu), decrement.
-
-        Raises LinAlgError when yv is not strictly feasible or K is not
-        positive definite to working precision.
-        """
-        lam, W = np.linalg.eigh(H_of(yv))
-        if max(-lam[0], lam[-1]) >= 1.0:
-            raise np.linalg.LinAlgError("iterate on the boundary of the unit ball")
-        grad, K = newton_system(W, lam)
+        """S = [S+, S-] = (I +- H(yv))^-1, Newton direction d (K d = grad / mu),
+        decrement.  Raises LinAlgError when K is not positive definite to
+        working precision."""
+        S = _inverse(eye + signs * H_of(yv))
+        grad, K = newton_system(S)
         K.flat[::k + 1] += RIDGE_TOL * float(np.trace(K)) / k
         ch = np.linalg.cholesky(K)
         d = np.linalg.solve(ch.T, np.linalg.solve(ch, grad)) / mu
         lam2 = abs(float(grad @ d)) / mu   # Newton decrement of the mu-barrier
-        return W, lam, d, lam2
+        return S, d, lam2
 
     try:
-        W, lam, d, lam2 = newton_data(y)
+        S, d, lam2 = newton_data(y)
         for _ in range(MAX_OUTER):
             # center at the current mu: drive the barrier Newton decrement small
             # so the Newton-corrected dual point below is positive definite;
-            # the Newton data (W, lam, d, lam2) always belong to the current y
+            # the Newton data (S, d, lam2) and fy always belong to the current y
+            fy = barrier(y)
             for _ in range(MAX_CENTERING):
                 if lam2 <= CENTERING_TOL or steps >= MAX_NEWTON:
                     break
-                f0 = barrier(y, lam)
                 gd = lam2 * mu   # equals grad.d by definition of the decrement
                 t = 1.0
-                while t > MIN_STEP and barrier(y + t * d) < f0 + 0.01 * t * gd:
+                while t > MIN_STEP and (ft := barrier(y + t * d)) < fy + 0.01 * t * gd:
                     t *= 0.5
                 if t <= MIN_STEP:
                     break
-                y = y + t * d
+                y, fy = y + t * d, ft
                 steps += 1
-                W, lam, d, lam2 = newton_data(y)
+                S, d, lam2 = newton_data(y)
 
             # primal bound: scale the strictly feasible iterate to the boundary
+            lam = np.linalg.eigvalsh(H_of(y))
             norm = max(-lam[0], lam[-1])
             cand = float(c @ y) / norm
             if cand > lower:
@@ -248,14 +250,10 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
             # satisfies <Z+ - Z-, H_j> = -c_j exactly by the Newton equations and
             # is positive definite once the decrement is small; residual roundoff
             # is folded in via the a-priori bound on feasible ||y||.
-            Wh = np.conj(W).T
-            Sp, Sm = (W / (1.0 + lam)) @ Wh, (W / (1.0 - lam)) @ Wh
-            dH = H_of(d)
-            Zp = mu * (Sp - Sp @ dH @ Sp)
-            Zm = mu * (Sm + Sm @ dH @ Sm)
-            resid = (Hu @ np.conj((Zp - Zm).ravel()[flat])).real + c
-            zmin = min(float(np.linalg.eigvalsh(Zp)[0]), float(np.linalg.eigvalsh(Zm)[0]))
-            ub = float(np.trace(Zp).real + np.trace(Zm).real) + 2 * h * max(0.0, -zmin) \
+            Z = mu * (S - signs * (S @ H_of(d) @ S))
+            resid = (Hu @ np.conj((Z[0] - Z[1]).ravel()[flat])).real + c
+            zmin = float(np.linalg.eigvalsh(Z)[:, 0].min())
+            ub = float(np.trace(Z, axis1=1, axis2=2).real.sum()) + 2 * h * max(0.0, -zmin) \
                 + float(np.linalg.norm(resid)) * ybound
             upper = min(upper, ub)
 
@@ -265,9 +263,9 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
             if steps >= MAX_NEWTON or mu <= MIN_MU:
                 break
             mu *= 0.15
-            W, lam, d, lam2 = newton_data(y)
+            S, d, lam2 = newton_data(y)
     except np.linalg.LinAlgError:
-        pass   # boundary iterate or K singular: keep the bracket found so far
+        pass   # K singular: keep the bracket found so far
 
     scale = cnorm / sigma
     return LMISolution(y_best=y_best / sigma, lower=lower * scale, upper=upper * scale,

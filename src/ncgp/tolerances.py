@@ -1,9 +1,9 @@
 """Every threshold the package compares against, each named once.
 
-Structural checks are absolute: the operators they test are small integer or
-rational arrays, so their scale stays near 1.  The distance solver's
-thresholds are relative: it normalizes its data to unit scale before it
-compares anything, so that d(sD) = d(D)/s holds at every scale s.
+Structural checks are absolute, on small integer or rational arrays; only
+the invertibility of D is relative to ||D||, since sign(D) is scale free.  The
+distance solver's thresholds are relative: it normalizes its data to unit
+scale before it compares anything, so that d(sD) = d(D)/s at every scale s.
 """
 
 # Structure of the inputs (absolute, entrywise)
@@ -11,7 +11,7 @@ compares anything, so that d(sD) = d(D)/s holds at every scale s.
 STRUCT_TOL = 1e-12          # hermiticity, involutions, unitarity, trace 1, multiplicativity
 GRADING_TOL = 1e-10         # gamma^2 = 1, {gamma, D} = 0 and [gamma, pi(a)] = 0 of a triple
 FAITHFUL_RANK_TOL = 1e-10   # singular-value cutoff for the rank of pi on the matrix units
-INVERTIBLE_TOL = 1e-12      # |eigenvalue| of D at most this times max(1, ||D||) is zero
+INVERTIBLE_TOL = 1e-12      # |eigenvalue| of D at most this times ||D|| is zero (relative)
 
 # Spectral distance (relative)
 

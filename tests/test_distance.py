@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncgp
 from ncgp.algebra import (
@@ -23,7 +25,7 @@ from ncgp.distance import (
 )
 from ncgp.experiments import random_triple
 from ncgp.linalg import op_norm
-from ncgp.sdp import ratio_ascent
+from ncgp.sdp import maximize_over_unit_ball, ratio_ascent
 from ncgp.triples import (
     SpectralTriple,
     amplified_two_point,
@@ -83,6 +85,14 @@ def grid_ratio_oracle(lam, mu=1.0, refine_steps=60):
 
 def product_states_pm(pt, first, second):
     return product_state(first, second, pt.algebra)
+
+
+def seeded_instance(blocks, seed):
+    """two_point(lam) for blocks None, else random_triple(seed, blocks), with
+    two random states."""
+    rng = np.random.default_rng(seed)
+    t = two_point(float(rng.uniform(0.5, 2.0))) if blocks is None else random_triple(rng, blocks)
+    return t, random_state(t.algebra, rng), random_state(t.algebra, rng)
 
 
 class TestCatalogDistances:
@@ -239,6 +249,36 @@ class TestResultInvariants:
         r = spectral_distance(rotated, phi, phi2, 1e-7)
         assert base.status == r.status == "finite"
         assert r.lower == pytest.approx(base.lower, rel=1e-5)
+
+    # property versions of the two tests above, on two_point and seeded (2,)
+    # and (2, 1) triples with random states; at tol 1e-10 both brackets close
+    # far inside the 1e-9 compared, whatever path each solve takes
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([None, (2,), (2, 1)]), st.integers(0, 2 ** 31 - 1),
+           st.floats(min_value=-12.0, max_value=12.0))
+    def test_scale_covariance_property(self, blocks, seed, log_s):
+        s = 10.0 ** log_s
+        t, phi, phi2 = seeded_instance(blocks, seed)
+        base = spectral_distance(t, phi, phi2, 1e-10)
+        scaled = spectral_distance(t.scaled(s), phi, phi2, 1e-10)
+        assert base.status == scaled.status == "finite"
+        assert s * scaled.lower == pytest.approx(base.lower, rel=1e-9)
+        assert s * scaled.upper == pytest.approx(base.upper, rel=1e-9)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([None, (2,), (2, 1)]), st.integers(0, 2 ** 31 - 1))
+    def test_unitary_conjugation_property(self, blocks, seed):
+        t, phi, phi2 = seeded_instance(blocks, seed)
+        rng = np.random.default_rng(seed + 1)
+        h = t.hilbert_dim
+        u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
+        images = tuple(u @ arr @ u.conj().T for arr in t.rep.basis_images)
+        rotated = SpectralTriple(Representation(t.algebra, h, images),
+                                 u @ t.dirac @ u.conj().T, u @ t.grading @ u.conj().T)
+        base = spectral_distance(t, phi, phi2, 1e-10)
+        r = spectral_distance(rotated, phi, phi2, 1e-10)
+        assert base.status == r.status == "finite"
+        assert r.lower == pytest.approx(base.lower, rel=1e-9)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tol(self, tol):
@@ -436,5 +476,29 @@ def test_distance_result_json():
     obj = json.loads(json.dumps(distance_result_to_json(r)))
     assert obj["status"] == "finite"
     assert obj["lower"] == pytest.approx(2.0, abs=1e-6)
+    assert obj["newton_steps"] == r.newton_steps > 0
     rinf = spectral_distance(ncgp.module_f_plus().as_spectral_triple(), PLUS, MINUS)
     assert distance_result_to_json(rinf)["upper"] == "inf"
+    assert distance_result_to_json(rinf)["newton_steps"] == 0
+
+
+def test_distance_result_reports_the_solves_newton_steps(monkeypatch):
+    solves = []
+
+    def recorded(*args):
+        solves.append(maximize_over_unit_ball(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(ncgp.distance, "maximize_over_unit_ball", recorded)
+    pt = product(two_point(2.0), two_sheeted_line(4))
+    deltas = pure_states(pt.algebra.factors[1])
+    solver = DistanceSolver(pt)
+    r = solver.distance(product_state(PLUS, deltas[0], pt.algebra),
+                        product_state(MINUS, deltas[3], pt.algebra))
+    assert len(solves) == 1 and r.newton_steps == solves[0].newton_steps > 0
+    # no solve runs for infinite and zero-objective results
+    plus = product_state(PLUS, deltas[1], pt.algebra)
+    assert solver.distance(plus, plus).newton_steps == 0
+    rinf = spectral_distance(ncgp.module_f_plus().as_spectral_triple(), PLUS, MINUS)
+    assert rinf.is_infinite and rinf.newton_steps == 0
+    assert len(solves) == 1

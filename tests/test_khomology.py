@@ -109,8 +109,14 @@ class TestNormalization:
     def test_rejects_singular_dirac(self):
         rep = ncgp.Representation.defining(C2)
         t = ncgp.SpectralTriple(rep, np.zeros((2, 2)), np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invertible"):
             fredholm_from_dirac(t)
+
+    @pytest.mark.parametrize("lam", [1e12, 1e13])
+    def test_small_dirac_is_invertible(self, lam):
+        # the invertibility test is relative to ||D||: D = sigma_x / lam is
+        # invertible however small lam makes it, and sign(D) is scale free
+        assert pairing_vector(fredholm_from_dirac(two_point(lam))) == (1, -1)
 
     def test_requires_even_triple(self):
         with pytest.raises(ValueError):

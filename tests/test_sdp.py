@@ -1,14 +1,19 @@
 """Direct tests of the LMI engine behind the distance solver."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import ncgp.sdp
 from ncgp.algebra import pure_states
 from ncgp.distance import DistanceSolver, spectral_distance
 from ncgp.experiments import random_triple
-from ncgp.sdp import (_newton_eigenbasis, _newton_support, _support_order_is_cheaper,
-                      _union_support, maximize_over_unit_ball, ratio_ascent)
+from ncgp.sdp import (_inverse, _log_det, _newton_dense, _newton_support,
+                      _support_order_is_cheaper, _union_support, maximize_over_unit_ball,
+                      ratio_ascent)
 from ncgp.triples import product, two_point, two_sheeted_line
 
 
@@ -134,17 +139,23 @@ def interior_instance(seed, k, h, sparse=False):
     return H, c, float(rng.uniform(0.1, 2.0)), y
 
 
+def lmi_pair(H, y):
+    """[I + H(y), I - H(y)], the two sides of the LMI."""
+    Hy = np.einsum("j,jpq->pq", y, H)
+    return np.eye(H.shape[1]) + np.array([1.0, -1.0])[:, None, None] * Hy
+
+
 def newton_system_at(c, H, mu, y, order):
-    lam, W = np.linalg.eigh(np.einsum("j,jpq->pq", y, H))
+    S = _inverse(lmi_pair(H, y))
     if order is _newton_support:
         ia, ib, Hu = _union_support(H)
-        return _newton_support(c, Hu, ia, ib, mu, W, lam)
-    return _newton_eigenbasis(c, np.concatenate(H, axis=1), mu, W, lam)
+        return _newton_support(c, Hu, ib[:, None] * H.shape[1] + ia, mu, S)
+    return _newton_dense(c, np.concatenate(H, axis=1), mu, S)
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
 # each contraction order on dense H_j and on H_j with random sparse supports
-CASES = [(order, sparse) for order in (_newton_support, _newton_eigenbasis)
+CASES = [(order, sparse) for order in (_newton_support, _newton_dense)
          for sparse in (False, True)]
 
 
@@ -197,7 +208,7 @@ class TestNewtonSystem:
 
     def test_order_selection(self):
         # the lattice-n15 triple (k=30, h=60, 146 support entries) takes the
-        # support order; a (2,) x (2,) random product (k=15, h=16) the eigenbasis order
+        # support order; a (2,) x (2,) random product (k=15, h=16) the dense order
         lattice = DistanceSolver(product(two_point(2.0), two_sheeted_line(15))).H_reduced
         small = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (2,)))).H_reduced
         for H, want in ((lattice, True), (small, False)):
@@ -207,11 +218,77 @@ class TestNewtonSystem:
         assert small.shape == (15, 16, 16)
 
 
+class TestFactorizedBarrier:
+    @pytest.mark.parametrize("k,h", SHAPES)
+    def test_log_det_matches_the_eigenvalues(self, k, h):
+        for sparse in (False, True):
+            H, _, _, y = interior_instance(k * 10 + h + 2000 * sparse, k, h, sparse)
+            lam = np.linalg.eigvalsh(np.einsum("j,jpq->pq", y, H))
+            want = float(np.sum(np.log1p(-lam * lam)))
+            assert _log_det(lmi_pair(H, y)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("norm", [1.0 + 1e-9, 1.5, 1e3])
+    def test_minus_inf_off_the_open_ball(self, norm):
+        # on the boundary exactly (I - H or I + H singular) and beyond it, on
+        # either side of the LMI
+        for d in ([1.0, 0.3], [-1.0, 0.3]):
+            assert _log_det(lmi_pair(np.diag(d)[None].astype(complex), np.ones(1))) == -np.inf
+        H, _, _, y = interior_instance(5, 3, 4)
+        for sign in (1.0, -1.0):
+            assert _log_det(lmi_pair(H, sign * y * norm / 0.6)) == -np.inf
+
+    @pytest.mark.parametrize("k,h", SHAPES)
+    def test_inverse_is_exactly_hermitian(self, k, h):
+        H, _, _, y = interior_instance(k * 10 + h + 3000, k, h)
+        P = lmi_pair(H, y)
+        S = _inverse(P)
+        assert np.array_equal(S, S.conj().transpose(0, 2, 1))
+        assert np.allclose(S @ P, np.eye(h), atol=1e-12)
+
+    @pytest.mark.parametrize("support", [True, False])
+    def test_solve_diagonalizes_only_for_the_bounds(self, support, monkeypatch):
+        # no eigh anywhere; eigvalsh once for the Gram matrix and twice per
+        # outer iteration (||H(y)|| and the stacked certificate); the inverse
+        # runs once per Newton system, that is at the start, after each step
+        # and after each reduction of mu, so outer iterations = inverses - steps
+        if support:
+            H = DistanceSolver(product(two_point(2.0), two_sheeted_line(6))).H_reduced
+        else:
+            H = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (1, 1)))).H_reduced
+        ia, _, _ = _union_support(H)
+        assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is support
+        calls = {"eigh": 0, "eigvalsh": 0, "inv": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(np.linalg, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        c = np.random.default_rng(0).normal(size=H.shape[0])
+        sol = maximize_over_unit_ball(c, H, 1e-6)
+        assert sol.converged
+        outer = calls["inv"] - sol.newton_steps
+        assert outer >= 1
+        assert calls["eigh"] == 0
+        assert calls["eigvalsh"] == 1 + 2 * outer
+
+    def test_sdp_imports_no_scipy(self):
+        # scipy bundles a second OpenBLAS, whose thread pool contends with
+        # numpy's when the BLAS threads are not pinned
+        tree = ast.parse(pathlib.Path(ncgp.sdp.__file__).read_text())
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+        names += [node.module or "" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)]
+        assert names and not [n for n in names if n.split(".")[0] == "scipy"]
+
+
 @pytest.mark.usefixtures("no_fallback")
 class TestCholeskyFailure:
     def test_solve_ends_with_the_bracket_it_has(self, monkeypatch):
-        # Cholesky works for the first 12 Newton systems, then raises: the
-        # solve stops without an exception, unconverged, with a valid bracket
+        # the k x k factorization of K works for the first 12 Newton systems,
+        # then raises: the solve stops without an exception, unconverged, with
+        # a valid bracket; the line search's batched factorizations of
+        # I +- H(y) (2 x h x h) pass through uncounted
         rng = np.random.default_rng(7)
         diags = [rng.normal(size=5) for _ in range(3)]
         c = rng.normal(size=3)
@@ -222,9 +299,10 @@ class TestCholeskyFailure:
         cholesky, calls = np.linalg.cholesky, []
 
         def failing(a):
-            calls.append(1)
-            if len(calls) > 12:
-                raise np.linalg.LinAlgError("not positive definite")
+            if a.ndim == 2:
+                calls.append(1)
+                if len(calls) > 12:
+                    raise np.linalg.LinAlgError("not positive definite")
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
