@@ -11,7 +11,10 @@ log-det barrier path following without ever diagonalizing the iterate
 (Vandenberghe and Boyd, *Semidefinite programming*, SIAM Rev. 38 (1996)): one
 batched Cholesky factorization of the pair I +- H tests strict feasibility and
 gives logdet(I + H) + logdet(I - H) = 2 sum log diag(L+) + 2 sum log diag(L-),
-and one batched inverse gives S+- = (I +- H)^-1 at each accepted iterate.
+and one batched inverse gives S+- = (I +- H)^-1 once per iterate.  The
+objective is linear, so the barrier's Hessian is -mu K with K below free of
+mu (Boyd and Vandenberghe, *Convex Optimization* (2004), 11.3): a reduction
+of mu solves again for the direction and factors nothing.
 
 The problem is homogeneous: for a, b > 0, max (a c).y over ||H(y) / b|| <= 1
 is a b times max c.y over ||H(y)|| <= 1.  So the solve first divides c by
@@ -29,8 +32,10 @@ Once per outer iteration, the strictly feasible iterate scaled to the
 boundary by its exact norm (one eigvalsh of H(y)) gives a certified lower
 bound, and dual certificates Z+, Z- >= 0 built from S+- with
 <Z+ - Z-, H_j> = -c_j (one eigvalsh of the stack [Z+, Z-]) give a certified
-upper bound tr Z+ + tr Z-.  The path is advanced until the bracket closes;
-a line search without ascent or a Newton system that is not positive
+upper bound tr Z+ + tr Z-.  Centering at one mu ends when the Newton
+decrement is small, the line search finds no ascent or MAX_CENTERING steps
+were taken; then mu falls by 0.15, until the bracket closes or mu reaches
+MIN_MU (at most 17 outer iterations).  A Newton system that is not positive
 definite to working precision ends the solve with the bracket it has.
 
 The H_j are read only on their union support U = {(a, b) : some H_j[a, b] != 0},
@@ -38,18 +43,18 @@ as index arrays ia, ib and the values Hu = H[:, ia, ib] (k x |U|): H(y) is
 y @ Hu scattered into (ia, ib), the Gram matrix is Hu @ Hu*, and the
 certificate residual is Hu @ conj(Z+ - Z-)[ia, ib].  Products of spectral
 triples give sparse H_j (6 to 8 entries each on the two-sheeted lattices).
-The Newton system (gradient c_j + mu tr((S+ - S-) H_j) and
-K_ij = tr(S+ H_i S+ H_j) + tr(S- H_i S- H_j)) has two contraction orders on
+The Newton system (gradient c + mu g, g_j = Re tr((S+ - S-) H_j), and
+K_ij = Re tr(S+ H_i S+ H_j) + Re tr(S- H_i S- H_j)) has two contraction orders on
 top of the shared S+-, after the sparse Schur-complement assembly of
 Fujisawa, Kojima and Nakata (Math. Program. 79, 1997):
 
   * support order: gather A+- = S+-[ib, ia] (|U| x |U|), then
-        gradient = c + mu Re(Hu diag(A+ - A-)),
-        K        = Re(Hu (A+ o A+^T + A- o A-^T) Hu^T);
+        g = Re(Hu diag(A+ - A-)),
+        K = Re(Hu (A+ o A+^T + A- o A-^T) Hu^T);
     k|U|^2 + k^2|U| flops, plus memory-bound passes over the 2|U|^2 entries
     of A+- (gather, Hadamard products) that take about as long as 16|U|^2;
   * dense order: X = [S+; S-] [H_1 ... H_k], one GEMM holding every S+- H_j,
-    then gradient = c + mu Re tr(X+_j - X-_j) and
+    then g_j = Re tr(X+_j - X-_j) and
     K_ij = Re tr(X+_i X+_j + X-_i X-_j), one real GEMM; 2k h^3 + 2k^2 h^2 flops.
 
 Each solve computes both counts from (k, h, |U|) and runs the cheaper order;
@@ -59,14 +64,13 @@ both give the same numbers up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .tolerances import CENTERING_TOL, MIN_MU, MIN_STEP, RIDGE_TOL
 
-MAX_OUTER = 60       # barrier-parameter reductions per solve
 MAX_CENTERING = 60   # Newton steps per barrier parameter
-MAX_NEWTON = 1200    # Newton steps per solve, over all outer iterations
 
 
 @dataclass
@@ -110,40 +114,39 @@ def _support_order_is_cheaper(k: int, h: int, m: int) -> bool:
     return (k + 16) * m * m + k * k * m < 2 * k * h ** 3 + 2 * k * k * h * h
 
 
-def _newton_support(c: np.ndarray, Hu: np.ndarray, gather: np.ndarray, mu: float,
-                    S: np.ndarray):
-    """Gradient and K = -Hessian/mu of the barrier c.y + mu log det(I - H(y)^2)
-    from S = [S+, S-] (2 x h x h), read on the union support only, where
-    gather = ib[:, None] * h + ia indexes the flattened S.
+def _newton_support(Hu: np.ndarray, gather: np.ndarray, S: np.ndarray):
+    """g_j = Re tr((S+ - S-) H_j), the gradient of log det(I - H(y)^2), and
+    K = minus its Hessian from S = [S+, S-] (2 x h x h), read on the union
+    support only, where gather = ib[:, None] * h + ia indexes the flattened S.
 
     tr(S H_j) = sum_p Hu[j, p] S[ib_p, ia_p] and tr(S H_i S H_j) =
     sum_{p, q} Hu[i, p] S[ib_p, ia_q] Hu[j, q] S[ib_q, ia_p], so with
-    A = S[ib, ia] the gradient reads diag(A) and K reads A o A^T.
+    A = S[ib, ia] g reads diag(A) and K reads A o A^T.
     """
     k = Hu.shape[0]
     A = np.take(S.reshape(2, -1), gather, axis=1)   # A[0] = A+, A[1] = A-
-    grad = c + mu * (Hu @ (np.diagonal(A[0]) - np.diagonal(A[1]))).real
+    g = (Hu @ (np.diagonal(A[0]) - np.diagonal(A[1]))).real
     AA = A * A.transpose(0, 2, 1)
     # Re(X @ Y^T) is the real GEMM of the interleaved (re, im) views of X, conj(Y)
     B = Hu @ (AA[0] + AA[1])
     K = B.view(np.float64).reshape(k, -1) @ np.conj(Hu).view(np.float64).reshape(k, -1).T
-    return grad, K
+    return g, K
 
 
-def _newton_dense(c: np.ndarray, Hp: np.ndarray, mu: float, S: np.ndarray):
-    """The same gradient and K as `_newton_support`, from the dense products
+def _newton_dense(Hp: np.ndarray, S: np.ndarray):
+    """The same g and K as `_newton_support`, from the dense products
     S+- H_j, for Hp = [H_1 ... H_k] (h x k h)."""
     h, k = Hp.shape[0], Hp.shape[1] // Hp.shape[0]
     # one GEMM gives X[s, a, j, b] = (S_s H_j)[a, b]
     X = (S.reshape(2 * h, h) @ Hp).reshape(2, h, k, h)
     tr = np.diagonal(X, axis1=1, axis2=3).sum(axis=-1)   # tr(S_s H_j), s x j
-    grad = c + mu * (tr[0] - tr[1]).real
+    g = (tr[0] - tr[1]).real
     # K_ij = Re sum_s tr(S_s H_i S_s H_j) = Re sum_{s, a, b} X[s, a, i, b] X[s, b, j, a],
     # the real GEMM of the interleaved (re, im) views of X and conj(X) transposed
     P = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
     Q = np.conj(X.transpose(2, 0, 3, 1), order="C")
     K = P.view(np.float64).reshape(k, -1) @ Q.view(np.float64).reshape(k, -1).T
-    return grad, K
+    return g, K
 
 
 def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
@@ -152,9 +155,9 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     Requires c != 0 and the H_j to be exactly Hermitian and linearly
     independent; returns a certified bracket [lower, upper] with
     `lower` attained by `y_best`, converged when upper - lower <= tol * lower.
-    If a Newton system is not positive definite to working precision or the
-    line search finds no ascent, the solve ends with the bracket it has and
-    `converged=False`.
+    The solve ends unconverged, with the bracket it has, when mu reaches
+    `MIN_MU` first or a Newton system is not positive definite to working
+    precision.
     """
     if not np.array_equal(H, H.conj().transpose(0, 2, 1)):
         raise ValueError("H_j must be Hermitian")
@@ -166,18 +169,24 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     flat = ia * h + ib
 
     # Gram matrix of the H_j; PD by linear independence
-    g = np.linalg.eigvalsh((Hu @ np.conj(Hu).T).real)
-    if g[0] <= 0:
+    gram = np.linalg.eigvalsh((Hu @ np.conj(Hu).T).real)
+    if gram[0] <= 0:
         raise ValueError("H_j must be linearly independent (project out the kernel first)")
     # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 the top Gram
     # eigenvalue; the bracket scales back by ||c|| / sigma, y_best by 1 / sigma
-    cnorm, sigma = float(np.linalg.norm(c)), float(np.sqrt(g[-1]))
+    cnorm, sigma = float(np.linalg.norm(c)), float(np.sqrt(gram[-1]))
     c, Hu = c / cnorm, Hu / sigma
     # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
-    # normalized Gram matrix has smallest eigenvalue g[0] / g[-1]
-    ybound = float(np.sqrt(h * g[-1] / g[0]))
+    # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
+    ybound = float(np.sqrt(h * gram[-1] / gram[0]))
     # the two sides of the LMI, stacked: index 0 is I + H, index 1 is I - H
     eye, signs = np.eye(h), np.array([1.0, -1.0])[:, None, None]
+
+    # the cheaper contraction order at these (k, h, |U|)
+    if _support_order_is_cheaper(k, h, ia.size):
+        newton_system = partial(_newton_support, Hu, ib[:, None] * h + ia)
+    else:
+        newton_system = partial(_newton_dense, np.concatenate(H, axis=1) / sigma)
 
     def H_of(yv: np.ndarray) -> np.ndarray:
         """H(yv) = sum_j yv_j H_j, scattered from the union support."""
@@ -185,58 +194,43 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
         out[flat] = yv @ Hu
         return out.reshape(h, h)
 
-    y, y_best = np.zeros(k), np.zeros(k)
-    lower, upper = 0.0, np.inf
-    mu = 1.0 / (2 * h)   # first duality gap 2 h mu = 1 <= the optimum
-    steps, converged = 0, False
-
-    # the cheaper contraction order at these (k, h, |U|)
-    if _support_order_is_cheaper(k, h, ia.size):
-        gather = ib[:, None] * h + ia
-
-        def newton_system(S):
-            return _newton_support(c, Hu, gather, mu, S)
-    else:
-        Hp = np.concatenate(H, axis=1) / sigma
-
-        def newton_system(S):
-            return _newton_dense(c, Hp, mu, S)
-
-    def barrier(yv: np.ndarray) -> float:
+    def barrier(yv: np.ndarray, mu: float) -> float:
         """c.yv + mu log det(I - H(yv)^2), -inf off the open unit ball."""
         return float(c @ yv) + mu * _log_det(eye + signs * H_of(yv))
 
-    def newton_data(yv: np.ndarray):
-        """S = [S+, S-] = (I +- H(yv))^-1, Newton direction d (K d = grad / mu),
-        decrement.  Raises LinAlgError when K is not positive definite to
-        working precision."""
+    def factor(yv: np.ndarray):
+        """S = [S+, S-] = (I +- H(yv))^-1, g and the Cholesky factor of the ridged
+        K, none of which depends on mu; LinAlgError if K is not positive definite."""
         S = _inverse(eye + signs * H_of(yv))
-        grad, K = newton_system(S)
+        g, K = newton_system(S)
         K.flat[::k + 1] += RIDGE_TOL * float(np.trace(K)) / k
-        ch = np.linalg.cholesky(K)
-        d = np.linalg.solve(ch.T, np.linalg.solve(ch, grad)) / mu
-        lam2 = abs(float(grad @ d)) / mu   # Newton decrement of the mu-barrier
-        return S, d, lam2
+        return S, g, np.linalg.cholesky(K)
+
+    y, y_best = np.zeros(k), np.zeros(k)
+    lower, upper = 0.0, np.inf
+    mu = 1.0 / (2 * h)   # first duality gap 2 h mu = 1 <= the optimum
+    steps, centering, converged = 0, 0, False
 
     try:
-        S, d, lam2 = newton_data(y)
-        for _ in range(MAX_OUTER):
-            # center at the current mu: drive the barrier Newton decrement small
-            # so the Newton-corrected dual point below is positive definite;
-            # the Newton data (S, d, lam2) and fy always belong to the current y
-            fy = barrier(y)
-            for _ in range(MAX_CENTERING):
-                if lam2 <= CENTERING_TOL or steps >= MAX_NEWTON:
-                    break
+        S, g, ch = factor(y)
+        fy = barrier(y, mu)
+        # (S, g, ch) belong to y, fy to y and mu; each pass takes a centering
+        # step or computes the bounds and reduces mu
+        while True:
+            # Newton direction (K d = grad / mu) and squared decrement at mu
+            grad = c + mu * g
+            d = np.linalg.solve(ch.T, np.linalg.solve(ch, grad)) / mu
+            lam2 = abs(float(grad @ d)) / mu
+            if lam2 > CENTERING_TOL and centering < MAX_CENTERING:
                 gd = lam2 * mu   # equals grad.d by definition of the decrement
                 t = 1.0
-                while t > MIN_STEP and (ft := barrier(y + t * d)) < fy + 0.01 * t * gd:
+                while t > MIN_STEP and (ft := barrier(y + t * d, mu)) < fy + 0.01 * t * gd:
                     t *= 0.5
-                if t <= MIN_STEP:
-                    break
-                y, fy = y + t * d, ft
-                steps += 1
-                S, d, lam2 = newton_data(y)
+                if t > MIN_STEP:
+                    y, fy = y + t * d, ft
+                    steps, centering = steps + 1, centering + 1
+                    S, g, ch = factor(y)
+                    continue
 
             # primal bound: scale the strictly feasible iterate to the boundary
             lam = np.linalg.eigvalsh(H_of(y))
@@ -257,13 +251,11 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
                 + float(np.linalg.norm(resid)) * ybound
             upper = min(upper, ub)
 
-            if upper - lower <= tol * lower:
-                converged = True
+            converged = bool(upper - lower <= tol * lower)
+            if converged or mu <= MIN_MU:
                 break
-            if steps >= MAX_NEWTON or mu <= MIN_MU:
-                break
-            mu *= 0.15
-            S, d, lam2 = newton_data(y)
+            mu, centering = mu * 0.15, 0
+            fy = barrier(y, mu)
     except np.linalg.LinAlgError:
         pass   # K singular: keep the bracket found so far
 

@@ -4,6 +4,7 @@ Structural checks are absolute, on small integer or rational arrays; only
 the invertibility of D is relative to ||D||, since sign(D) is scale free.  The
 distance solver's thresholds are relative: it normalizes its data to unit
 scale before it compares anything, so that d(sD) = d(D)/s at every scale s.
+The W1 checks are relative to the largest distance, for the same reason.
 """
 
 # Structure of the inputs (absolute, entrywise)
@@ -37,7 +38,7 @@ SWEEP_TOL = 1e-4            # randomized property sweeps (solver limited)
 PAIRING_REAL_TOL = 1e-10    # imaginary part of an index pairing
 PAIRING_INT_TOL = 1e-8      # distance of an index pairing from an integer
 
-# Wasserstein-1
+# Wasserstein-1 (relative to the largest distance)
 
 TRIANGLE_TOL = 1e-12        # symmetry, zero diagonal, sign and triangle inequality of d
 GAP_TOL = 1e-9              # LP duality gap and the potential's Lipschitz excess

@@ -5,7 +5,9 @@ marginals.  Its equality duals give the optimal 1-Lipschitz potential: the
 c-transform f_i = min_j (d_ij - v_j) of the column duals v is 1-Lipschitz
 because d is a metric, and by Kantorovich duality f.(mu - nu) equals the
 transport cost.  The marginals, the duality gap (to 1e-9) and the Lipschitz
-bound are checked on every solve.
+bound are checked on every solve.  The LP runs on the distances divided by the
+largest one, so the last two checks, HiGHS's tolerances and the metric checks
+of `FiniteMetricSpace` are relative to the largest distance: w1(s d) = s w1(d).
 
 HiGHS runs with feasibility tolerances of 1e-10.  At its default of 1e-7 the
 simplex may stop at a basis with reduced costs near -3e-8, whose plan costs
@@ -43,12 +45,13 @@ class FiniteMetricSpace:
             raise ValueError(f"distance matrix must be {n} x {n}")
         if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(d))):
             raise ValueError("coordinates and distances must be finite")
-        if np.abs(d - d.T).max() > TRIANGLE_TOL or np.abs(np.diag(d)).max() > TRIANGLE_TOL:
+        tol = TRIANGLE_TOL * np.abs(d).max()
+        if np.abs(d - d.T).max() > tol or np.abs(np.diag(d)).max() > tol:
             raise ValueError("distance matrix must be symmetric with zero diagonal")
-        if d.min() < -TRIANGLE_TOL:
+        if d.min() < -tol:
             raise ValueError("distances must be nonnegative")
         via = np.min(d[:, :, None] + d[None, :, :], axis=1)
-        if (d - via).max() > TRIANGLE_TOL:
+        if (d - via).max() > tol:
             raise ValueError("triangle inequality violated")
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "coords", coords)
@@ -120,7 +123,8 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     if nu.space is not space and not np.array_equal(nu.space.dist, space.dist):
         raise ValueError("nu does not live on the given space")
     n = space.size
-    d = space.dist
+    scale = float(space.dist.max()) or 1.0   # all distances 0: scale 1
+    d = space.dist / scale
 
     # primal: min <d, P>, P >= 0, row sums mu, column sums nu
     eye, ones = sparse.identity(n), np.ones((1, n))
@@ -143,11 +147,11 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
 
     gap = abs(value - float(potential @ (mu.weights - nu.weights)))
     if gap > GAP_TOL:
-        raise ValueError(f"duality gap {gap} exceeds {GAP_TOL}")
+        raise ValueError(f"duality gap {gap} times the largest distance exceeds {GAP_TOL}")
     lipschitz_excess = np.abs(potential[:, None] - potential[None, :]) - d
     if lipschitz_excess.max() > GAP_TOL:
         raise ValueError("dual potential is not 1-Lipschitz")
-    return W1Result(value, potential, plan)
+    return W1Result(value * scale, potential * scale, plan)
 
 
 def product_space(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> FiniteMetricSpace:

@@ -1,6 +1,7 @@
 """Direct tests of the LMI engine behind the distance solver."""
 
 import ast
+import collections
 import pathlib
 
 import numpy as np
@@ -11,9 +12,10 @@ import ncgp.sdp
 from ncgp.algebra import pure_states
 from ncgp.distance import DistanceSolver, spectral_distance
 from ncgp.experiments import random_triple
-from ncgp.sdp import (_inverse, _log_det, _newton_dense, _newton_support,
+from ncgp.sdp import (MAX_CENTERING, _inverse, _log_det, _newton_dense, _newton_support,
                       _support_order_is_cheaper, _union_support, maximize_over_unit_ball,
                       ratio_ascent)
+from ncgp.tolerances import MIN_MU
 from ncgp.triples import product, two_point, two_sheeted_line
 
 
@@ -101,6 +103,36 @@ class TestAgainstLpOracle:
         assert np.linalg.norm(np.einsum("j,jpq->pq", sol.y_best, H / b), 2) <= 1.0 + 1e-12
         assert float((a * c) @ sol.y_best) == pytest.approx(sol.lower, rel=1e-12)
 
+    def test_unreachable_tol_ends_at_the_mu_floor(self, monkeypatch):
+        # tol = 1e-16 is below the bracket's roundoff: the path runs one outer
+        # iteration per mu from 1 / (2h) down to the first mu <= MIN_MU, each
+        # of at most MAX_CENTERING steps, and ends unconverged with a valid
+        # bracket
+        rng = np.random.default_rng(3)
+        diags = [rng.normal(size=6) for _ in range(4)]
+        c = rng.normal(size=4)
+        want = lp_oracle_diagonal(c, diags)
+        L = np.zeros((4, 6, 6), dtype=complex)
+        for j, d in enumerate(diags):
+            L[j] = np.diag(d)
+        eigvalsh, outer = np.linalg.eigvalsh, []
+
+        def counted(a):
+            if a.ndim == 3:   # the certificate, once per outer iteration
+                outer.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sol = maximize_over_unit_ball(c, L, 1e-16)
+        mus = [1.0 / (2 * 6)]
+        while mus[-1] > MIN_MU:
+            mus.append(mus[-1] * 0.15)
+        assert not sol.converged
+        assert len(outer) == len(mus) <= 17
+        assert sol.newton_steps <= 17 * MAX_CENTERING
+        assert 0.0 < sol.lower <= want + 1e-9
+        assert want - 1e-9 <= sol.upper <= want * (1 + 1e-9)
+
     def test_rejects_zero_objective(self):
         with pytest.raises(ValueError, match="nonzero"):
             maximize_over_unit_ball(np.zeros(1), np.eye(2)[None].astype(complex), 1e-6)
@@ -146,11 +178,14 @@ def lmi_pair(H, y):
 
 
 def newton_system_at(c, H, mu, y, order):
+    """The gradient c + mu g of the mu-barrier and K, by the given order."""
     S = _inverse(lmi_pair(H, y))
     if order is _newton_support:
         ia, ib, Hu = _union_support(H)
-        return _newton_support(c, Hu, ib[:, None] * H.shape[1] + ia, mu, S)
-    return _newton_dense(c, np.concatenate(H, axis=1), mu, S)
+        g, K = _newton_support(Hu, ib[:, None] * H.shape[1] + ia, S)
+    else:
+        g, K = _newton_dense(np.concatenate(H, axis=1), S)
+    return c + mu * g, K
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
@@ -248,28 +283,30 @@ class TestFactorizedBarrier:
     @pytest.mark.parametrize("support", [True, False])
     def test_solve_diagonalizes_only_for_the_bounds(self, support, monkeypatch):
         # no eigh anywhere; eigvalsh once for the Gram matrix and twice per
-        # outer iteration (||H(y)|| and the stacked certificate); the inverse
-        # runs once per Newton system, that is at the start, after each step
-        # and after each reduction of mu, so outer iterations = inverses - steps
+        # outer iteration (||H(y)|| and the stacked certificate, the only 3-D
+        # call); the inverse and the k x k Cholesky factorization of K run
+        # once per iterate, at the start and after each step, and a reduction
+        # of mu factors nothing
         if support:
             H = DistanceSolver(product(two_point(2.0), two_sheeted_line(6))).H_reduced
         else:
             H = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (1, 1)))).H_reduced
         ia, _, _ = _union_support(H)
         assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is support
-        calls = {"eigh": 0, "eigvalsh": 0, "inv": 0}
-        for name in calls:
-            def counted(*args, _f=getattr(np.linalg, name), _name=name):
-                calls[_name] += 1
-                return _f(*args)
+        calls = collections.Counter()   # (name, ndim of the argument) -> calls
+        for name in ("eigh", "eigvalsh", "inv", "cholesky"):
+            def counted(a, _f=getattr(np.linalg, name), _name=name):
+                calls[_name, a.ndim] += 1
+                return _f(a)
             monkeypatch.setattr(np.linalg, name, counted)
         c = np.random.default_rng(0).normal(size=H.shape[0])
         sol = maximize_over_unit_ball(c, H, 1e-6)
         assert sol.converged
-        outer = calls["inv"] - sol.newton_steps
-        assert outer >= 1
-        assert calls["eigh"] == 0
-        assert calls["eigvalsh"] == 1 + 2 * outer
+        outer = calls["eigvalsh", 3]
+        assert outer >= 2
+        assert calls["eigh", 2] == calls["eigh", 3] == calls["inv", 2] == 0
+        assert calls["inv", 3] == calls["cholesky", 2] == sol.newton_steps + 1
+        assert calls["eigvalsh", 2] + calls["eigvalsh", 3] == 1 + 2 * outer
 
     def test_sdp_imports_no_scipy(self):
         # scipy bundles a second OpenBLAS, whose thread pool contends with
@@ -285,9 +322,10 @@ class TestFactorizedBarrier:
 @pytest.mark.usefixtures("no_fallback")
 class TestCholeskyFailure:
     def test_solve_ends_with_the_bracket_it_has(self, monkeypatch):
-        # the k x k factorization of K works for the first 12 Newton systems,
-        # then raises: the solve stops without an exception, unconverged, with
-        # a valid bracket; the line search's batched factorizations of
+        # the k x k factorization of K, once per iterate, works at the start
+        # and after 11 Newton steps, then raises after the 12th: the solve
+        # stops without an exception, unconverged, with the bracket of its
+        # first outer iteration; the line search's batched factorizations of
         # I +- H(y) (2 x h x h) pass through uncounted
         rng = np.random.default_rng(7)
         diags = [rng.normal(size=5) for _ in range(3)]
@@ -307,7 +345,7 @@ class TestCholeskyFailure:
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         sol = maximize_over_unit_ball(c, L, 1e-9)
-        assert len(calls) == 13
+        assert len(calls) == 13 and sol.newton_steps == 12
         assert not sol.converged
         assert 0.0 < sol.lower <= want + 1e-9
         assert want - 1e-9 <= sol.upper < np.inf

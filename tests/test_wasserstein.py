@@ -147,6 +147,28 @@ class TestDualityAndFeasibility:
         excess = np.abs(res.potential[:, None] - res.potential[None, :]) - grid.dist
         assert excess.max() <= 1e-9
 
+    @pytest.mark.parametrize("cloud", [False, True])
+    def test_value_scales_with_the_distances(self, cloud):
+        # w1(s d) = s w1(d) at every scale: the LP, the duality-gap check and
+        # the metric checks are all relative to the largest distance
+        rng = np.random.default_rng(0)
+        if cloud:
+            pts = rng.normal(size=(121, 2))
+        else:
+            x = np.linspace(0.0, 1.0, 11)
+            pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        a, b = rng.random((2, 121)) + 0.05
+        labels = [str(i) for i in range(121)]
+        results = []
+        for s in (1.0, 1e-15, 1e-12, 1e-9, 1e4, 1e9, 1e12):
+            space = FiniteMetricSpace.euclidean(labels, s * pts)
+            res = w1(space, Measure(space, a / a.sum()), Measure(space, b / b.sum()))
+            results.append((s, res))
+        base = results[0][1]
+        for s, res in results[1:]:
+            assert res.value / s == pytest.approx(base.value, rel=1e-9)
+            assert np.allclose(res.potential / s, base.potential, rtol=0, atol=1e-9)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
            st.integers(min_value=2, max_value=6),
@@ -193,6 +215,18 @@ class TestValidation:
                               np.array([[0.0, 1.0, 5.0],
                                         [1.0, 0.0, 1.0],
                                         [5.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("s", [1e-12, 1.0, 1e9])
+    def test_metric_checks_are_relative(self, s):
+        # a grid scaled by s is a metric; breaking the triangle inequality by
+        # a relative 1e-9 is not, at any scale
+        x = s * np.linspace(0.0, 1.0, 11)[:, None]
+        seg = FiniteMetricSpace.euclidean([str(i) for i in range(11)], x)
+        assert product_space(seg, seg).size == 121
+        d = s * np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d[0, 2] = d[2, 0] = 2.0 * s * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match="triangle"):
+            FiniteMetricSpace(("a", "b", "c"), np.zeros((3, 1)), d)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_are_rejected(self, bad):
