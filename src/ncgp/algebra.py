@@ -5,12 +5,16 @@ An algebra is a list of block sizes [n_1, ..., n_k] for A = M_{n_1} + ... +
 M_{n_k}.  Tensor-product algebras remember their two factors so that slice
 maps and product states are well defined; the product block indexed by the
 pair (i, j) is stored at flat position i*len(blocks_2) + j.
+
+The flat layout of an element concatenates its raveled blocks;
+`Representation.units` holds the images of the matrix units in that order.
+The hermitian coordinate order is written once, in `_hermitian_blocks`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,9 +31,10 @@ class FiniteAlgebra:
     factors: tuple["FiniteAlgebra", "FiniteAlgebra"] | None = None
 
     def __post_init__(self):
-        if len(self.blocks) == 0 or any(int(n) <= 0 for n in self.blocks):
+        blocks = tuple(_size(n, "block size") for n in self.blocks)
+        if len(blocks) == 0 or min(blocks) <= 0:
             raise ValueError("algebra needs at least one block of positive size")
-        object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def selfadjoint_dim(self) -> int:
@@ -100,6 +105,13 @@ class AlgebraElement:
         return all(is_hermitian(b, tol) for b in self.blocks)
 
 
+def _size(value, what: str) -> int:
+    """An integral size as an int; 2.0 passes, 2.7 is refused, not truncated."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _same_algebra(a, b) -> None:
     if a.algebra != b.algebra:
         raise ValueError("elements/states live on different algebras")
@@ -120,44 +132,48 @@ def tensor_element(a: AlgebraElement, b: AlgebraElement,
 class Representation:
     """*-representation pi: A -> B(H), stored by its images on matrix units.
 
-    basis_images[b] is an (n_b, n_b, h, h) array: basis_images[b][i, j] is the
-    image of the matrix unit E_ij of block b.  pi extends linearly.
+    units is the (N, h, h) array of the images pi(E_ij) in the flat layout, N =
+    sum n_b^2; pi extends linearly, pi(a) = sum_r flat(a)_r units[r].  Each
+    basis_images[b] is the (n_b, n_b, h, h) view of block b's rows:
+    basis_images[b][i, j] is the image of the matrix unit E_ij of block b.
     """
 
     algebra: FiniteAlgebra
     hilbert_dim: int
     basis_images: tuple[np.ndarray, ...]
+    units: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = int(self.hilbert_dim)
+        h = _size(self.hilbert_dim, "hilbert_dim")
         imgs = []
         for n, arr in zip(self.algebra.blocks, self.basis_images, strict=True):
             arr = np.asarray(arr, dtype=complex)
             if arr.shape != (n, n, h, h):
                 raise ValueError(f"basis images must have shape ({n},{n},{h},{h}), got {arr.shape}")
-            imgs.append(arr)
-        object.__setattr__(self, "basis_images", tuple(imgs))
+            imgs.append(arr.reshape(n * n, h, h))
+        units = np.concatenate(imgs)
+        ends = list(itertools.accumulate((len(u) for u in imgs), initial=0))
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "basis_images", tuple(
+            units[a:b].reshape(n, n, h, h) for a, b, n in zip(ends, ends[1:], self.algebra.blocks)))
         object.__setattr__(self, "hilbert_dim", h)
         _check_star_rep(self)
 
     @cached_property
     def faithful(self) -> bool:
-        return _is_faithful(self)
+        rank = np.linalg.matrix_rank(self.units.reshape(len(self.units), -1), tol=FAITHFUL_RANK_TOL)
+        return int(rank) == len(self.units)
 
     def apply(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
             raise ValueError("element lives on a different algebra")
-        out = np.zeros((self.hilbert_dim, self.hilbert_dim), dtype=complex)
-        for mat, imgs in zip(a.blocks, self.basis_images):
-            out += np.einsum("ij,ijpq->pq", mat, imgs)
-        return out
-
-    def unit_image(self) -> np.ndarray:
-        return self.apply(self.algebra.unit())
+        flat = np.concatenate([m.ravel() for m in a.blocks])
+        return (flat @ self.units.reshape(len(flat), -1)).reshape(self.units.shape[1:])
 
     @cached_property
     def is_unital(self) -> bool:
-        return bool(np.abs(self.unit_image() - np.eye(self.hilbert_dim)).max() <= STRUCT_TOL)
+        unit = self.apply(self.algebra.unit())
+        return bool(np.abs(unit - np.eye(self.hilbert_dim)).max() <= STRUCT_TOL)
 
     @classmethod
     def defining(cls, algebra: FiniteAlgebra) -> "Representation":
@@ -183,14 +199,9 @@ class Representation:
 
     def padded(self, extra: int) -> "Representation":
         """diag(pi(a), 0_extra): degenerate extension, still faithful."""
-        h = self.hilbert_dim + extra
-        images = []
-        for arr in self.basis_images:
-            n = arr.shape[0]
-            out = np.zeros((n, n, h, h), dtype=complex)
-            out[:, :, : self.hilbert_dim, : self.hilbert_dim] = arr
-            images.append(out)
-        return Representation(self.algebra, h, tuple(images))
+        pad = ((0, 0), (0, 0), (0, extra), (0, extra))
+        images = tuple(np.pad(arr, pad) for arr in self.basis_images)
+        return Representation(self.algebra, self.hilbert_dim + extra, images)
 
     def tensor(self, other: "Representation",
                product: FiniteAlgebra | None = None) -> "Representation":
@@ -198,13 +209,10 @@ class Representation:
         if product is None:
             product = self.algebra.tensor(other.algebra)
         h = self.hilbert_dim * other.hilbert_dim
-        images = []
-        for arr1 in self.basis_images:
-            for arr2 in other.basis_images:
-                n1, n2 = arr1.shape[0], arr2.shape[0]
-                out = np.einsum("ikpq,jlrs->ijklprqs", arr1, arr2)
-                images.append(out.reshape(n1 * n2, n1 * n2, h, h))
-        return Representation(product, h, tuple(images))
+        images = tuple(np.einsum("ikpq,jlrs->ijklprqs", a1, a2).reshape(
+            len(a1) * len(a2), len(a1) * len(a2), h, h)
+            for a1 in self.basis_images for a2 in other.basis_images)
+        return Representation(product, h, images)
 
 
 def _check_star_rep(rep: Representation) -> None:
@@ -220,7 +228,7 @@ def _check_star_rep(rep: Representation) -> None:
     vanishes.
     """
     h = rep.hilbert_dim
-    units = np.zeros((h, h), dtype=complex)
+    total = np.zeros((h, h), dtype=complex)
     for arr in rep.basis_images:
         n = arr.shape[0]
         if np.abs(arr.transpose(1, 0, 3, 2).conj() - arr).max() > STRUCT_TOL:
@@ -233,16 +241,9 @@ def _check_star_rep(rep: Representation) -> None:
             err = max(err, np.abs(second).max())
         if err > STRUCT_TOL:
             raise ValueError("representation is not multiplicative on matrix units")
-        units += np.trace(arr)
-    if np.abs(units @ units - units).max() > STRUCT_TOL:
+        total += np.trace(arr)
+    if np.abs(total @ total - total).max() > STRUCT_TOL:
         raise ValueError("images of distinct blocks do not multiply to zero")
-
-
-def _is_faithful(rep: Representation) -> bool:
-    cols = [arr.reshape(arr.shape[0] * arr.shape[1], -1) for arr in rep.basis_images]
-    mat = np.concatenate(cols, axis=0)
-    rank = np.linalg.matrix_rank(mat, tol=FAITHFUL_RANK_TOL)
-    return int(rank) == sum(n * n for n in rep.algebra.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,60 +341,44 @@ def random_state(algebra: FiniteAlgebra, rng: np.random.Generator) -> State:
     return State(algebra, tuple(r / total for r in raw))
 
 
-def hermitian_basis(algebra: FiniteAlgebra) -> list[AlgebraElement]:
-    """Canonically ordered orthonormal (Frobenius) basis of the self-adjoint part.
+def _hermitian_blocks(algebra: FiniteAlgebra, x: np.ndarray) -> list[np.ndarray]:
+    """The blocks of sum_i x[..., i] b_i, each of shape x.shape[:-1] + (n, n).
 
-    Per block and ascending: diagonal units E_kk, then for k < l the symmetric
-    (E_kl + E_lk)/sqrt(2) and antisymmetric i(E_kl - E_lk)/sqrt(2) combinations.
+    This is the one statement of the hermitian order.  Per block and ascending:
+    the n diagonal units E_kk, then for k < l in `np.triu_indices` order the
+    symmetric (E_kl + E_lk)/sqrt(2) and the antisymmetric i(E_kl - E_lk)/sqrt(2).
     """
-    basis = []
-    s = 1.0 / np.sqrt(2.0)
-    for b, n in enumerate(algebra.blocks):
-        def elem(mat, b=b):
-            blocks = [np.zeros((m, m), dtype=complex) for m in algebra.blocks]
-            blocks[b] = mat
-            return AlgebraElement(algebra, tuple(blocks))
-
-        for k in range(n):
-            m = np.zeros((n, n), dtype=complex)
-            m[k, k] = 1.0
-            basis.append(elem(m))
-        for k in range(n):
-            for l in range(k + 1, n):
-                m = np.zeros((n, n), dtype=complex)
-                m[k, l] = m[l, k] = s
-                basis.append(elem(m))
-                m = np.zeros((n, n), dtype=complex)
-                m[k, l] = 1j * s
-                m[l, k] = -1j * s
-                basis.append(elem(m))
-    return basis
-
-
-def element_from_coordinates(algebra: FiniteAlgebra, x) -> AlgebraElement:
-    """Self-adjoint element sum_i x_i b_i over the canonical hermitian basis.
-
-    Each block is filled from its slice of x in the order of `hermitian_basis`:
-    n diagonal entries, then one (symmetric, antisymmetric) pair per k < l in
-    `np.triu_indices` order.
-    """
-    x = np.asarray(x, dtype=float)
-    k = algebra.selfadjoint_dim
-    if x.shape != (k,):
-        raise ValueError(f"expected {k} coordinates, got {x.shape}")
     s = 1.0 / np.sqrt(2.0)
     blocks = []
     off = 0
     for n in algebra.blocks:
-        xb = x[off:off + n * n]
+        xb = x[..., off:off + n * n]
         off += n * n
-        m = np.diag(xb[:n]).astype(complex)
-        rows, cols = np.triu_indices(n, 1)
-        sym, anti = xb[n::2] * s, xb[n + 1::2] * s
-        m[rows, cols] = sym + 1j * anti
-        m[cols, rows] = sym - 1j * anti
+        m = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+        m[..., range(n), range(n)] = xb[..., :n]
+        if n > 1:   # np.triu_indices costs more than the rest of a size-1 block
+            rows, cols = np.triu_indices(n, 1)
+            sym, anti = xb[..., n::2] * s, xb[..., n + 1::2] * s
+            m[..., rows, cols] = sym + 1j * anti
+            m[..., cols, rows] = sym - 1j * anti
         blocks.append(m)
-    return AlgebraElement(algebra, tuple(blocks))
+    return blocks
+
+
+def hermitian_basis(algebra: FiniteAlgebra) -> list[AlgebraElement]:
+    """Canonically ordered orthonormal (Frobenius) basis of the self-adjoint part,
+    in the order of `_hermitian_blocks`, built from the identity in one call."""
+    k = algebra.selfadjoint_dim
+    blocks = _hermitian_blocks(algebra, np.eye(k))
+    return [AlgebraElement(algebra, tuple(b[i] for b in blocks)) for i in range(k)]
+
+
+def element_from_coordinates(algebra: FiniteAlgebra, x) -> AlgebraElement:
+    """Self-adjoint element sum_i x_i b_i over the canonical hermitian basis."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (algebra.selfadjoint_dim,):
+        raise ValueError(f"expected {algebra.selfadjoint_dim} coordinates, got {x.shape}")
+    return AlgebraElement(algebra, tuple(_hermitian_blocks(algebra, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +393,13 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
 
 
 def algebra_from_json(obj: dict) -> FiniteAlgebra:
+    alg = FiniteAlgebra(tuple(obj["blocks"]))
     if "factors" in obj and obj["factors"] is not None:
-        f1 = algebra_from_json(obj["factors"][0])
-        f2 = algebra_from_json(obj["factors"][1])
-        alg = f1.tensor(f2)
-        if list(alg.blocks) != [int(n) for n in obj["blocks"]]:
+        f1, f2 = (algebra_from_json(f) for f in obj["factors"])
+        if f1.tensor(f2).blocks != alg.blocks:
             raise ValueError("factor blocks are inconsistent with product blocks")
-        return alg
-    return FiniteAlgebra(tuple(int(n) for n in obj["blocks"]))
+        return f1.tensor(f2)
+    return alg
 
 
 def state_to_json(phi: State) -> dict:
@@ -436,8 +420,7 @@ def element_to_json(a: AlgebraElement) -> dict:
 def representation_to_json(rep: Representation) -> dict:
     images = {}
     for b, arr in enumerate(rep.basis_images):
-        n = arr.shape[0]
-        for i, j in itertools.product(range(n), repeat=2):
+        for i, j in np.ndindex(arr.shape[:2]):
             images[f"{b}:{i}:{j}"] = matrix_to_json(arr[i, j])
     return {"algebra": algebra_to_json(rep.algebra),
             "hilbert_dim": rep.hilbert_dim,
@@ -446,11 +429,11 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(obj: dict) -> Representation:
     alg = algebra_from_json(obj["algebra"])
-    h = int(obj["hilbert_dim"])
+    h = _size(obj["hilbert_dim"], "hilbert_dim")
     images = []
     for b, n in enumerate(alg.blocks):
         arr = np.zeros((n, n, h, h), dtype=complex)
-        for i, j in itertools.product(range(n), repeat=2):
+        for i, j in np.ndindex(n, n):
             arr[i, j] = matrix_from_json(obj["basis_images"][f"{b}:{i}:{j}"])
         images.append(arr)
     return Representation(alg, h, tuple(images))

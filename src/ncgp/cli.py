@@ -30,9 +30,15 @@ from .wasserstein import measure_from_json, space_from_json, w1
 # what loading and validating input files can raise; each means exit 2
 INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
+CATALOG_KEYS = {"two_point": {"lambda"}, "amplified_two_point": {"mu"}, "pullback": {"sign"},
+                "lattice_line": {"n", "h"}, "two_sheeted_line": {"n", "h"}}
+
 
 def _default_seed() -> int:
-    return int(os.environ.get("NCGP_SEED", "0"))
+    try:
+        return int(os.environ.get("NCGP_SEED", "0"))
+    except ValueError:
+        raise ValueError(f"NCGP_SEED must be an integer, got {os.environ['NCGP_SEED']!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,20 +121,22 @@ def _run_sweep(args) -> int:
         kwargs["lambda_steps"] = args.lambda_steps
     if args.tol is not None:
         kwargs["tol"] = args.tol
-    if args.sweep != "wasserstein-rsquare":
-        kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
+    if args.csv_path and args.sweep == "lemmas":
+        print("ncgp: --csv needs a sweep with rows; lemmas reports only counts", file=sys.stderr)
+        return 2
     try:
+        if args.sweep != "wasserstein-rsquare":
+            kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
         report = SWEEPS[args.sweep](**kwargs)
     except (TypeError, ValueError) as exc:
         print(f"ncgp: bad parameters for {args.sweep}: {exc}", file=sys.stderr)
         return 2
     if args.csv_path:
-        rows = report.details.get("rows", [])
-        if rows:
-            with open(args.csv_path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
+        rows = report.details["rows"]
+        with open(args.csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
     _emit(report.to_json(), args.json_path)
     return 0 if report.passed else 1
 
@@ -177,6 +185,10 @@ def parse_triple_spec(spec: str):
             key, _, value = item.partition("=")
             params[key.strip()] = value.strip()
     name = name.strip()
+    if name not in CATALOG_KEYS:
+        raise ValueError(f"unknown catalog constructor {name!r}")
+    if not params.keys() <= CATALOG_KEYS[name]:
+        raise ValueError(f"{name} accepts only the keys {sorted(CATALOG_KEYS[name])}, got {spec!r}")
     if name == "two_point":
         return triples.two_point(float(params.get("lambda", 1.0)))
     if name == "amplified_two_point":
@@ -185,11 +197,11 @@ def parse_triple_spec(spec: str):
         return triples.lattice_line(int(params.get("n", 5)), float(params.get("h", 1.0)))
     if name == "two_sheeted_line":
         return triples.two_sheeted_line(int(params.get("n", 5)), float(params.get("h", 1.0)))
-    if name == "pullback":
-        sign = params.get("sign", "+")
-        mod = khomology.module_f_plus() if sign == "+" else khomology.module_f_minus()
-        return mod.as_spectral_triple()
-    raise ValueError(f"unknown catalog constructor {name!r}")
+    sign = params.get("sign", "+")
+    if sign not in ("+", "-"):
+        raise ValueError(f"pullback sign must be + or -, got {sign!r}")
+    mod = khomology.module_f_plus() if sign == "+" else khomology.module_f_minus()
+    return mod.as_spectral_triple()
 
 
 def _load_json(path: str):

@@ -65,12 +65,14 @@ class DistanceSolver:
     def __init__(self, triple: SpectralTriple):
         self.triple = triple
         self.basis = hermitian_basis(triple.algebra)
-        k = len(self.basis)
-        # row i: the blocks of basis element i, each transposed and flattened,
-        # so that phi(b_i) = sum_b tr(rho_b b_i) = row i . (rho_b flattened)
-        self.basis_matrix = np.stack([np.concatenate([m.T.ravel() for m in b.blocks])
-                                      for b in self.basis])
-        L = np.stack([triple.commutator_with_dirac(b) for b in self.basis])
+        k, h = len(self.basis), triple.hilbert_dim
+        # row i: basis element i in the flat layout of rep.units; as b_i* = b_i,
+        # phi(b_i) = sum_b tr(rho_b b_i) = conj(row i) . (rho_b flattened)
+        frame = np.array([np.concatenate([m.ravel() for m in b.blocks]) for b in self.basis])
+        self.basis_matrix = frame.conj()
+        P = (frame @ triple.rep.units.reshape(k, h * h)).reshape(k, h, h)   # pi(b_i)
+        L = triple.dirac @ P - P @ triple.dirac
+        del P   # not needed past here; freeing it lowers the set-up's peak memory
         flat = np.concatenate([L.reshape(k, -1).real, L.reshape(k, -1).imag], axis=1)
         # thin SVD: only u is read; zero columns keep u square (k x k) when
         # the map has fewer than k real components, as for a non-faithful pi
@@ -81,7 +83,6 @@ class DistanceSolver:
         rank = int(np.sum(s > KERNEL_SVD_TOL * smax))
         self.range_basis = u[:, :rank]           # k x r
         self.kernel_basis = u[:, rank:]          # k x (k - r)
-        h = triple.hilbert_dim
         # H_j = i L_j is Hermitian as D and pi(b_j) are, and ||H(y)|| = ||L(y)||;
         # taking its Hermitian part makes that exact in floating point
         H = 1j * (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)

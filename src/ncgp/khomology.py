@@ -125,14 +125,10 @@ def direct_sum(m1: FredholmModule, m2: FredholmModule) -> FredholmModule:
         raise ValueError("modules must share their algebra")
     h1, h2 = m1.rep.hilbert_dim, m2.rep.hilbert_dim
     h = h1 + h2
-    images = []
-    for arr1, arr2 in zip(m1.rep.basis_images, m2.rep.basis_images):
-        n = arr1.shape[0]
-        out = np.zeros((n, n, h, h), dtype=complex)
-        out[:, :, :h1, :h1] = arr1
-        out[:, :, h1:, h1:] = arr2
-        images.append(out)
-    rep = Representation(m1.algebra, h, tuple(images))
+    images = tuple(np.pad(arr1, ((0, 0), (0, 0), (0, h2), (0, h2)))
+                   + np.pad(arr2, ((0, 0), (0, 0), (h1, 0), (h1, 0)))
+                   for arr1, arr2 in zip(m1.rep.basis_images, m2.rep.basis_images))
+    rep = Representation(m1.algebra, h, images)
     f = np.zeros((h, h), dtype=complex)
     f[:h1, :h1] = m1.f_op
     f[h1:, h1:] = m2.f_op
@@ -154,22 +150,6 @@ def conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:
     return FredholmModule(rep, u @ module.f_op @ u.conj().T, u @ module.grading @ u.conj().T)
 
 
-def _is_character(chi: State) -> bool:
-    """True iff chi is multiplicative on its algebra (checked on matrix units)."""
-    alg = chi.algebra
-    units = []
-    for b, n in enumerate(alg.blocks):
-        for i, j in itertools.product(range(n), repeat=2):
-            blocks = [np.zeros((m, m), dtype=complex) for m in alg.blocks]
-            blocks[b][i, j] = 1.0
-            units.append(AlgebraElement(alg, tuple(blocks)))
-    for x in units:
-        for y in units:
-            if abs(chi(x @ y) - chi(x) * chi(y)) > STRUCT_TOL:
-                return False
-    return True
-
-
 def pullback_module(algebra: FiniteAlgebra, chi: State) -> FredholmModule:
     """Pull the rank-one module over C back along a character chi: A -> C.
 
@@ -179,15 +159,14 @@ def pullback_module(algebra: FiniteAlgebra, chi: State) -> FredholmModule:
     """
     if chi.algebra != algebra:
         raise ValueError("character must be a state on the given algebra")
-    if not _is_character(chi):
+    # M_n has no character for n > 1: the characters are evaluations at blocks of size 1
+    if not any(n == 1 and abs(rho[0, 0] - 1.0) <= STRUCT_TOL
+               for n, rho in zip(algebra.blocks, chi.densities)):
         raise ValueError("chi is not multiplicative")
     images = []
-    for b, n in enumerate(algebra.blocks):
-        arr = np.zeros((n, n, 2, 2), dtype=complex)
-        for i, j in itertools.product(range(n), repeat=2):
-            blocks = [np.zeros((m, m), dtype=complex) for m in algebra.blocks]
-            blocks[b][i, j] = 1.0
-            arr[i, j, 0, 0] = chi(AlgebraElement(algebra, tuple(blocks)))
+    for rho in chi.densities:
+        arr = np.zeros(rho.shape + (2, 2), dtype=complex)
+        arr[:, :, 0, 0] = rho.T     # chi(E_ij) = tr(rho E_ij) = rho[j, i]
         images.append(arr)
     rep = Representation(algebra, 2, tuple(images))
     f = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

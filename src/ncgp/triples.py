@@ -53,8 +53,8 @@ class SpectralTriple:
                 raise ValueError("grading must be a self-adjoint involution on H")
             if np.abs(anticommutator(g, d)).max() > GRADING_TOL:
                 raise ValueError("grading must anticommute with the Dirac operator")
-            imgs = np.concatenate([arr.reshape(-1, h, h) for arr in self.rep.basis_images])
-            if np.abs(g @ imgs - imgs @ g).max() > GRADING_TOL:
+            units = self.rep.units
+            if np.abs(g @ units - units @ g).max() > GRADING_TOL:
                 raise ValueError("grading must commute with the represented algebra")
             object.__setattr__(self, "grading", g)
 

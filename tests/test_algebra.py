@@ -39,6 +39,14 @@ def test_algebra_validation():
         FiniteAlgebra(())
     with pytest.raises(ValueError):
         FiniteAlgebra((0,))
+    # sizes are refused, not truncated, unless integral
+    with pytest.raises(ValueError, match="block size must be an integer"):
+        FiniteAlgebra((1.9, 1.2))
+    assert FiniteAlgebra((2.0, 1.0)).blocks == (2, 1)
+    images = Representation.defining(C2).basis_images
+    with pytest.raises(ValueError, match="hilbert_dim must be an integer"):
+        Representation(C2, 2.7, images)
+    assert Representation(C2, 2.0, images).hilbert_dim == 2
 
 
 class TestEval:
@@ -262,6 +270,24 @@ class TestRepresentation:
             tracemalloc.stop()
         assert pt.algebra.blocks == (9,) and pt.hilbert_dim == 36
         assert peak < 32e6
+
+    def test_units_hold_the_images_once(self):
+        rng = np.random.default_rng(11)
+        alg = FiniteAlgebra((2, 1))
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        base = Representation.defining(alg).padded(1)
+        conj = Representation(alg, 4, tuple(u @ arr @ u.conj().T for arr in base.basis_images))
+        for rep in (conj, conj.tensor(Representation.defining(C2)), conj.with_multiplicity(2)):
+            h = rep.hilbert_dim
+            assert rep.units.shape == (rep.algebra.selfadjoint_dim, h, h)
+            for arr in rep.basis_images:
+                assert np.shares_memory(rep.units, arr)
+            a = rep.algebra.element([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                                     for n in rep.algebra.blocks])
+            # reference: pi(a) = sum_b sum_ij a_b[i, j] pi(E^b_ij), block by block
+            want = sum(np.einsum("ij,ijpq->pq", m, arr)
+                       for m, arr in zip(a.blocks, rep.basis_images))
+            assert np.abs(rep.apply(a) - want).max() <= 1e-13
 
     @staticmethod
     def _two_projections(u, v):

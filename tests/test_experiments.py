@@ -168,6 +168,10 @@ class TestCli:
         assert main(["sweep", "lemmas", "--trials", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 13
 
+    def test_env_seed_not_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NCGP_SEED", "abc")
+        self._assert_input_error(["sweep", "theorem1", "--trials", "1"], capsys)
+
     def test_distance_subcommand(self, tmp_path, capsys):
         t = ncgp.two_point(2.0)
         plus, minus = ncgp.pure_states(t.algebra)
@@ -239,6 +243,41 @@ class TestCli:
     def test_distance_bad_catalog_name_is_usage_error(self, capsys):
         assert main(["distance", "--triple", "no_such_triple",
                      "--pure", "0,1"]) == 2
+
+    @pytest.mark.parametrize("spec", ["two_point:lamda=3", "two_point:mu=1",
+                                      "amplified_two_point:lambda=1", "lattice_line:n=4,k=2",
+                                      "two_sheeted_line:lambda=2", "pullback:sign=x",
+                                      "pullback:lambda=1",
+                                      "product(two_point:lambda=2,amplified_two_point:m=1)"])
+    def test_distance_catalog_unknown_key_is_usage_error(self, capsys, spec):
+        self._assert_input_error(["distance", "--triple", spec, "--pure", "0,1"], capsys)
+
+    @pytest.mark.parametrize("blocks,hilbert_dim", [([1.9, 1.2], 2), ([1, 1], 2.7),
+                                                    ([1.9, 1.2], 2.7), ([1, 1], 10 ** 400),
+                                                    ([1, math.inf], 2)],
+                             ids=["blocks", "hilbert_dim", "both", "huge", "infinite"])
+    def test_distance_non_integral_sizes_are_usage_errors(self, tmp_path, capsys,
+                                                          blocks, hilbert_dim):
+        doc = triple_to_json(ncgp.two_point(2.0))
+        doc["algebra"]["blocks"] = doc["representation"]["algebra"]["blocks"] = blocks
+        doc["representation"]["hilbert_dim"] = hilbert_dim
+        (tmp_path / "triple.json").write_text(json.dumps(doc))
+        self._assert_input_error(["distance", "--triple", str(tmp_path / "triple.json"),
+                                  "--pure", "0,1"], capsys)
+
+    def test_integral_float_sizes_are_accepted(self, tmp_path, capsys):
+        doc = triple_to_json(ncgp.two_point(2.0))
+        doc["algebra"]["blocks"] = doc["representation"]["algebra"]["blocks"] = [1.0, 1.0]
+        doc["representation"]["hilbert_dim"] = 2.0
+        (tmp_path / "triple.json").write_text(json.dumps(doc))
+        assert main(["distance", "--triple", str(tmp_path / "triple.json"),
+                     "--pure", "0,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["lower"] == pytest.approx(2.0, abs=1e-5)
+
+    def test_csv_of_sweep_without_rows_is_usage_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        self._assert_input_error(["sweep", "lemmas", "--csv", str(csv_path)], capsys)
+        assert not csv_path.exists()
 
     @staticmethod
     def _assert_input_error(argv, capsys):

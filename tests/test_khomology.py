@@ -92,6 +92,18 @@ class TestPullback:
         with pytest.raises(ValueError):
             pullback_module(alg, phi)
 
+    def test_characters_are_evaluations_at_size_one_blocks(self):
+        alg = FiniteAlgebra((2, 1))
+        split = State(alg, (np.eye(2) / 4.0, np.array([[0.5]])))
+        with pytest.raises(ValueError, match="not multiplicative"):
+            pullback_module(alg, split)
+        chi = State(alg, (np.zeros((2, 2)), np.array([[1.0]])))
+        rep = pullback_module(alg, chi).rep
+        rng = np.random.default_rng(12)
+        a = alg.element([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                         rng.normal(size=(1, 1))])
+        assert np.array_equal(rep.apply(a), np.diag([chi(a), 0.0]))
+
     def test_pullback_representation_has_kernel(self):
         mod = module_f_plus()
         assert not mod.rep.faithful
