@@ -2,24 +2,23 @@
 representations, elements and states.
 
 An algebra is a list of block sizes [n_1, ..., n_k] for A = M_{n_1} + ... +
-M_{n_k}.  Tensor-product algebras remember their two factors so that slice
-maps and product states are well defined; the product block indexed by the
-pair (i, j) is stored at flat position i*len(blocks_2) + j.
-
-The flat layout of an element concatenates its raveled blocks;
-`Representation.units` holds the images of the matrix units in that order.
-The hermitian coordinate order is written once, in `_hermitian_blocks`.
+M_{n_k}.  Each coordinate layout is written once.  The flat layout concatenates
+the raveled blocks, and `_split` cuts it back; `Representation.units` holds the
+images of the matrix units in it.  The hermitian order is `_hermitian_blocks`.
+A tensor-product algebra remembers its two factors; `FiniteAlgebra.outer_order`
+states where E^a_ik (x) E^b_jl sits in its flat layout, and product elements,
+states and representations and slice maps are all read off it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_operator, is_hermitian, matrix_from_json, matrix_to_json
+from .linalg import as_operator, is_hermitian, matrix_from_json, matrix_to_json, size
 from .tolerances import FAITHFUL_RANK_TOL, STRUCT_TOL
 
 
@@ -31,7 +30,7 @@ class FiniteAlgebra:
     factors: tuple["FiniteAlgebra", "FiniteAlgebra"] | None = None
 
     def __post_init__(self):
-        blocks = tuple(_size(n, "block size") for n in self.blocks)
+        blocks = tuple(size(n, "block size") for n in self.blocks)
         if len(blocks) == 0 or min(blocks) <= 0:
             raise ValueError("algebra needs at least one block of positive size")
         object.__setattr__(self, "blocks", blocks)
@@ -65,6 +64,22 @@ class FiniteAlgebra:
     def tensor(self, other: "FiniteAlgebra") -> "FiniteAlgebra":
         blocks = tuple(n * m for n in self.blocks for m in other.blocks)
         return FiniteAlgebra(blocks, factors=(self, other))
+
+    @property
+    @lru_cache(maxsize=64)   # keyed on the (hashable) algebra: one array per product shape
+    def outer_order(self) -> np.ndarray:
+        """Flat coordinate r of A_1 (x) A_2 is entry order[r] of the raveled outer
+        product of the factors' flat coordinates: E^a_ik (x) E^b_jl is the unit
+        E_(ij),(kl) of product block a*len(blocks_2) + b, as in np.kron."""
+        if self.factors is None:
+            raise ValueError("algebra does not carry a tensor-product factorization")
+        alg1, alg2 = self.factors
+        rows = _split(alg1, np.arange(alg1.selfadjoint_dim) * alg2.selfadjoint_dim)
+        cols = _split(alg2, np.arange(alg2.selfadjoint_dim))
+        order = np.concatenate([(x[:, None, :, None] + y[None, :, None, :]).ravel()
+                                for x in rows for y in cols])
+        order.flags.writeable = False   # shared by every equal product algebra
+        return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,27 +120,40 @@ class AlgebraElement:
         return all(is_hermitian(b, tol) for b in self.blocks)
 
 
-def _size(value, what: str) -> int:
-    """An integral size as an int; 2.0 passes, 2.7 is refused, not truncated."""
-    if not (isinstance(value, int) or float(value).is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _same_algebra(a, b) -> None:
     if a.algebra != b.algebra:
         raise ValueError("elements/states live on different algebras")
 
 
+def _split(algebra: FiniteAlgebra, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the blocks of `flat` along its first axis, in the flat layout:
+    block b's n_b^2 entries as an (n_b, n_b) + flat.shape[1:] array."""
+    ends = list(itertools.accumulate((n * n for n in algebra.blocks), initial=0))
+    return tuple(flat[a:b].reshape((n, n) + flat.shape[1:])
+                 for a, b, n in zip(ends, ends[1:], algebra.blocks))
+
+
+def _flat(blocks) -> np.ndarray:
+    """The flat layout of a tuple of blocks."""
+    return np.concatenate([m.ravel() for m in blocks])
+
+
+def _product_algebra(factors, product: FiniteAlgebra | None, what: str) -> FiniteAlgebra:
+    if product is not None and product.factors != factors:
+        raise ValueError(f"given product algebra does not factor through the {what}")
+    return factors[0].tensor(factors[1]) if product is None else product
+
+
+def _outer_blocks(product: FiniteAlgebra, x, y) -> tuple[np.ndarray, ...]:
+    """The blocks of x (x) y on `product`, for the blocks x and y of its factors."""
+    return _split(product, np.outer(_flat(x), _flat(y)).take(product.outer_order))
+
+
 def tensor_element(a: AlgebraElement, b: AlgebraElement,
                    product: FiniteAlgebra | None = None) -> AlgebraElement:
     """a (x) b as an element of the tensor-product algebra."""
-    if product is None:
-        product = a.algebra.tensor(b.algebra)
-    elif product.factors != (a.algebra, b.algebra):
-        raise ValueError("given product algebra does not factor through the operands")
-    blocks = tuple(np.kron(x, y) for x in a.blocks for y in b.blocks)
-    return AlgebraElement(product, blocks)
+    product = _product_algebra((a.algebra, b.algebra), product, "operands")
+    return AlgebraElement(product, _outer_blocks(product, a.blocks, b.blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,24 +168,21 @@ class Representation:
 
     algebra: FiniteAlgebra
     hilbert_dim: int
-    basis_images: tuple[np.ndarray, ...]
-    units: np.ndarray = field(init=False, repr=False)
+    units: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        h = _size(self.hilbert_dim, "hilbert_dim")
-        imgs = []
-        for n, arr in zip(self.algebra.blocks, self.basis_images, strict=True):
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != (n, n, h, h):
-                raise ValueError(f"basis images must have shape ({n},{n},{h},{h}), got {arr.shape}")
-            imgs.append(arr.reshape(n * n, h, h))
-        units = np.concatenate(imgs)
-        ends = list(itertools.accumulate((len(u) for u in imgs), initial=0))
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "basis_images", tuple(
-            units[a:b].reshape(n, n, h, h) for a, b, n in zip(ends, ends[1:], self.algebra.blocks)))
+        h = size(self.hilbert_dim, "hilbert_dim")
+        units = np.asarray(self.units, dtype=complex)
+        shape = (self.algebra.selfadjoint_dim, h, h)
+        if units.shape != shape:
+            raise ValueError(f"units must have shape {shape}, got {units.shape}")
         object.__setattr__(self, "hilbert_dim", h)
+        object.__setattr__(self, "units", units)
         _check_star_rep(self)
+
+    @property
+    def basis_images(self) -> tuple[np.ndarray, ...]:
+        return _split(self.algebra, self.units)
 
     @cached_property
     def faithful(self) -> bool:
@@ -167,7 +192,7 @@ class Representation:
     def apply(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
             raise ValueError("element lives on a different algebra")
-        flat = np.concatenate([m.ravel() for m in a.blocks])
+        flat = _flat(a.blocks)
         return (flat @ self.units.reshape(len(flat), -1)).reshape(self.units.shape[1:])
 
     @cached_property
@@ -179,40 +204,33 @@ class Representation:
     def defining(cls, algebra: FiniteAlgebra) -> "Representation":
         """Direct-sum (block diagonal) representation on C^(n_1 + ... + n_k)."""
         h = sum(algebra.blocks)
-        images = []
-        off = 0
-        for n in algebra.blocks:
-            arr = np.zeros((n, n, h, h), dtype=complex)
-            for i, j in itertools.product(range(n), repeat=2):
-                arr[i, j, off + i, off + j] = 1.0
-            images.append(arr)
-            off += n
-        return cls(algebra, h, tuple(images))
+        # the entries of the block diagonal, row-major, are the units in flat order
+        label = np.repeat(np.arange(len(algebra.blocks)), algebra.blocks)
+        rows, cols = np.nonzero(label[:, None] == label[None, :])
+        units = np.zeros((len(rows), h, h), dtype=complex)
+        units[np.arange(len(rows)), rows, cols] = 1.0
+        return cls(algebra, h, units)
 
     def with_multiplicity(self, mult: int) -> "Representation":
         """pi(a) (x) I_mult on H (x) C^mult."""
-        eye = np.eye(mult)
-        images = tuple(np.einsum("ijpq,rs->ijprqs", arr, eye).reshape(
-            arr.shape[0], arr.shape[1], self.hilbert_dim * mult, self.hilbert_dim * mult)
-            for arr in self.basis_images)
-        return Representation(self.algebra, self.hilbert_dim * mult, images)
+        h = self.hilbert_dim * mult
+        units = np.einsum("npq,rs->nprqs", self.units, np.eye(mult))   # np.kron, without its overhead
+        return Representation(self.algebra, h, units.reshape(len(units), h, h))
 
     def padded(self, extra: int) -> "Representation":
         """diag(pi(a), 0_extra): degenerate extension, still faithful."""
-        pad = ((0, 0), (0, 0), (0, extra), (0, extra))
-        images = tuple(np.pad(arr, pad) for arr in self.basis_images)
-        return Representation(self.algebra, self.hilbert_dim + extra, images)
+        return Representation(self.algebra, self.hilbert_dim + extra,
+                              np.pad(self.units, ((0, 0), (0, extra), (0, extra))))
 
     def tensor(self, other: "Representation",
                product: FiniteAlgebra | None = None) -> "Representation":
         """pi_1 (x) pi_2 on H_1 (x) H_2 over the tensor-product algebra."""
-        if product is None:
-            product = self.algebra.tensor(other.algebra)
+        product = _product_algebra((self.algebra, other.algebra), product, "representations")
+        r1, r2 = divmod(product.outer_order, other.algebra.selfadjoint_dim)
+        # gather the factor rows first, so the product is formed in its final order
+        units = np.einsum("npq,nrs->nprqs", self.units[r1], other.units[r2])
         h = self.hilbert_dim * other.hilbert_dim
-        images = tuple(np.einsum("ikpq,jlrs->ijklprqs", a1, a2).reshape(
-            len(a1) * len(a2), len(a1) * len(a2), h, h)
-            for a1 in self.basis_images for a2 in other.basis_images)
-        return Representation(product, h, images)
+        return Representation(product, h, units.reshape(len(r1), h, h))
 
 
 def _check_star_rep(rep: Representation) -> None:
@@ -274,16 +292,16 @@ class State:
         _same_algebra(self, a)
         return complex(sum(np.trace(rho @ m) for rho, m in zip(self.densities, a.blocks)))
 
+    def on_units(self) -> np.ndarray:
+        """phi(E_ij) = tr(rho_b E_ij) = rho_b[j, i] for every matrix unit, in flat order."""
+        return _flat(rho.T for rho in self.densities)
+
 
 def product_state(phi1: State, phi2: State,
                   product: FiniteAlgebra | None = None) -> State:
     """phi_1 (x) phi_2 on the tensor-product algebra."""
-    if product is None:
-        product = phi1.algebra.tensor(phi2.algebra)
-    elif product.factors != (phi1.algebra, phi2.algebra):
-        raise ValueError("given product algebra does not factor through the states")
-    densities = tuple(np.kron(r1, r2) for r1 in phi1.densities for r2 in phi2.densities)
-    return State(product, densities)
+    product = _product_algebra((phi1.algebra, phi2.algebra), product, "states")
+    return State(product, _outer_blocks(product, phi1.densities, phi2.densities))
 
 
 def slice_map(a: AlgebraElement, phi: State, side: str) -> AlgebraElement:
@@ -296,27 +314,16 @@ def slice_map(a: AlgebraElement, phi: State, side: str) -> AlgebraElement:
     alg = a.algebra
     if alg.factors is None:
         raise ValueError("element does not carry a tensor-product factorization")
-    alg1, alg2 = alg.factors
-    if side == "right":
-        if phi.algebra != alg2:
-            raise ValueError("state must live on the right factor")
-        out = [np.zeros((n, n), dtype=complex) for n in alg1.blocks]
-    elif side == "left":
-        if phi.algebra != alg1:
-            raise ValueError("state must live on the left factor")
-        out = [np.zeros((m, m), dtype=complex) for m in alg2.blocks]
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    k2 = len(alg2.blocks)
-    for flat, mat in enumerate(a.blocks):
-        i, j = divmod(flat, k2)
-        n, m = alg1.blocks[i], alg2.blocks[j]
-        x = mat.reshape(n, m, n, m)
-        if side == "right":
-            out[i] += np.einsum("prqs,sr->pq", x, phi.densities[j])
-        else:
-            out[j] += np.einsum("prqs,qp->rs", x, phi.densities[i])
-    return AlgebraElement(alg1 if side == "right" else alg2, tuple(out))
+    kept, traced = alg.factors if side == "right" else alg.factors[::-1]
+    if phi.algebra != traced:
+        raise ValueError(f"state must live on the {side} factor")
+    coef = np.empty(alg.selfadjoint_dim, dtype=complex)   # coef[r1, r2] multiplies E_r1 (x) E_r2
+    coef[alg.outer_order] = _flat(a.blocks)
+    coef = coef.reshape(alg.factors[0].selfadjoint_dim, -1)
+    out = coef @ phi.on_units() if side == "right" else phi.on_units() @ coef
+    return AlgebraElement(kept, _split(kept, out))
 
 
 def pure_states(algebra: FiniteAlgebra) -> list[State]:
@@ -417,23 +424,18 @@ def element_to_json(a: AlgebraElement) -> dict:
             "blocks": [matrix_to_json(b) for b in a.blocks]}
 
 
+def _unit_keys(alg: FiniteAlgebra) -> list[str]:
+    """The wire name "b:i:j" of each matrix unit E^b_ij, in flat order."""
+    return [f"{b}:{i}:{j}" for b, n in enumerate(alg.blocks) for i, j in np.ndindex(n, n)]
+
+
 def representation_to_json(rep: Representation) -> dict:
-    images = {}
-    for b, arr in enumerate(rep.basis_images):
-        for i, j in np.ndindex(arr.shape[:2]):
-            images[f"{b}:{i}:{j}"] = matrix_to_json(arr[i, j])
     return {"algebra": algebra_to_json(rep.algebra),
             "hilbert_dim": rep.hilbert_dim,
-            "basis_images": images}
+            "basis_images": dict(zip(_unit_keys(rep.algebra), map(matrix_to_json, rep.units)))}
 
 
 def representation_from_json(obj: dict) -> Representation:
     alg = algebra_from_json(obj["algebra"])
-    h = _size(obj["hilbert_dim"], "hilbert_dim")
-    images = []
-    for b, n in enumerate(alg.blocks):
-        arr = np.zeros((n, n, h, h), dtype=complex)
-        for i, j in np.ndindex(n, n):
-            arr[i, j] = matrix_from_json(obj["basis_images"][f"{b}:{i}:{j}"])
-        images.append(arr)
-    return Representation(alg, h, tuple(images))
+    units = np.array([matrix_from_json(obj["basis_images"][key]) for key in _unit_keys(alg)])
+    return Representation(alg, obj["hilbert_dim"], units)

@@ -125,10 +125,8 @@ def direct_sum(m1: FredholmModule, m2: FredholmModule) -> FredholmModule:
         raise ValueError("modules must share their algebra")
     h1, h2 = m1.rep.hilbert_dim, m2.rep.hilbert_dim
     h = h1 + h2
-    images = tuple(np.pad(arr1, ((0, 0), (0, 0), (0, h2), (0, h2)))
-                   + np.pad(arr2, ((0, 0), (0, 0), (h1, 0), (h1, 0)))
-                   for arr1, arr2 in zip(m1.rep.basis_images, m2.rep.basis_images))
-    rep = Representation(m1.algebra, h, images)
+    rep = Representation(m1.algebra, h, np.pad(m1.rep.units, ((0, 0), (0, h2), (0, h2)))
+                         + np.pad(m2.rep.units, ((0, 0), (h1, 0), (h1, 0))))
     f = np.zeros((h, h), dtype=complex)
     f[:h1, :h1] = m1.f_op
     f[h1:, h1:] = m2.f_op
@@ -144,9 +142,7 @@ def conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:
     h = module.rep.hilbert_dim
     if u.shape != (h, h) or np.abs(u @ u.conj().T - np.eye(h)).max() > STRUCT_TOL:
         raise ValueError("u must be unitary on H")
-    images = tuple(np.einsum("pr,ijrs,qs->ijpq", u, arr, u.conj())
-                   for arr in module.rep.basis_images)
-    rep = Representation(module.algebra, h, images)
+    rep = Representation(module.algebra, h, u @ module.rep.units @ u.conj().T)
     return FredholmModule(rep, u @ module.f_op @ u.conj().T, u @ module.grading @ u.conj().T)
 
 
@@ -163,12 +159,9 @@ def pullback_module(algebra: FiniteAlgebra, chi: State) -> FredholmModule:
     if not any(n == 1 and abs(rho[0, 0] - 1.0) <= STRUCT_TOL
                for n, rho in zip(algebra.blocks, chi.densities)):
         raise ValueError("chi is not multiplicative")
-    images = []
-    for rho in chi.densities:
-        arr = np.zeros(rho.shape + (2, 2), dtype=complex)
-        arr[:, :, 0, 0] = rho.T     # chi(E_ij) = tr(rho E_ij) = rho[j, i]
-        images.append(arr)
-    rep = Representation(algebra, 2, tuple(images))
+    units = np.zeros((algebra.selfadjoint_dim, 2, 2), dtype=complex)
+    units[:, 0, 0] = chi.on_units()
+    rep = Representation(algebra, 2, units)
     f = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     g = np.diag([1.0, -1.0]).astype(complex)
     return FredholmModule(rep, f, g)

@@ -14,6 +14,13 @@ import numpy as np
 from .tolerances import STRUCT_TOL
 
 
+def size(value, what: str) -> int:
+    """An integral size as an int; 2.0 passes, 2.7 is refused, not truncated."""
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_operator(m) -> np.ndarray:
     """Coerce to a complex128 2-d array, rejecting NaN/Inf entries."""
     a = np.asarray(m, dtype=complex)
@@ -27,13 +34,6 @@ def as_operator(m) -> np.ndarray:
 def is_hermitian(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
-
-
-def require_hermitian(m, tol: float = STRUCT_TOL, what: str = "operator") -> np.ndarray:
-    a = as_operator(m)
-    if not is_hermitian(a, tol):
-        raise ValueError(f"{what} is not self-adjoint within {tol}")
-    return a
 
 
 def is_grading(g: np.ndarray, tol: float = STRUCT_TOL) -> bool:
@@ -67,12 +67,6 @@ def commutator(d, a) -> np.ndarray:
     return d @ a - a @ d
 
 
-def anticommutator(d, a) -> np.ndarray:
-    d = as_operator(d)
-    a = as_operator(a)
-    return d @ a + a @ d
-
-
 def parity_split(m, gamma) -> tuple[np.ndarray, np.ndarray]:
     """Split m into (even, odd) parts w.r.t. a grading gamma.
 
@@ -98,7 +92,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = size(obj["rows"], "rows"), size(obj["cols"], "cols")
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     entries = obj["entries"]

@@ -21,16 +21,15 @@ from .algebra import (
     representation_to_json,
 )
 from .linalg import (
-    anticommutator,
     as_operator,
     commutator,
     is_grading,
+    is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    require_hermitian,
     tensor,
 )
-from .tolerances import GRADING_TOL
+from .tolerances import GRADING_TOL, STRUCT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +41,9 @@ class SpectralTriple:
     grading: np.ndarray | None = None
 
     def __post_init__(self):
-        d = require_hermitian(self.dirac, what="Dirac operator")
+        d = as_operator(self.dirac)
+        if not is_hermitian(d, STRUCT_TOL):
+            raise ValueError(f"Dirac operator is not self-adjoint within {STRUCT_TOL}")
         h = self.rep.hilbert_dim
         if d.shape != (h, h):
             raise ValueError(f"Dirac operator shape {d.shape} does not match hilbert_dim {h}")
@@ -51,7 +52,7 @@ class SpectralTriple:
             g = as_operator(self.grading)
             if g.shape != (h, h) or not is_grading(g, GRADING_TOL):
                 raise ValueError("grading must be a self-adjoint involution on H")
-            if np.abs(anticommutator(g, d)).max() > GRADING_TOL:
+            if np.abs(g @ d + d @ g).max() > GRADING_TOL:
                 raise ValueError("grading must anticommute with the Dirac operator")
             units = self.rep.units
             if np.abs(g @ units - units @ g).max() > GRADING_TOL:

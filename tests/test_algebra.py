@@ -43,10 +43,10 @@ def test_algebra_validation():
     with pytest.raises(ValueError, match="block size must be an integer"):
         FiniteAlgebra((1.9, 1.2))
     assert FiniteAlgebra((2.0, 1.0)).blocks == (2, 1)
-    images = Representation.defining(C2).basis_images
+    units = Representation.defining(C2).units
     with pytest.raises(ValueError, match="hilbert_dim must be an integer"):
-        Representation(C2, 2.7, images)
-    assert Representation(C2, 2.0, images).hilbert_dim == 2
+        Representation(C2, 2.7, units)
+    assert Representation(C2, 2.0, units).hilbert_dim == 2
 
 
 class TestEval:
@@ -173,6 +173,87 @@ class TestSliceMap:
             slice_map(prod.unit(), phi, "sideways")
 
 
+def _random_element(alg, rng):
+    return alg.element([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                        for n in alg.blocks])
+
+
+def _rotated(rep, rng):
+    """u pi u* for a random unitary u: dense complex images of the matrix units."""
+    h = rep.hilbert_dim
+    u = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))[0]
+    return Representation(rep.algebra, h, u @ rep.units @ u.conj().T)
+
+
+class TestProductLayoutOracle:
+    """The product layout against the block-pair formulas it replaced, written
+    out here: product block (i, j) is kron(x_i, y_j), and the slice maps sum
+    the einsum contraction of each block pair."""
+
+    CASES = [pytest.param((2, 1), (1, 2), id="(2,1)x(1,2)"),
+             pytest.param((3,), (2, 1), id="(3)x(2,1)")]
+
+    @pytest.mark.parametrize("blocks1,blocks2", CASES)
+    def test_outer_order_is_a_permutation(self, blocks1, blocks2):
+        alg1, alg2 = FiniteAlgebra(blocks1), FiniteAlgebra(blocks2)
+        order = alg1.tensor(alg2).outer_order
+        n = alg1.selfadjoint_dim * alg2.selfadjoint_dim
+        assert np.array_equal(np.sort(order), np.arange(n))
+
+    @pytest.mark.parametrize("blocks1,blocks2", CASES)
+    def test_elements_and_states_match_block_krons(self, blocks1, blocks2):
+        rng = np.random.default_rng(sum(blocks1) * 10 + sum(blocks2))
+        alg1, alg2 = FiniteAlgebra(blocks1), FiniteAlgebra(blocks2)
+        a, b = _random_element(alg1, rng), _random_element(alg2, rng)
+        want = [np.kron(x, y) for x in a.blocks for y in b.blocks]
+        got = tensor_element(a, b).blocks
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+        phi1, phi2 = random_state(alg1, rng), random_state(alg2, rng)
+        want = [np.kron(r1, r2) for r1 in phi1.densities for r2 in phi2.densities]
+        got = product_state(phi1, phi2).densities
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+    @pytest.mark.parametrize("blocks1,blocks2", CASES)
+    def test_representation_matches_block_einsum(self, blocks1, blocks2):
+        rng = np.random.default_rng(sum(blocks1) * 10 + sum(blocks2) + 1)
+        rep1 = _rotated(Representation.defining(FiniteAlgebra(blocks1)).padded(1), rng)
+        rep2 = _rotated(Representation.defining(FiniteAlgebra(blocks2)).with_multiplicity(2), rng)
+        h = rep1.hilbert_dim * rep2.hilbert_dim
+        want = [np.einsum("ikpq,jlrs->ijklprqs", a1, a2).reshape(
+            len(a1) * len(a2), len(a1) * len(a2), h, h)
+            for a1 in rep1.basis_images for a2 in rep2.basis_images]
+        got = rep1.tensor(rep2).basis_images
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+    @pytest.mark.parametrize("blocks1,blocks2", CASES)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_slice_map_matches_block_einsum(self, blocks1, blocks2, side):
+        rng = np.random.default_rng(sum(blocks1) * 10 + sum(blocks2) + 2)
+        alg1, alg2 = FiniteAlgebra(blocks1), FiniteAlgebra(blocks2)
+        a = _random_element(alg1.tensor(alg2), rng)
+        phi = random_state(alg2 if side == "right" else alg1, rng)
+        kept = alg1 if side == "right" else alg2
+        want = [np.zeros((n, n), dtype=complex) for n in kept.blocks]
+        for flat, mat in enumerate(a.blocks):
+            i, j = divmod(flat, len(alg2.blocks))
+            x = mat.reshape(alg1.blocks[i], alg2.blocks[j], alg1.blocks[i], alg2.blocks[j])
+            if side == "right":
+                want[i] += np.einsum("prqs,sr->pq", x, phi.densities[j])
+            else:
+                want[j] += np.einsum("prqs,qp->rs", x, phi.densities[i])
+        got = slice_map(a, phi, side)
+        assert got.algebra == kept
+        for g, w in zip(got.blocks, want, strict=True):
+            assert np.abs(g - w).max() <= 1e-14
+
+    @pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
+    def test_per_block_tuple_is_refused(self, blocks):
+        rep = Representation.defining(FiniteAlgebra(blocks))
+        images = tuple(np.array(arr) for arr in rep.basis_images)
+        with pytest.raises(ValueError):
+            Representation(rep.algebra, rep.hilbert_dim, images)
+
+
 class TestPureStates:
     def test_c2(self):
         plus, minus = pure_states(C2)
@@ -225,20 +306,20 @@ class TestRepresentation:
         arr = np.zeros((1, 1, 2, 2), dtype=complex)
         arr[0, 0] = np.array([[1.0, 1.0], [0.0, 0.0]])  # not a projection image
         with pytest.raises(ValueError):
-            Representation(FiniteAlgebra((1,)), 2, (arr,))
+            Representation(FiniteAlgebra((1,)), 2, arr.reshape(1, 2, 2))
 
     def test_one_dimensional_block_not_idempotent_rejected(self):
         # pi(E_11) = diag(2, 0) is Hermitian, so star-compatible, but not a projection
         arr = np.zeros((1, 1, 2, 2), dtype=complex)
         arr[0, 0, 0, 0] = 2.0
         with pytest.raises(ValueError, match="not multiplicative"):
-            Representation(FiniteAlgebra((1,)), 2, (arr,))
+            Representation(FiniteAlgebra((1,)), 2, arr.reshape(1, 2, 2))
 
     def test_image_not_adjoint_rejected(self):
         arr = Representation.defining(FiniteAlgebra((2,))).basis_images[0].copy()
         arr[0, 1] *= 2.0   # pi(E_12) is no longer pi(E_21)*
         with pytest.raises(ValueError, match="not \\*-compatible"):
-            Representation(FiniteAlgebra((2,)), 2, (arr,))
+            Representation(FiniteAlgebra((2,)), 2, arr.reshape(4, 2, 2))
 
     def test_overlapping_units_in_block_rejected(self):
         # pi(E_11) = |e1><e1|, pi(E_22) = |v><v| with <e1, v> != 0, and
@@ -247,7 +328,7 @@ class TestRepresentation:
         arr = np.array([[np.outer(e1, e1), np.outer(e1, v)],
                         [np.outer(v, e1), np.outer(v, v)]], dtype=complex)
         with pytest.raises(ValueError, match="not multiplicative"):
-            Representation(FiniteAlgebra((2,)), 2, (arr,))
+            Representation(FiniteAlgebra((2,)), 2, arr.reshape(4, 2, 2))
 
     def test_unit_missing_from_block_rejected(self):
         # pi(E_22) = 0 while pi(E_21) pi(E_12) = |e2><e2|: star-compatible and
@@ -256,7 +337,7 @@ class TestRepresentation:
         arr = np.array([[np.outer(e1, e1), np.outer(e1, e2)],
                         [np.outer(e2, e1), np.zeros((2, 2))]], dtype=complex)
         with pytest.raises(ValueError, match="not multiplicative"):
-            Representation(FiniteAlgebra((2,)), 2, (arr,))
+            Representation(FiniteAlgebra((2,)), 2, arr.reshape(4, 2, 2))
 
     def test_check_memory_stays_small_on_3x3_blocks(self):
         # one 9 x 9 block on h = 36: one (n^2 h) x (n^2 h) complex product
@@ -276,7 +357,7 @@ class TestRepresentation:
         alg = FiniteAlgebra((2, 1))
         u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
         base = Representation.defining(alg).padded(1)
-        conj = Representation(alg, 4, tuple(u @ arr @ u.conj().T for arr in base.basis_images))
+        conj = Representation(alg, 4, u @ base.units @ u.conj().T)
         for rep in (conj, conj.tensor(Representation.defining(C2)), conj.with_multiplicity(2)):
             h = rep.hilbert_dim
             assert rep.units.shape == (rep.algebra.selfadjoint_dim, h, h)
@@ -292,9 +373,8 @@ class TestRepresentation:
     @staticmethod
     def _two_projections(u, v):
         """C^2 on C^2 with its two coordinates sent to |u><u| and |v><v|."""
-        images = tuple(np.outer(w, w.conj()).reshape(1, 1, 2, 2).astype(complex)
-                       for w in (u, v))
-        return Representation(C2, 2, images)
+        units = np.array([np.outer(w, w.conj()) for w in (u, v)], dtype=complex)
+        return Representation(C2, 2, units)
 
     def test_blocks_on_same_projection_rejected(self):
         e1 = np.array([1.0, 0.0])
@@ -315,8 +395,8 @@ class TestRepresentation:
         assert padded.faithful and not padded.is_unital
         # the M_2 block acts on C^2, the C block as zero
         zero_block = Representation(
-            alg, 2, (Representation.defining(FiniteAlgebra((2,))).basis_images[0],
-                     np.zeros((1, 1, 2, 2), dtype=complex)))
+            alg, 2, np.concatenate([Representation.defining(FiniteAlgebra((2,))).units,
+                                    np.zeros((1, 2, 2), dtype=complex)]))
         assert not zero_block.faithful and zero_block.is_unital
 
 

@@ -241,8 +241,7 @@ class TestResultInvariants:
         t = random_triple(rng, blocks)
         h = t.hilbert_dim
         u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
-        images = tuple(u @ arr @ u.conj().T for arr in t.rep.basis_images)
-        rotated = SpectralTriple(Representation(t.algebra, h, images),
+        rotated = SpectralTriple(Representation(t.algebra, h, u @ t.rep.units @ u.conj().T),
                                  u @ t.dirac @ u.conj().T, u @ t.grading @ u.conj().T)
         phi, phi2 = random_state(t.algebra, rng), random_state(t.algebra, rng)
         base = spectral_distance(t, phi, phi2, 1e-7)
@@ -272,8 +271,7 @@ class TestResultInvariants:
         rng = np.random.default_rng(seed + 1)
         h = t.hilbert_dim
         u, _ = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))
-        images = tuple(u @ arr @ u.conj().T for arr in t.rep.basis_images)
-        rotated = SpectralTriple(Representation(t.algebra, h, images),
+        rotated = SpectralTriple(Representation(t.algebra, h, u @ t.rep.units @ u.conj().T),
                                  u @ t.dirac @ u.conj().T, u @ t.grading @ u.conj().T)
         base = spectral_distance(t, phi, phi2, 1e-10)
         r = spectral_distance(rotated, phi, phi2, 1e-10)
@@ -298,11 +296,11 @@ def coordinate_triple(k, h, lam=1.0):
     The other k - h coordinates act as zero, so pi is not faithful; with
     k > 2 h^2 the commutator map has fewer real components than coordinates.
     """
-    images = [np.zeros((1, 1, h, h), dtype=complex) for _ in range(k)]
+    units = np.zeros((k, h, h), dtype=complex)
     for i in range(h):
-        images[i][0, 0, i, i] = 1.0
+        units[i, i, i] = 1.0
     dirac = np.array([[0.0, 1.0], [1.0, 0.0]]) / lam if h == 2 else np.ones((1, 1))
-    return SpectralTriple(Representation(FiniteAlgebra((1,) * k), h, tuple(images)), dirac)
+    return SpectralTriple(Representation(FiniteAlgebra((1,) * k), h, units), dirac)
 
 
 class TestKernelSplit:

@@ -252,15 +252,17 @@ class TestCli:
     def test_distance_catalog_unknown_key_is_usage_error(self, capsys, spec):
         self._assert_input_error(["distance", "--triple", spec, "--pure", "0,1"], capsys)
 
-    @pytest.mark.parametrize("blocks,hilbert_dim", [([1.9, 1.2], 2), ([1, 1], 2.7),
-                                                    ([1.9, 1.2], 2.7), ([1, 1], 10 ** 400),
-                                                    ([1, math.inf], 2)],
-                             ids=["blocks", "hilbert_dim", "both", "huge", "infinite"])
+    @pytest.mark.parametrize("blocks,hilbert_dim,dirac_rows",
+                             [([1.9, 1.2], 2, 2), ([1, 1], 2.7, 2), ([1.9, 1.2], 2.7, 2),
+                              ([1, 1], 10 ** 400, 2), ([1, math.inf], 2, 2), ([1, 1], 2, 2.7)],
+                             ids=["blocks", "hilbert_dim", "both", "huge", "infinite",
+                                  "dirac_rows"])
     def test_distance_non_integral_sizes_are_usage_errors(self, tmp_path, capsys,
-                                                          blocks, hilbert_dim):
+                                                          blocks, hilbert_dim, dirac_rows):
         doc = triple_to_json(ncgp.two_point(2.0))
         doc["algebra"]["blocks"] = doc["representation"]["algebra"]["blocks"] = blocks
         doc["representation"]["hilbert_dim"] = hilbert_dim
+        doc["dirac"]["rows"] = dirac_rows
         (tmp_path / "triple.json").write_text(json.dumps(doc))
         self._assert_input_error(["distance", "--triple", str(tmp_path / "triple.json"),
                                   "--pure", "0,1"], capsys)
@@ -269,6 +271,7 @@ class TestCli:
         doc = triple_to_json(ncgp.two_point(2.0))
         doc["algebra"]["blocks"] = doc["representation"]["algebra"]["blocks"] = [1.0, 1.0]
         doc["representation"]["hilbert_dim"] = 2.0
+        doc["dirac"]["rows"] = 2.0
         (tmp_path / "triple.json").write_text(json.dumps(doc))
         assert main(["distance", "--triple", str(tmp_path / "triple.json"),
                      "--pure", "0,1"]) == 0
