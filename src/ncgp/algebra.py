@@ -3,8 +3,9 @@ representations, elements and states.
 
 An algebra is a list of block sizes [n_1, ..., n_k] for A = M_{n_1} + ... +
 M_{n_k}.  Each coordinate layout is written once.  The flat layout concatenates
-the raveled blocks, and `_split` cuts it back; `Representation.units` holds the
-images of the matrix units in it.  The hermitian order is `_hermitian_blocks`.
+the raveled blocks, and `_split` cuts it back; an `AlgebraElement` is stored as
+its flat array, and `Representation.units` holds the images of the matrix units
+in it.  The hermitian order is the cached frame `hermitian_basis`.
 A tensor-product algebra remembers its two factors; `FiniteAlgebra.outer_order`
 states where E^a_ik (x) E^b_jl sits in its flat layout, and product elements,
 states and representations and slice maps are all read off it.
@@ -44,22 +45,28 @@ class FiniteAlgebra:
         return all(n == 1 for n in self.blocks)
 
     def unit(self) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(np.eye(n, dtype=complex) for n in self.blocks))
+        flat = np.zeros(self.selfadjoint_dim, dtype=complex)
+        for b in _split(self, flat):
+            np.fill_diagonal(b, 1.0)
+        return AlgebraElement(self, flat)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(np.zeros((n, n), dtype=complex) for n in self.blocks))
+        return AlgebraElement(self, np.zeros(self.selfadjoint_dim, dtype=complex))
 
     def element(self, blocks) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(as_operator(b) for b in blocks))
+        mats = [as_operator(b) for b in blocks]
+        if len(mats) != len(self.blocks):
+            raise ValueError("wrong number of blocks")
+        for m, n in zip(mats, self.blocks):
+            if m.shape != (n, n):
+                raise ValueError(f"block shape {m.shape} does not match size {n}")
+        return AlgebraElement(self, _flat(mats))
 
     def diagonal_element(self, values) -> "AlgebraElement":
         """Element of a commutative algebra from a vector of coordinates."""
         if not self.is_commutative:
             raise ValueError("diagonal_element requires all blocks of size 1")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (len(self.blocks),):
-            raise ValueError(f"expected {len(self.blocks)} coordinates")
-        return self.element([np.array([[v]]) for v in values])
+        return AlgebraElement(self, values)   # 1 x 1 blocks: the values are the flat layout
 
     def tensor(self, other: "FiniteAlgebra") -> "FiniteAlgebra":
         blocks = tuple(n * m for n in self.blocks for m in other.blocks)
@@ -84,37 +91,43 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
+    """sum_r flat[r] E_r over the matrix units E_r, in the flat layout."""
+
     algebra: FiniteAlgebra
-    blocks: tuple[np.ndarray, ...]
+    flat: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(as_operator(b) for b in self.blocks)
-        if len(mats) != len(self.algebra.blocks):
-            raise ValueError("wrong number of blocks")
-        for m, n in zip(mats, self.algebra.blocks):
-            if m.shape != (n, n):
-                raise ValueError(f"block shape {m.shape} does not match size {n}")
-        object.__setattr__(self, "blocks", mats)
+        n = self.algebra.selfadjoint_dim
+        flat = np.asarray(self.flat, dtype=complex)
+        if flat.shape != (n,):
+            raise ValueError(f"expected {n} coordinates, got {flat.shape}")
+        if not np.isfinite(flat).all():
+            raise ValueError("element has non-finite entries")
+        object.__setattr__(self, "flat", flat)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return _split(self.algebra, self.flat)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement(self.algebra, self.flat + other.flat)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement(self.algebra, self.flat - other.flat)
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(complex(scalar) * b for b in self.blocks))
+        return AlgebraElement(self.algebra, complex(scalar) * self.flat)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
-        return AlgebraElement(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+        return AlgebraElement(self.algebra, _flat(a @ b for a, b in zip(self.blocks, other.blocks)))
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(b.conj().T for b in self.blocks))
+        return AlgebraElement(self.algebra, _flat(b.conj().T for b in self.blocks))
 
     def is_selfadjoint(self, tol: float = STRUCT_TOL) -> bool:
         return all(is_hermitian(b, tol) for b in self.blocks)
@@ -144,16 +157,11 @@ def _product_algebra(factors, product: FiniteAlgebra | None, what: str) -> Finit
     return factors[0].tensor(factors[1]) if product is None else product
 
 
-def _outer_blocks(product: FiniteAlgebra, x, y) -> tuple[np.ndarray, ...]:
-    """The blocks of x (x) y on `product`, for the blocks x and y of its factors."""
-    return _split(product, np.outer(_flat(x), _flat(y)).take(product.outer_order))
-
-
 def tensor_element(a: AlgebraElement, b: AlgebraElement,
                    product: FiniteAlgebra | None = None) -> AlgebraElement:
     """a (x) b as an element of the tensor-product algebra."""
     product = _product_algebra((a.algebra, b.algebra), product, "operands")
-    return AlgebraElement(product, _outer_blocks(product, a.blocks, b.blocks))
+    return AlgebraElement(product, np.outer(a.flat, b.flat).take(product.outer_order))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,8 +200,7 @@ class Representation:
     def apply(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
             raise ValueError("element lives on a different algebra")
-        flat = _flat(a.blocks)
-        return (flat @ self.units.reshape(len(flat), -1)).reshape(self.units.shape[1:])
+        return (a.flat @ self.units.reshape(len(a.flat), -1)).reshape(self.units.shape[1:])
 
     @cached_property
     def is_unital(self) -> bool:
@@ -296,12 +303,19 @@ class State:
         """phi(E_ij) = tr(rho_b E_ij) = rho_b[j, i] for every matrix unit, in flat order."""
         return _flat(rho.T for rho in self.densities)
 
+    def on_hermitian_basis(self) -> np.ndarray:
+        """phi(b_i) for the rows b_i of `hermitian_basis`: as b_i* = b_i, phi(b_i) =
+        sum_b tr(rho_b b_i) = conj(b_i) . flat(rho); frame @ on_units() is equal in
+        exact arithmetic but adds each two-term sum in the other order."""
+        return (hermitian_basis(self.algebra).conj() @ _flat(self.densities)).real
+
 
 def product_state(phi1: State, phi2: State,
                   product: FiniteAlgebra | None = None) -> State:
     """phi_1 (x) phi_2 on the tensor-product algebra."""
     product = _product_algebra((phi1.algebra, phi2.algebra), product, "states")
-    return State(product, _outer_blocks(product, phi1.densities, phi2.densities))
+    outer = np.outer(_flat(phi1.densities), _flat(phi2.densities))
+    return State(product, _split(product, outer.take(product.outer_order)))
 
 
 def slice_map(a: AlgebraElement, phi: State, side: str) -> AlgebraElement:
@@ -320,10 +334,10 @@ def slice_map(a: AlgebraElement, phi: State, side: str) -> AlgebraElement:
     if phi.algebra != traced:
         raise ValueError(f"state must live on the {side} factor")
     coef = np.empty(alg.selfadjoint_dim, dtype=complex)   # coef[r1, r2] multiplies E_r1 (x) E_r2
-    coef[alg.outer_order] = _flat(a.blocks)
+    coef[alg.outer_order] = a.flat
     coef = coef.reshape(alg.factors[0].selfadjoint_dim, -1)
     out = coef @ phi.on_units() if side == "right" else phi.on_units() @ coef
-    return AlgebraElement(kept, _split(kept, out))
+    return AlgebraElement(kept, out)
 
 
 def pure_states(algebra: FiniteAlgebra) -> list[State]:
@@ -348,36 +362,29 @@ def random_state(algebra: FiniteAlgebra, rng: np.random.Generator) -> State:
     return State(algebra, tuple(r / total for r in raw))
 
 
-def _hermitian_blocks(algebra: FiniteAlgebra, x: np.ndarray) -> list[np.ndarray]:
-    """The blocks of sum_i x[..., i] b_i, each of shape x.shape[:-1] + (n, n).
+@lru_cache(maxsize=64)   # keyed on the (hashable) algebra, like outer_order
+def hermitian_basis(algebra: FiniteAlgebra) -> np.ndarray:
+    """The canonically ordered orthonormal (Frobenius) basis b_1, ..., b_k of
+    the self-adjoint part, as the read-only (k, N) frame whose row i is b_i in
+    the flat layout.
 
     This is the one statement of the hermitian order.  Per block and ascending:
     the n diagonal units E_kk, then for k < l in `np.triu_indices` order the
     symmetric (E_kl + E_lk)/sqrt(2) and the antisymmetric i(E_kl - E_lk)/sqrt(2).
     """
+    frame = np.zeros((algebra.selfadjoint_dim,) * 2, dtype=complex)
     s = 1.0 / np.sqrt(2.0)
-    blocks = []
-    off = 0
-    for n in algebra.blocks:
-        xb = x[..., off:off + n * n]
-        off += n * n
-        m = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-        m[..., range(n), range(n)] = xb[..., :n]
+    starts = itertools.accumulate((n * n for n in algebra.blocks), initial=0)
+    for off, n in zip(starts, algebra.blocks):
+        blk = frame[off:off + n * n, off:off + n * n].reshape(-1, n, n)   # a view: blk[i] = b_off+i
+        blk[range(n), range(n), range(n)] = 1.0
         if n > 1:   # np.triu_indices costs more than the rest of a size-1 block
             rows, cols = np.triu_indices(n, 1)
-            sym, anti = xb[..., n::2] * s, xb[..., n + 1::2] * s
-            m[..., rows, cols] = sym + 1j * anti
-            m[..., cols, rows] = sym - 1j * anti
-        blocks.append(m)
-    return blocks
-
-
-def hermitian_basis(algebra: FiniteAlgebra) -> list[AlgebraElement]:
-    """Canonically ordered orthonormal (Frobenius) basis of the self-adjoint part,
-    in the order of `_hermitian_blocks`, built from the identity in one call."""
-    k = algebra.selfadjoint_dim
-    blocks = _hermitian_blocks(algebra, np.eye(k))
-    return [AlgebraElement(algebra, tuple(b[i] for b in blocks)) for i in range(k)]
+            sym = np.arange(n, n * n, 2)
+            blk[sym, rows, cols] = blk[sym, cols, rows] = s
+            blk[sym + 1, rows, cols], blk[sym + 1, cols, rows] = complex(0.0, s), complex(0.0, -s)
+    frame.flags.writeable = False   # shared by every equal algebra
+    return frame
 
 
 def element_from_coordinates(algebra: FiniteAlgebra, x) -> AlgebraElement:
@@ -385,7 +392,7 @@ def element_from_coordinates(algebra: FiniteAlgebra, x) -> AlgebraElement:
     x = np.asarray(x, dtype=float)
     if x.shape != (algebra.selfadjoint_dim,):
         raise ValueError(f"expected {algebra.selfadjoint_dim} coordinates, got {x.shape}")
-    return AlgebraElement(algebra, tuple(_hermitian_blocks(algebra, x)))
+    return AlgebraElement(algebra, x @ hermitian_basis(algebra))
 
 
 # ---------------------------------------------------------------------------

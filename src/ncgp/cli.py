@@ -20,11 +20,11 @@ import os
 import re
 import sys
 
-from .algebra import state_from_json
+from . import khomology, triples
+from .algebra import pure_states, state_from_json
 from .distance import distance_result_to_json, spectral_distance
 from .experiments import CHECKS, SWEEPS, check_khomology
 from .tolerances import DEFAULT_TOL
-from .triples import triple_from_json
 from .wasserstein import measure_from_json, space_from_json, w1
 
 # what loading and validating input files can raise; each means exit 2
@@ -149,8 +149,6 @@ def parse_triple_spec(spec: str):
     name(inner[,inner]) for amplify and product, e.g.
     "product(two_point:lambda=2,amplified_two_point:mu=1)".
     """
-    from . import khomology, triples
-
     spec = spec.strip()
     if "(" in spec and spec.endswith(")"):
         name, _, rest = spec.partition("(")
@@ -211,7 +209,7 @@ def _load_json(path: str):
 
 def _load_triple(arg: str):
     if arg.endswith(".json"):
-        return triple_from_json(_load_json(arg))
+        return triples.triple_from_json(_load_json(arg))
     return parse_triple_spec(arg)
 
 
@@ -222,7 +220,6 @@ def _run_distance(args) -> int:
         print(f"ncgp: {exc}", file=sys.stderr)
         return 2
     if args.pure is not None:
-        from .algebra import pure_states
         try:
             i, j = (int(v) for v in args.pure.split(","))
             if min(i, j) < 0:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, State, element_from_coordinates, hermitian_basis
+from .algebra import (AlgebraElement, State, element_from_coordinates, element_to_json,
+                      hermitian_basis)
 from .linalg import op_norm
 # ratio_ascent is not called here: perfbench/tracing.py counts its calls under this name
 from .sdp import maximize_over_unit_ball, ratio_ascent  # noqa: F401
@@ -64,12 +65,8 @@ class DistanceSolver:
 
     def __init__(self, triple: SpectralTriple):
         self.triple = triple
-        self.basis = hermitian_basis(triple.algebra)
-        k, h = len(self.basis), triple.hilbert_dim
-        # row i: basis element i in the flat layout of rep.units; as b_i* = b_i,
-        # phi(b_i) = sum_b tr(rho_b b_i) = conj(row i) . (rho_b flattened)
-        frame = np.array([np.concatenate([m.ravel() for m in b.blocks]) for b in self.basis])
-        self.basis_matrix = frame.conj()
+        frame = hermitian_basis(triple.algebra)   # row i: b_i in the flat layout of rep.units
+        k, h = len(frame), triple.hilbert_dim
         P = (frame @ triple.rep.units.reshape(k, h * h)).reshape(k, h, h)   # pi(b_i)
         L = triple.dirac @ P - P @ triple.dirac
         del P   # not needed past here; freeing it lowers the set-up's peak memory
@@ -91,9 +88,8 @@ class DistanceSolver:
     def _values(self, state: State) -> np.ndarray:
         """phi(b_i) / phi(1): a total trace off 1 (State admits STRUCT_TOL)
         would read as a kernel difference of two states."""
-        rho = np.concatenate([r.ravel() for r in state.densities])
         total = sum(float(np.trace(r).real) for r in state.densities)
-        return (self.basis_matrix @ rho).real / total
+        return state.on_hermitian_basis() / total
 
     def distance(self, phi: State, phi2: State, tol: float = DEFAULT_TOL) -> DistanceResult:
         if not 0.0 < tol < math.inf:
@@ -155,7 +151,6 @@ def distance_matrix(triple: SpectralTriple, states: list[State],
 
 
 def distance_result_to_json(r: DistanceResult) -> dict:
-    from .algebra import element_to_json
     return {"lower": r.lower,
             "upper": "inf" if math.isinf(r.upper) else r.upper,
             "status": r.status, "newton_steps": r.newton_steps,

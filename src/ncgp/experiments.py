@@ -21,6 +21,7 @@ from .algebra import (
     product_state,
     pure_states,
     random_state,
+    slice_map,
 )
 from .distance import DistanceSolver, spectral_distance
 from .khomology import (
@@ -362,7 +363,6 @@ def sweep_lemmas(trials: int = 1000, seed: int = 0,
         if abs(lhs - rhs) > tol * max(1.0, rhs):
             counts["norm_pythagoras"] += 1
 
-    from .algebra import slice_map  # local import to keep module init light
     for _ in range(trials):
         t1 = random_triple(rng, (1, 1), even=True)
         t2 = random_triple(rng, (1, 1), even=False)

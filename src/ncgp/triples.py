@@ -67,10 +67,6 @@ class SpectralTriple:
     def hilbert_dim(self) -> int:
         return self.rep.hilbert_dim
 
-    @property
-    def is_even(self) -> bool:
-        return self.grading is not None
-
     @cached_property
     def is_unital(self) -> bool:
         return self.rep.is_unital
@@ -100,8 +96,8 @@ def two_point(lam: float) -> SpectralTriple:
 
     The spectral distance between its two pure states equals lam.
     """
-    if lam <= 0:
-        raise ValueError("scale lam must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"scale lam must be finite and positive, got {lam}")
     rep = Representation.defining(FiniteAlgebra((1, 1)))
     dirac = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / lam
     grading = np.diag([1.0, -1.0]).astype(complex)
@@ -134,8 +130,8 @@ def amplified_two_point(mu: float) -> SpectralTriple:
 
     Non-unital; the spectral distance between the two pure states equals mu.
     """
-    if mu <= 0:
-        raise ValueError("scale mu must be positive")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"scale mu must be finite and positive, got {mu}")
     base = SpectralTriple(
         Representation.defining(FiniteAlgebra((1, 1))),
         np.zeros((2, 2), dtype=complex),
@@ -154,8 +150,8 @@ def lattice_line(n: int, h: float = 1.0) -> SpectralTriple:
     """
     if n < 3:
         raise ValueError("lattice needs at least 3 points")
-    if h <= 0:
-        raise ValueError("spacing h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"spacing h must be finite and positive, got {h}")
     rep = Representation.defining(FiniteAlgebra((1,) * n))
     dirac = np.zeros((n, n), dtype=complex)
     for k in range(n - 1):

@@ -1,5 +1,6 @@
 """Algebras, representations, elements, states and slice maps."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgp.algebra import (
+    AlgebraElement,
     FiniteAlgebra,
     Representation,
     State,
@@ -432,7 +434,7 @@ class TestState:
 class TestHermitianBasis:
     def test_count_and_orthonormality(self):
         alg = FiniteAlgebra((2, 1))
-        basis = hermitian_basis(alg)
+        basis = [AlgebraElement(alg, row) for row in hermitian_basis(alg)]
         assert len(basis) == alg.selfadjoint_dim == 5
         for i, e in enumerate(basis):
             assert e.is_selfadjoint()
@@ -448,7 +450,7 @@ class TestHermitianBasis:
         elem = element_from_coordinates(alg, x)
         assert elem.is_selfadjoint()
         back = [sum(np.trace(b.conj().T @ e).real for b, e in zip(basis_el.blocks, elem.blocks))
-                for basis_el in hermitian_basis(alg)]
+                for basis_el in (AlgebraElement(alg, row) for row in hermitian_basis(alg))]
         assert np.allclose(back, x, atol=1e-13)
 
     @pytest.mark.parametrize("alg", [FiniteAlgebra((1, 1)), FiniteAlgebra((2, 3)),
@@ -458,7 +460,7 @@ class TestHermitianBasis:
         # reference: the sum over the basis, one validated partial sum per term
         def partial_sums(x):
             out = alg.zero()
-            for xi, b in zip(x, hermitian_basis(alg)):
+            for xi, b in zip(x, (AlgebraElement(alg, row) for row in hermitian_basis(alg))):
                 out = out + float(xi) * b
             return out
 
@@ -473,6 +475,44 @@ class TestHermitianBasis:
     def test_coordinates_reject_wrong_length(self):
         with pytest.raises(ValueError):
             element_from_coordinates(FiniteAlgebra((2,)), np.zeros(3))
+
+    def test_frame_is_cached_and_read_only(self):
+        def alg():
+            return FiniteAlgebra((1, 2)).tensor(FiniteAlgebra((2, 1)))
+
+        frame = hermitian_basis(alg())
+        assert hermitian_basis(alg()) is frame   # equal algebras share one frame
+        assert frame.shape == (alg().selfadjoint_dim,) * 2 and not frame.flags.writeable
+        assert np.abs(frame @ frame.conj().T - np.eye(len(frame))).max() <= 1e-15
+
+
+class TestFlatElements:
+    def test_blocks_are_views_of_the_one_stored_array(self):
+        rng = np.random.default_rng(12)
+        alg = FiniteAlgebra((2, 1, 3))
+        a = alg.element([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                         for n in alg.blocks])
+        assert [f.name for f in dataclasses.fields(a)] == ["algebra", "flat"]
+        x = rng.normal(size=alg.selfadjoint_dim)
+        for e in (a, alg.unit(), alg.zero(), a + a, 2.0 * a, a @ a, a.adjoint(),
+                  element_from_coordinates(alg, x)):
+            assert e.flat.shape == (alg.selfadjoint_dim,)
+            assert all(np.shares_memory(e.flat, blk) for blk in e.blocks)
+        assert all(np.array_equal(blk, np.eye(n)) for blk, n in zip(alg.unit().blocks, alg.blocks))
+        for got, m in zip((a @ a).blocks, a.blocks):
+            assert np.array_equal(got, m @ m)
+
+    def test_block_and_flat_inputs_are_checked(self):
+        with pytest.raises(ValueError, match="wrong number of blocks"):
+            C2.element([np.eye(1)])
+        with pytest.raises(ValueError, match=r"block shape \(2, 2\) does not match size 1"):
+            C2.element([np.eye(2), np.eye(1)])
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            C2.element([np.eye(1), np.array([[np.nan]])])
+        with pytest.raises(ValueError, match="element has non-finite entries"):
+            AlgebraElement(C2, [1.0, np.inf])
+        with pytest.raises(ValueError, match=r"expected 2 coordinates, got \(3,\)"):
+            AlgebraElement(C2, np.zeros(3))
 
 
 def test_json_round_trips_exact():

@@ -1,6 +1,7 @@
 """The CLI contract on mutated input documents: `ncgp distance` and `ncgp w1`
 exit 0, 1 or 2 whatever their JSON files hold, never with a traceback, and a
-usage error is one `ncgp: ` line on stderr."""
+usage error is one `ncgp: ` line on stderr.  The same holds for catalog scales
+that are not finite and positive."""
 
 import contextlib
 import copy
@@ -109,3 +110,19 @@ def test_mutated_input_keeps_exit_contract(command, doc, data):
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("ncgp: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "two-point", "--lambda", "inf"],
+    ["check", "amplified-two-point", "--mu", "inf"],
+    ["check", "prop-indep", "--mu", "inf"],
+    ["check", "prop-bound", "--lambda", "inf"],
+    ["check", "lattice-bound", "--n", "3", "--lambda", "inf"],
+    ["check", "two-point", "--lambda", "nan"],
+    ["distance", "--triple", "two_point:lambda=inf", "--pure", "0,1"],
+    ["distance", "--triple", "lattice_line:n=4,h=inf", "--pure", "0,1"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_catalog_scale_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ncgp: ") and len(err.splitlines()) == 1

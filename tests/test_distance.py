@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 import ncgp
 from ncgp.algebra import (
+    AlgebraElement,
     FiniteAlgebra,
     Representation,
     State,
+    hermitian_basis,
     product_state,
     pure_states,
     random_state,
@@ -26,6 +28,7 @@ from ncgp.distance import (
 from ncgp.experiments import random_triple
 from ncgp.linalg import op_norm
 from ncgp.sdp import maximize_over_unit_ball, ratio_ascent
+from ncgp.tolerances import SWEEP_TOL
 from ncgp.triples import (
     SpectralTriple,
     amplified_two_point,
@@ -308,7 +311,8 @@ class TestKernelSplit:
     def test_thin_svd_kernel_matches_full_svd(self, k, h):
         t = coordinate_triple(k, h, lam=3.0)
         solver = DistanceSolver(t)
-        L = np.stack([t.commutator_with_dirac(b) for b in solver.basis])
+        L = np.stack([t.commutator_with_dirac(AlgebraElement(t.algebra, row))
+                      for row in hermitian_basis(t.algebra)])
         flat = np.concatenate([L.reshape(k, -1).real, L.reshape(k, -1).imag], axis=1)
         assert flat.shape[1] < k
         u, s, _ = np.linalg.svd(flat, full_matrices=True)
@@ -452,6 +456,23 @@ class TestTheoremOne:
                                   product_state(phi1p, phi2, pt.algebra), tol)
             assert r.lower == pytest.approx(r1.lower, abs=3 * tol)
 
+    @pytest.mark.parametrize("even", [True, False], ids=["even", "odd"])
+    def test_factor_distance_matches_closed_form(self, even):
+        # over C^2 a = a_2 1 + (a_1 - a_2) e_1 and pi(1) commutes with D, so
+        # d(phi_p, phi_q) = |p - q| / g with g = ||[D, pi(e_1)]||; p - q
+        # cancels, so the slack is in ulps of (p + q) / g, not relative to d
+        eps = np.finfo(float).eps
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            t = random_triple(rng, (1, 1), unital=True, even=even)
+            phi, phi2 = random_state(t.algebra, rng), random_state(t.algebra, rng)
+            p, q = phi.densities[0][0, 0].real, phi2.densities[0][0, 0].real
+            g = op_norm(t.commutator_with_dirac(t.algebra.diagonal_element([1.0, 0.0])))
+            exact, slack = abs(p - q) / g, 16 * eps * (p + q) / g
+            r = spectral_distance(t, phi, phi2, SWEEP_TOL)
+            assert r.lower <= exact + slack, seed
+            assert r.upper >= exact - slack, seed
+
 
 class TestAscentOracle:
     def test_ascent_agrees_with_solver_on_catalog(self):
@@ -460,7 +481,8 @@ class TestAscentOracle:
         solver = DistanceSolver(pt)
         phi = product_states_pm(pt, PLUS, PLUS)
         phi2 = product_states_pm(pt, MINUS, PLUS)
-        c = np.array([(phi(b) - phi2(b)).real for b in solver.basis])
+        basis = [AlgebraElement(pt.algebra, row) for row in hermitian_basis(pt.algebra)]
+        c = np.array([(phi(b) - phi2(b)).real for b in basis])
         c_red = solver.range_basis.T @ c
         val, y = ratio_ascent(c_red, solver.H_reduced)
         r = solver.distance(phi, phi2, 1e-7)
