@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, State, element_from_coordinates, element_to_json,
                       hermitian_basis)
-from .linalg import op_norm
+from .linalg import finite_json, op_norm
 # ratio_ascent is not called here: perfbench/tracing.py counts its calls under this name
 from .sdp import maximize_over_unit_ball, ratio_ascent  # noqa: F401
 from .tolerances import DEFAULT_TOL, INFINITY_TOL, KERNEL_SVD_TOL, ROUNDOFF_TOL
@@ -152,6 +152,6 @@ def distance_matrix(triple: SpectralTriple, states: list[State],
 
 def distance_result_to_json(r: DistanceResult) -> dict:
     return {"lower": r.lower,
-            "upper": "inf" if math.isinf(r.upper) else r.upper,
+            "upper": finite_json(r.upper),
             "status": r.status, "newton_steps": r.newton_steps,
             "optimizer": element_to_json(r.optimizer)}

@@ -34,7 +34,7 @@ from .khomology import (
     module_f_plus,
     pairing_vector,
 )
-from .linalg import commutator, op_norm, parity_split, tensor
+from .linalg import commutator, finite_json, op_norm, parity_split, tensor
 from .tolerances import CHECK_TOL, SWEEP_TOL
 from .triples import (
     SpectralTriple,
@@ -69,7 +69,7 @@ class ExperimentReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
+        return finite_json({
             "experiment_id": self.experiment_id,
             "inputs": self.inputs,
             "claimed": self.claimed,
@@ -80,7 +80,7 @@ class ExperimentReport:
             "seed": self.seed,
             "prng": self.prng,
             "details": self.details,
-        }
+        })
 
 
 def _report(experiment_id, inputs, claimed, computed, passed, tolerance, t0,

@@ -9,6 +9,8 @@ never drift far from 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tolerances import STRUCT_TOL
@@ -89,6 +91,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     a = as_operator(m)
     entries = [[float(z.real), float(z.imag)] for z in a.ravel()]
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": entries}
+
+
+def finite_json(obj):
+    """obj with every non-finite float written as its string ("inf", "-inf",
+    "nan"), recursing into dicts, lists and tuples: ncgp's one encoding of
+    values that strict JSON cannot hold."""
+    if isinstance(obj, dict):
+        return {key: finite_json(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [finite_json(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    return obj
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

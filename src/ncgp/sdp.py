@@ -20,7 +20,10 @@ The problem is homogeneous: for a, b > 0, max (a c).y over ||H(y) / b|| <= 1
 is a b times max c.y over ||H(y)|| <= 1.  So the solve first divides c by
 ||c|| and the H_j by sigma = sqrt(lambda_max(G)), G_ij = Re tr(H_i H_j) the
 Gram matrix, runs on that unit-scale data, and scales the bracket by
-||c|| / sigma and y_best by 1 / sigma on return.  On unit-scale data every threshold (the
+||c|| / sigma and y_best by 1 / sigma on return.  It forms G only after
+scaling the H_j by the power of two that brings their largest entry into
+[1/2, 1): that is exact, and G neither underflows nor overflows, at H_j of
+1e-300 or of 1e300.  On unit-scale data every threshold (the
 decrement, the line-search step, the ridge, the final mu) is relative, and
 the optimum is at least 1 (y = c / ||H(c)|| attains 1 / ||H(c)|| >= 1 /
 ||H(c)||_F >= 1), so the bracket closes when upper - lower <= tol * lower,
@@ -32,11 +35,22 @@ Once per outer iteration, the strictly feasible iterate scaled to the
 boundary by its exact norm (one eigvalsh of H(y)) gives a certified lower
 bound, and dual certificates Z+, Z- >= 0 built from S+- with
 <Z+ - Z-, H_j> = -c_j (one eigvalsh of the stack [Z+, Z-]) give a certified
-upper bound tr Z+ + tr Z-.  Centering at one mu ends when the Newton
-decrement is small, the line search finds no ascent or MAX_CENTERING steps
+upper bound tr Z+ + tr Z-.  Centering at one mu is loose, as in long-step
+path following (Nesterov and Nemirovski, *Interior-Point Polynomial
+Algorithms in Convex Programming* (1994); Boyd and Vandenberghe, ch. 11): it
+ends when the squared Newton decrement lambda^2 = d.K.d is at most
+CENTERING_TOL = 0.2, the line search finds no ascent or MAX_CENTERING steps
 were taken; then mu falls by 0.15, until the bracket closes or mu reaches
 MIN_MU (at most 17 outer iterations).  A Newton system that is not positive
 definite to working precision ends the solve with the bracket it has.
+
+The bracket is certified at any centering accuracy: the lower bound holds
+for every strictly feasible iterate, and the upper bound adds the deficit
+term 2h max(0, -lambda_min(Z+-)), which pays for an indefinite certificate.
+Loose centering costs it nothing either: Z+- = mu S^1/2 (I -+ M) S^1/2 with
+S = S+- and M = S^1/2 H(d) S^1/2, and lambda^2 = ||M+||_F^2 + ||M-||_F^2, so
+Z+- is positive definite whenever lambda < 1, and at lambda^2 <= 0.2 the
+deficit term does not bind in exact arithmetic.
 
 The H_j are read only on their union support U = {(a, b) : some H_j[a, b] != 0},
 as index arrays ia, ib and the values Hu = H[:, ia, ib] (k x |U|): H(y) is
@@ -168,13 +182,18 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     ia, ib, Hu = _union_support(H)
     flat = ia * h + ib
 
-    # Gram matrix of the H_j; PD by linear independence
-    gram = np.linalg.eigvalsh((Hu @ np.conj(Hu).T).real)
+    # Gram matrix of the H_j, PD by linear independence, formed from the H_j
+    # times the power of two 2^-e that brings their largest entry into
+    # [1/2, 1): exact, and it neither underflows nor overflows at any scale
+    e = int(np.frexp(np.abs(Hu).max(initial=0.0))[1])
+    Hs = np.ldexp(np.ascontiguousarray(Hu, dtype=complex).view(np.float64), -e).view(complex)
+    gram = np.linalg.eigvalsh((Hs @ np.conj(Hs).T).real)
     if gram[0] <= 0:
         raise ValueError("H_j must be linearly independent (project out the kernel first)")
-    # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 the top Gram
-    # eigenvalue; the bracket scales back by ||c|| / sigma, y_best by 1 / sigma
-    cnorm, sigma = float(np.linalg.norm(c)), float(np.sqrt(gram[-1]))
+    # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 the top eigenvalue of
+    # the unscaled Gram matrix; the bracket scales back by ||c|| / sigma,
+    # y_best by 1 / sigma
+    cnorm, sigma = float(np.linalg.norm(c)), float(np.ldexp(np.sqrt(gram[-1]), e))
     c, Hu = c / cnorm, Hu / sigma
     # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
     # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
@@ -233,17 +252,18 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
                     continue
 
             # primal bound: scale the strictly feasible iterate to the boundary
+            # (skipped at y = 0, where H(y) = 0: no step has been taken yet)
             lam = np.linalg.eigvalsh(H_of(y))
             norm = max(-lam[0], lam[-1])
-            cand = float(c @ y) / norm
-            if cand > lower:
+            if norm > 0 and (cand := float(c @ y) / norm) > lower:
                 lower, y_best = cand, y / norm
 
             # dual bound: the Newton-corrected dual pair
             #   Z+ = mu (S+ - S+ dH S+),   Z- = mu (S- + S- dH S-),   dH = H(d),
             # satisfies <Z+ - Z-, H_j> = -c_j exactly by the Newton equations and
-            # is positive definite once the decrement is small; residual roundoff
-            # is folded in via the a-priori bound on feasible ||y||.
+            # is positive definite while lambda^2 = lam2 < 1 (module docstring),
+            # which centering to lam2 <= CENTERING_TOL = 0.2 leaves with room;
+            # residual roundoff is folded in via the a-priori bound on feasible ||y||.
             Z = mu * (S - signs * (S @ H_of(d) @ S))
             resid = (Hu @ np.conj((Z[0] - Z[1]).ravel()[flat])).real + c
             zmin = float(np.linalg.eigvalsh(Z)[:, 0].min())

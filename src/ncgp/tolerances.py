@@ -23,7 +23,8 @@ ROUNDOFF_TOL = 1e-15        # ... once it also exceeds this times ||phi|| + ||ph
 
 # Interior-point method, on data normalized to ||c|| = 1, lambda_max(Gram) = 1
 
-CENTERING_TOL = 1e-6        # Newton decrement that ends centering at one mu
+CENTERING_TOL = 0.2         # squared Newton decrement that ends centering at one mu: a solver
+                            # setting, no result is compared against it (below 1, Z+- > 0)
 MIN_STEP = 1e-14            # line-search step below which centering stops
 RIDGE_TOL = 1e-13           # shift of K's diagonal, relative to its mean diagonal entry
 MIN_MU = 1e-13              # barrier parameter below which path following stops

@@ -7,6 +7,7 @@ A1 (x) A2 and H1 (x) H2 with Dirac operator D1 (x) 1 + gamma1 (x) D2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -91,13 +92,21 @@ def product(t1: SpectralTriple, t2: SpectralTriple) -> SpectralTriple:
     return SpectralTriple(rep, dirac, grading)
 
 
+def _check_scale(name: str, value: float, numerator: float) -> None:
+    """Refuse a scale unless it is finite and positive and numerator / value,
+    the largest entry of D, is finite too; checked in Python floats, before
+    numpy divides by a subnormal scale and warns."""
+    if not (0.0 < value < math.inf and math.isfinite(numerator / float(value))):
+        raise ValueError(f"scale {name} must be finite and positive, with "
+                         f"{numerator:g}/{name} finite, got {value}")
+
+
 def two_point(lam: float) -> SpectralTriple:
     """The two-point space: A = C^2 acting diagonally on C^2, D = sigma_x/lam.
 
     The spectral distance between its two pure states equals lam.
     """
-    if not 0.0 < lam < np.inf:
-        raise ValueError(f"scale lam must be finite and positive, got {lam}")
+    _check_scale("lam", lam, 1.0)
     rep = Representation.defining(FiniteAlgebra((1, 1)))
     dirac = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / lam
     grading = np.diag([1.0, -1.0]).astype(complex)
@@ -130,8 +139,7 @@ def amplified_two_point(mu: float) -> SpectralTriple:
 
     Non-unital; the spectral distance between the two pure states equals mu.
     """
-    if not 0.0 < mu < np.inf:
-        raise ValueError(f"scale mu must be finite and positive, got {mu}")
+    _check_scale("mu", mu, 2.0)
     base = SpectralTriple(
         Representation.defining(FiniteAlgebra((1, 1))),
         np.zeros((2, 2), dtype=complex),
@@ -150,8 +158,7 @@ def lattice_line(n: int, h: float = 1.0) -> SpectralTriple:
     """
     if n < 3:
         raise ValueError("lattice needs at least 3 points")
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"spacing h must be finite and positive, got {h}")
+    _check_scale("h", h, 0.25)
     rep = Representation.defining(FiniteAlgebra((1,) * n))
     dirac = np.zeros((n, n), dtype=complex)
     for k in range(n - 1):
@@ -163,6 +170,7 @@ def lattice_line(n: int, h: float = 1.0) -> SpectralTriple:
 def two_sheeted_line(n: int, h: float = 1.0) -> SpectralTriple:
     """Amplified lattice line with Dirac doubled (D = 2F), the second factor of
     the two-sheeted geometry."""
+    _check_scale("h", h, 0.5)
     amp = amplify(lattice_line(n, h))
     return SpectralTriple(amp.rep, 2.0 * amp.dirac, amp.grading)
 

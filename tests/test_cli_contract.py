@@ -1,7 +1,8 @@
 """The CLI contract on mutated input documents: `ncgp distance` and `ncgp w1`
 exit 0, 1 or 2 whatever their JSON files hold, never with a traceback, and a
 usage error is one `ncgp: ` line on stderr.  The same holds for catalog scales
-that are not finite and positive."""
+that are not finite and positive, or whose reciprocal is not finite, and a
+report of an extreme but valid scale is written as JSON."""
 
 import contextlib
 import copy
@@ -121,8 +122,27 @@ def test_mutated_input_keeps_exit_contract(command, doc, data):
     ["check", "two-point", "--lambda", "nan"],
     ["distance", "--triple", "two_point:lambda=inf", "--pure", "0,1"],
     ["distance", "--triple", "lattice_line:n=4,h=inf", "--pure", "0,1"],
+    # subnormal scales: D would divide by them to an infinite entry
+    ["distance", "--triple", "two_point:lambda=1e-320", "--pure", "0,1"],
+    ["distance", "--triple", "amplified_two_point:mu=1e-308", "--pure", "0,1"],
+    ["distance", "--triple", "lattice_line:n=4,h=1e-309", "--pure", "0,1"],
+    ["distance", "--triple", "two_sheeted_line:n=3,h=2e-309", "--pure", "0,1"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_catalog_scale_is_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("ncgp: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["check", "two-point", "--lambda", "1e300"], 0),
+    (["check", "two-point", "--lambda", "1e-300"], 0),
+    # the product solve reports this pair infinite; its report still holds
+    # upper = inf, which strict JSON cannot, and must be written
+    (["check", "prop-indep", "--lambda", "1e-300"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_extreme_finite_scale_writes_a_json_report(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["pass"] is (code == 0)

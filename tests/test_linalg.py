@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ncgp.linalg import (
     commutator,
+    finite_json,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -202,6 +203,13 @@ def test_matrix_json_round_trip_exact():
     blob = json.dumps(matrix_to_json(m))
     back = matrix_from_json(json.loads(blob))
     assert np.array_equal(back, m)
+
+
+def test_finite_json_writes_non_finite_floats_as_strings():
+    obj = {"a": [1.5, np.inf, (-np.inf, np.float64("nan"))], "b": {"c": 2, "d": "inf"}}
+    out = finite_json(obj)
+    assert out == {"a": [1.5, "inf", ["-inf", "nan"]], "b": {"c": 2, "d": "inf"}}
+    json.dumps(out, allow_nan=False)
 
 
 def test_matrix_json_schema():

@@ -15,7 +15,7 @@ from ncgp.experiments import random_triple
 from ncgp.sdp import (MAX_CENTERING, _inverse, _log_det, _newton_dense, _newton_support,
                       _support_order_is_cheaper, _union_support, maximize_over_unit_ball,
                       ratio_ascent)
-from ncgp.tolerances import MIN_MU
+from ncgp.tolerances import CENTERING_TOL, MIN_MU
 from ncgp.triples import product, two_point, two_sheeted_line
 
 
@@ -35,6 +35,22 @@ def lp_oracle_diagonal(c, diags):
     return np.inf if res.status == 3 else -res.fun
 
 
+def diagonal_instance(seed):
+    """Random (c, L) with diagonal L_j and its LP optimum; None for a nearly
+    dependent draw, which the engine does not accept."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    n = int(rng.integers(k, k + 4))
+    diags = [rng.normal(size=n) for _ in range(k)]
+    if np.linalg.matrix_rank(np.stack(diags), tol=1e-8) < k:
+        return None
+    c = rng.normal(size=k)
+    L = np.zeros((k, n, n), dtype=complex)
+    for j, d in enumerate(diags):
+        L[j] = np.diag(d)
+    return c, L, lp_oracle_diagonal(c, diags)
+
+
 class TestAgainstLpOracle:
     def test_single_direction(self):
         L = np.zeros((1, 3, 3), dtype=complex)
@@ -47,22 +63,32 @@ class TestAgainstLpOracle:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_diagonal_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 5))
-        n = int(rng.integers(k, k + 4))
-        diags = [rng.normal(size=n) for _ in range(k)]
-        # reject nearly dependent draws; the engine requires independence
-        if np.linalg.matrix_rank(np.stack(diags), tol=1e-8) < k:
+        instance = diagonal_instance(seed)
+        if instance is None:
             pytest.skip("dependent draw")
-        c = rng.normal(size=k)
-        want = lp_oracle_diagonal(c, diags)
-        L = np.zeros((k, n, n), dtype=complex)
-        for j, d in enumerate(diags):
-            L[j] = np.diag(d)
+        c, L, want = instance
         sol = maximize_over_unit_ball(c, L, 1e-7)
         assert sol.lower <= want + 1e-6
         assert sol.upper >= want - 1e-6
         assert sol.lower == pytest.approx(want, abs=1e-5)
+
+    @pytest.mark.parametrize("centering", [CENTERING_TOL, 1.0, 1e3, np.inf])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-7])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bracket_is_certified_at_any_centering(self, seed, tol, centering, monkeypatch):
+        # the lower bound is any strictly feasible iterate scaled to the
+        # boundary and the upper bound pays for an indefinite certificate,
+        # so the bracket holds however loosely each mu is centered: at 1e3
+        # most and at inf all bounds are taken far from the central path,
+        # where the certificate's deficit term binds
+        instance = diagonal_instance(seed)
+        if instance is None:
+            pytest.skip("dependent draw")
+        c, L, want = instance
+        monkeypatch.setattr(ncgp.sdp, "CENTERING_TOL", centering)
+        sol = maximize_over_unit_ball(c, L, tol)
+        assert sol.lower <= want * (1 + 1e-9)
+        assert sol.upper >= want * (1 - 1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_dense_instances_bracket(self, seed):
@@ -324,9 +350,10 @@ class TestCholeskyFailure:
     def test_solve_ends_with_the_bracket_it_has(self, monkeypatch):
         # the k x k factorization of K, once per iterate, works at the start
         # and after 11 Newton steps, then raises after the 12th: the solve
-        # stops without an exception, unconverged, with the bracket of its
-        # first outer iteration; the line search's batched factorizations of
-        # I +- H(y) (2 x h x h) pass through uncounted
+        # stops without an exception, unconverged, with the bracket of the
+        # outer iterations it completed (three, after steps 4, 7 and 9); the
+        # line search's batched factorizations of I +- H(y) (2 x h x h) pass
+        # through uncounted
         rng = np.random.default_rng(7)
         diags = [rng.normal(size=5) for _ in range(3)]
         c = rng.normal(size=3)
