@@ -24,7 +24,7 @@ from .algebra import (AlgebraElement, State, element_from_coordinates, element_t
                       hermitian_basis)
 from .linalg import finite_json, op_norm
 # ratio_ascent is not called here: perfbench/tracing.py counts its calls under this name
-from .sdp import maximize_over_unit_ball, ratio_ascent  # noqa: F401
+from .sdp import QUARTER_TURNS, maximize_over_unit_ball, ratio_ascent, real_gauge  # noqa: F401
 from .tolerances import DEFAULT_TOL, INFINITY_TOL, KERNEL_SVD_TOL, ROUNDOFF_TOL
 from .triples import SpectralTriple
 
@@ -75,15 +75,33 @@ class DistanceSolver:
         # the map has fewer than k real components, as for a non-faithful pi
         if flat.shape[1] < k:
             flat = np.pad(flat, ((0, 0), (0, k - flat.shape[1])))
-        u, s, _ = np.linalg.svd(flat, full_matrices=False)
+        # scaled in place by the power of two that brings its largest entry
+        # into [1/2, 1) first: exact, and the SVD does not overflow at D near 1e308
+        e = int(np.frexp(np.abs(flat).max(initial=0.0))[1])
+        u, s, _ = np.linalg.svd(np.ldexp(flat, -e, out=flat), full_matrices=False)
+        del flat
         smax = float(s[0]) if s.size else 0.0
         rank = int(np.sum(s > KERNEL_SVD_TOL * smax))
         self.range_basis = u[:, :rank]           # k x r
         self.kernel_basis = u[:, rank:]          # k x (k - r)
         # H_j = i L_j is Hermitian as D and pi(b_j) are, and ||H(y)|| = ||L(y)||;
-        # taking its Hermitian part makes that exact in floating point
-        H = 1j * (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
-        self.H_reduced = (H + H.conj().transpose(0, 2, 1)) / 2.0
+        # taking its Hermitian part, (i L_j / 2) + (i L_j / 2)*, makes that exact
+        # in floating point, and halving before the sum keeps it finite at D
+        # near 1e308
+        H = (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
+        del L
+        H *= 0.5j
+        H += H.conj().transpose(0, 2, 1)
+        # a diagonal quarter-turn unitary diag(i^g) that makes every H_j real,
+        # where one exists, lets the IPM run in real arithmetic; the norm, and
+        # so the y coordinates, the bracket and the optimizer, are unchanged
+        self.gauge = real_gauge(H)
+        if self.gauge is not None:
+            w = QUARTER_TURNS[self.gauge]
+            H *= np.conj(w)[:, None]
+            H *= w
+            H = np.ascontiguousarray(H.real)
+        self.H_reduced = H
 
     def _values(self, state: State) -> np.ndarray:
         """phi(b_i) / phi(1): a total trace off 1 (State admits STRUCT_TOL)

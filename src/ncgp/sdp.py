@@ -21,15 +21,17 @@ is a b times max c.y over ||H(y)|| <= 1.  So the solve first divides c by
 ||c|| and the H_j by sigma = sqrt(lambda_max(G)), G_ij = Re tr(H_i H_j) the
 Gram matrix, runs on that unit-scale data, and scales the bracket by
 ||c|| / sigma and y_best by 1 / sigma on return.  It forms G only after
-scaling the H_j by the power of two that brings their largest entry into
-[1/2, 1): that is exact, and G neither underflows nor overflows, at H_j of
-1e-300 or of 1e300.  On unit-scale data every threshold (the
-decrement, the line-search step, the ridge, the final mu) is relative, and
-the optimum is at least 1 (y = c / ||H(c)|| attains 1 / ||H(c)|| >= 1 /
-||H(c)||_F >= 1), so the bracket closes when upper - lower <= tol * lower,
-at any scale of c and the H_j.  The barrier parameter starts at
-mu = 1 / (2h): centered pairs have duality gap 2 h mu, so the first bracket
-is already within a factor of 2 of the optimum.
+scaling the H_j by the power of two 2^-e that brings their largest entry
+into [1/2, 1): that is exact, and G neither underflows nor overflows, at H_j
+of 1e-300 or of 1e300.  sigma = 2^e sqrt(lambda_max(2^-2e G)) is kept as that
+mantissa and power of two, and each rescaling applies the power last, since
+sigma itself overflows at H_j near 1e308.  On unit-scale data every
+threshold (the decrement, the line-search step, the ridge, the final mu) is
+relative, and the optimum is at least 1 (y = c / ||H(c)|| attains
+1 / ||H(c)|| >= 1 / ||H(c)||_F >= 1), so the bracket closes when
+upper - lower <= tol * lower, at any scale of c and the H_j.  The barrier
+parameter starts at mu = 1 / (2h): centered pairs have duality gap 2 h mu,
+so the first bracket is already within a factor of 2 of the optimum.
 
 Once per outer iteration, the strictly feasible iterate scaled to the
 boundary by its exact norm (one eigvalsh of H(y)) gives a certified lower
@@ -73,6 +75,25 @@ Fujisawa, Kojima and Nakata (Math. Program. 79, 1997):
 
 Each solve computes both counts from (k, h, |U|) and runs the cheaper order;
 both give the same numbers up to roundoff.
+
+Every step runs unchanged on real symmetric H_j, in real arithmetic, which
+is about twice as fast at h = 60 for the inverse, the Cholesky factorizations
+and eigvalsh, and four times for a GEMM.  `real_gauge` finds, where one exists,
+a diagonal unitary W = diag(i^g_a), g in {0, 1}^h, with W* H_j W real for
+every j: the switching equivalence of gain graphs (Zaslavsky, *Signed
+graphs*, Discrete Appl. Math. 4 (1982); Reff, *Spectral properties of complex
+unit gain graphs*, Linear Algebra Appl. 436 (2012)).  Entry (a, b) is
+multiplied by i^(g_b - g_a), one of 1, -1, i and -i, taken from the table
+QUARTER_TURNS rather than computed: multiplying by them only moves and
+negates the two parts of a complex number, so W* H_j W is exact.  A gauge
+exists only when every support entry is exactly real or exactly imaginary
+(the other part is 0, not small: no tolerance), with the same kind at one
+position in every H_j, and then the imaginary parts it leaves are exactly
+zero.  The two-sheeted lattices, the two-point spaces and their
+products take it; random complex Dirac operators do not.  ||W* H(y) W|| =
+||H(y)||, so y, y_best and the bracket keep their meaning, but the dual
+certificate Z+- is that of the gauged H_j: a checker reading the stored
+generators checks it in the gauged frame, or maps it back by W Z+- W*.
 """
 
 from __future__ import annotations
@@ -103,6 +124,52 @@ def _union_support(H: np.ndarray):
     the values Hu = H[:, ia, ib]."""
     ia, ib = np.nonzero(np.any(H, axis=0))
     return ia, ib, np.ascontiguousarray(H[:, ia, ib])
+
+
+QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])   # i^g, exactly, for g = 0..3
+
+
+def real_gauge(H: np.ndarray) -> np.ndarray | None:
+    """g in {0, 1}^h such that i^-g_a H_j[a, b] i^g_b is real for every j, a
+    and b, or None when there is none; the test is exact (module docstring).
+
+    Each support position must hold real entries in every H_j or imaginary
+    entries in every H_j: real ones need g_a = g_b and imaginary ones
+    g_a != g_b, a parity 2-colouring of the union-support graph, solved by one
+    traversal.
+    """
+    # nonzero real and imaginary parts at each position, from one comparison
+    # of the interleaved (re, im) view: rejecting takes microseconds
+    H = np.ascontiguousarray(H, dtype=complex)
+    nonzero = (H.view(np.float64) != 0).reshape(*H.shape, 2).any(axis=0)
+    real, imag = nonzero[..., 0], nonzero[..., 1]
+    if np.any(real & imag):
+        return None
+    h = H.shape[1]
+    ia, ib = np.nonzero(real | imag)
+    edges = [[] for _ in range(h)]
+    for a, b, odd in zip(ia.tolist(), ib.tolist(), imag[ia, ib].tolist()):
+        edges[a].append((b, odd))
+    g = [-1] * h
+    for root in range(h):
+        if g[root] >= 0:
+            continue
+        g[root], todo = 0, [root]
+        while todo:
+            a = todo.pop()
+            for b, odd in edges[a]:
+                if g[b] < 0:
+                    g[b] = g[a] ^ odd
+                    todo.append(b)
+                elif g[b] != g[a] ^ odd:
+                    return None
+    return np.array(g)
+
+
+def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
+    """X * 2^e, exactly (up to underflow), for real or complex X."""
+    X = np.ascontiguousarray(X)
+    return np.ldexp(X.view(np.float64), e).view(X.dtype)
 
 
 def _log_det(P: np.ndarray) -> float:
@@ -186,15 +253,16 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     # times the power of two 2^-e that brings their largest entry into
     # [1/2, 1): exact, and it neither underflows nor overflows at any scale
     e = int(np.frexp(np.abs(Hu).max(initial=0.0))[1])
-    Hs = np.ldexp(np.ascontiguousarray(Hu, dtype=complex).view(np.float64), -e).view(complex)
-    gram = np.linalg.eigvalsh((Hs @ np.conj(Hs).T).real)
+    Hu = _ldexp(Hu, -e)
+    gram = np.linalg.eigvalsh((Hu @ np.conj(Hu).T).real)
     if gram[0] <= 0:
         raise ValueError("H_j must be linearly independent (project out the kernel first)")
-    # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 the top eigenvalue of
-    # the unscaled Gram matrix; the bracket scales back by ||c|| / sigma,
-    # y_best by 1 / sigma
-    cnorm, sigma = float(np.linalg.norm(c)), float(np.ldexp(np.sqrt(gram[-1]), e))
-    c, Hu = c / cnorm, Hu / sigma
+    # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 = 2^2e gram[-1] the
+    # top eigenvalue of the unscaled Gram matrix, kept as the mantissa
+    # sqrt(gram[-1]) and the power 2^e (it overflows at H_j near 1e308); the
+    # bracket scales back by ||c|| / sigma, y_best by 1 / sigma
+    cnorm, root = float(np.linalg.norm(c)), float(np.sqrt(gram[-1]))
+    c, Hu = c / cnorm, Hu / root
     # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
     # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
     ybound = float(np.sqrt(h * gram[-1] / gram[0]))
@@ -205,7 +273,7 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     if _support_order_is_cheaper(k, h, ia.size):
         newton_system = partial(_newton_support, Hu, ib[:, None] * h + ia)
     else:
-        newton_system = partial(_newton_dense, np.concatenate(H, axis=1) / sigma)
+        newton_system = partial(_newton_dense, _ldexp(np.concatenate(H, axis=1), -e) / root)
 
     def H_of(yv: np.ndarray) -> np.ndarray:
         """H(yv) = sum_j yv_j H_j, scattered from the union support."""
@@ -279,8 +347,10 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     except np.linalg.LinAlgError:
         pass   # K singular: keep the bracket found so far
 
-    scale = cnorm / sigma
-    return LMISolution(y_best=y_best / sigma, lower=lower * scale, upper=upper * scale,
+    scale = cnorm / root
+    return LMISolution(y_best=_ldexp(y_best / root, -e),
+                       lower=float(np.ldexp(lower * scale, -e)),
+                       upper=float(np.ldexp(upper * scale, -e)),
                        converged=converged, newton_steps=steps)
 
 

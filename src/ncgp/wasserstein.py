@@ -24,6 +24,7 @@ from scipy.optimize import linprog
 
 from .tolerances import GAP_TOL, MARGINAL_TOL, STRUCT_TOL, TRIANGLE_TOL
 
+TRIANGLE_ROWS = 4   # rows of the triangle check per pass: O(n^2) memory, not O(n^3)
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
@@ -50,9 +51,12 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix must be symmetric with zero diagonal")
         if d.min() < -tol:
             raise ValueError("distances must be nonnegative")
-        via = np.min(d[:, :, None] + d[None, :, :], axis=1)
-        if (d - via).max() > tol:
-            raise ValueError("triangle inequality violated")
+        # d_ij <= min_k d_ik + d_kj, TRIANGLE_ROWS rows i at a time: the
+        # temporary is TRIANGLE_ROWS n^2, not n^3 (491 MB at n = 400)
+        for i in range(0, n, TRIANGLE_ROWS):
+            rows = d[i:i + TRIANGLE_ROWS]
+            if (rows - np.min(rows[:, :, None] + d[None, :, :], axis=1)).max() > tol:
+                raise ValueError("triangle inequality violated")
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dist", d)

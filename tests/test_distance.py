@@ -1,5 +1,6 @@
 """Spectral distance solver: catalog values, certificates, and properties."""
 
+import dataclasses
 import json
 import math
 
@@ -112,10 +113,12 @@ class TestCatalogDistances:
         # Dirac operator is not mistaken for D = 0; the solver normalizes its
         # data, so small distances close to the same relative tolerance, and
         # scales it by a power of two first, so that the Gram matrix of the
-        # H_j neither underflows (d = 1e300) nor overflows (d = 1e-300)
+        # H_j neither underflows (d = 1e300) nor overflows (d = 1e-300); at
+        # d = 1e-308, D near 1e308, the set-up's SVD, the Hermitian part and
+        # the solver's scale sigma would each overflow without the same care
         tol = 1e-6
-        for lam in (1e-300, 1e-200, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10, 1e13,
-                    1e200, 1e300):
+        for lam in (1e-308, 1e-300, 1e-200, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10,
+                    1e13, 1e200, 1e300):
             r = spectral_distance(two_point(lam), PLUS, MINUS, tol)
             assert r.status == "finite"
             assert abs(r.lower - lam) <= tol * lam
@@ -254,6 +257,44 @@ class TestResultInvariants:
         r = spectral_distance(rotated, phi, phi2, 1e-7)
         assert base.status == r.status == "finite"
         assert r.lower == pytest.approx(base.lower, rel=1e-5)
+
+    def test_diagonal_gauge_invariance_in_both_arithmetics(self):
+        # W diagonal unitary commutes with pi(A) and gamma here, so
+        # (pi, W D W*, gamma) has the same distances; quarter turns keep every
+        # generator real or imaginary and the solve real, generic phases send
+        # it through complex arithmetic
+        pt = product(two_point(2.0), two_sheeted_line(6))
+        h = pt.hilbert_dim
+        deltas = pure_states(pt.algebra.factors[1])
+        phi = product_state(PLUS, deltas[0], pt.algebra)
+        phi2 = product_state(MINUS, deltas[5], pt.algebra)
+        rng = np.random.default_rng(5)
+        turns = np.array([1.0, 1.0j, -1.0, -1.0j])[rng.integers(0, 4, size=h)]
+        phases = np.exp(2j * np.pi * rng.random(h))
+        brackets = {}
+        for name, w, dtype in (("base", np.ones(h), np.float64),
+                               ("quarter turns", turns, np.float64),
+                               ("phases", phases, np.complex128)):
+            solver = DistanceSolver(SpectralTriple(pt.rep, w[:, None] * pt.dirac * np.conj(w),
+                                                   pt.grading))
+            assert solver.H_reduced.dtype == dtype, name
+            r = solver.distance(phi, phi2, 1e-7)
+            assert r.status == "finite", name
+            brackets[name] = (r.lower, r.upper)
+        for a in brackets.values():
+            for b in brackets.values():
+                assert max(a[0], b[0]) <= min(a[1], b[1])
+
+    def test_optimizer_outside_the_ball_does_not_raise_lower(self, monkeypatch):
+        # an optimizer a few ulps outside ||[D, pi(a)]|| <= 1, whichever
+        # arithmetic the solve ran in, is scaled back before it is evaluated
+        def outside(c, H, tol):
+            sol = maximize_over_unit_ball(c, H, tol)
+            return dataclasses.replace(sol, y_best=sol.y_best * (1.0 + 1e-9))
+
+        monkeypatch.setattr(ncgp.distance, "maximize_over_unit_ball", outside)
+        r = spectral_distance(two_point(3.0), PLUS, MINUS, 1e-7)
+        assert r.lower <= 3.0 * (1.0 + 4 * np.finfo(float).eps)
 
     # property versions of the two tests above, on two_point and seeded (2,)
     # and (2, 1) triples with random states; at tol 1e-10 both brackets close

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import ncgp.distance
 import ncgp.sdp
 from ncgp.algebra import pure_states
 from ncgp.distance import DistanceSolver, spectral_distance
 from ncgp.experiments import random_triple
-from ncgp.sdp import (MAX_CENTERING, _inverse, _log_det, _newton_dense, _newton_support,
-                      _support_order_is_cheaper, _union_support, maximize_over_unit_ball,
-                      ratio_ascent)
+from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, _inverse, _log_det, _newton_dense,
+                      _newton_support, _support_order_is_cheaper, _union_support,
+                      maximize_over_unit_ball, ratio_ascent, real_gauge)
 from ncgp.tolerances import CENTERING_TOL, MIN_MU
-from ncgp.triples import product, two_point, two_sheeted_line
+from ncgp.triples import (amplified_two_point, lattice_line, product, two_point,
+                          two_sheeted_line)
 
 
 def lp_oracle_diagonal(c, diags):
@@ -320,9 +322,11 @@ class TestFactorizedBarrier:
         ia, _, _ = _union_support(H)
         assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is support
         calls = collections.Counter()   # (name, ndim of the argument) -> calls
+        dtypes = collections.defaultdict(set)   # (name, ndim) -> dtypes of the argument
         for name in ("eigh", "eigvalsh", "inv", "cholesky"):
             def counted(a, _f=getattr(np.linalg, name), _name=name):
                 calls[_name, a.ndim] += 1
+                dtypes[_name, a.ndim].add(a.dtype)
                 return _f(a)
             monkeypatch.setattr(np.linalg, name, counted)
         c = np.random.default_rng(0).normal(size=H.shape[0])
@@ -333,6 +337,16 @@ class TestFactorizedBarrier:
         assert calls["eigh", 2] == calls["eigh", 3] == calls["inv", 2] == 0
         assert calls["inv", 3] == calls["cholesky", 2] == sol.newton_steps + 1
         assert calls["eigvalsh", 2] + calls["eigvalsh", 3] == 1 + 2 * outer
+        # the lattice's generators take a real gauge, and every factorization
+        # and eigenvalue solve runs in real arithmetic; the random product's
+        # h x h ones stay complex (K and the Gram matrix are real in both)
+        if support:
+            assert set().union(*dtypes.values()) == {np.dtype(np.float64)}
+        else:
+            assert H.dtype == np.complex128
+            for key in (("inv", 3), ("cholesky", 3), ("eigvalsh", 3)):
+                assert dtypes[key] == {np.dtype(np.complex128)}
+            assert dtypes["cholesky", 2] == {np.dtype(np.float64)}
 
     def test_sdp_imports_no_scipy(self):
         # scipy bundles a second OpenBLAS, whose thread pool contends with
@@ -343,6 +357,77 @@ class TestFactorizedBarrier:
         names += [node.module or "" for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)]
         assert names and not [n for n in names if n.split(".")[0] == "scipy"]
+
+
+def ungauged(triple, monkeypatch):
+    """The solver's complex generators, as they are before any gauge."""
+    with monkeypatch.context() as m:
+        m.setattr(ncgp.distance, "real_gauge", lambda H: None)
+        return DistanceSolver(triple).H_reduced
+
+
+def hermitian_stack(*entries, h=3):
+    """One Hermitian h x h matrix per dict {(a, b): value} (a <= b)."""
+    H = np.zeros((len(entries), h, h), dtype=complex)
+    for j, entry in enumerate(entries):
+        for (a, b), v in entry.items():
+            H[j, a, b], H[j, b, a] = v, np.conj(v)
+    return H
+
+
+GAUGED = {
+    "lattice_line": lambda: lattice_line(5),
+    "two_sheeted_line": lambda: two_sheeted_line(6),
+    "two_point": lambda: two_point(2.0),
+    "amplified_two_point": lambda: amplified_two_point(0.7),
+    "two_point x two_sheeted_line": lambda: product(two_point(2.0), two_sheeted_line(15)),
+    "two_point x amplified_two_point": lambda: product(two_point(3.0), amplified_two_point(0.5)),
+    "amplified_two_point x two_point": lambda: product(amplified_two_point(1.0), two_point(2.0)),
+    "two_point x lattice_line": lambda: product(two_point(1.5), lattice_line(7)),
+    "two_point x two_point x two_sheeted_line":
+        lambda: product(product(two_point(2.0), two_point(3.0)), two_sheeted_line(3)),
+}
+
+
+class TestRealGauge:
+    @pytest.mark.parametrize("name", GAUGED)
+    def test_catalog_generators_take_an_exact_gauge(self, name, monkeypatch):
+        # the stored generators are real symmetric, and diag(i^g) conjugates
+        # them back to the complex ones bit for bit: no rounding happened
+        t = GAUGED[name]()
+        solver = DistanceSolver(t)
+        H = solver.H_reduced
+        assert H.dtype == np.float64 and np.array_equal(H, H.transpose(0, 2, 1))
+        assert set(solver.gauge.tolist()) <= {0, 1}
+        w = QUARTER_TURNS[solver.gauge]
+        assert np.array_equal(w[:, None] * H * np.conj(w), ungauged(t, monkeypatch))
+
+    def test_random_product_stays_complex(self):
+        solver = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (1, 1))))
+        assert solver.gauge is None and solver.H_reduced.dtype == np.complex128
+
+    @pytest.mark.parametrize("H", [
+        # a 3-cycle with gain i: an odd number of imaginary edges on a cycle
+        hermitian_stack({(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1j}),
+        # one position real in one generator and imaginary in another
+        hermitian_stack({(0, 1): 1.0}, {(0, 1): 2j, (1, 2): 1.0}),
+        # one entry with both parts nonzero
+        hermitian_stack({(0, 1): 1.0 + 1e-300j}),
+    ], ids=["3-cycle with gain i", "real and imaginary position", "complex entry"])
+    def test_no_gauge_without_a_consistent_parity(self, H):
+        assert real_gauge(H) is None
+
+    def test_gauge_on_a_balanced_cycle(self):
+        # two imaginary edges on a 4-cycle and an isolated vertex: each
+        # imaginary edge flips the parity, the real edges keep it
+        H = hermitian_stack({(0, 1): 1j, (1, 2): -2j, (2, 3): 3.0, (0, 3): -1.0},
+                            {(0, 0): 5.0, (1, 2): 0.5j}, h=5)
+        g = real_gauge(H)
+        assert g.tolist() == [0, 1, 0, 0, 0]
+        w = QUARTER_TURNS[g]
+        gauged = np.conj(w)[:, None] * H * w
+        assert not gauged.imag.any()
+        assert np.array_equal(np.abs(gauged.real), np.abs(H))
 
 
 @pytest.mark.usefixtures("no_fallback")

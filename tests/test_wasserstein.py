@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgp.wasserstein import (
+    TRIANGLE_ROWS,
     FiniteMetricSpace,
     Measure,
     lambda_measure,
@@ -227,6 +229,30 @@ class TestValidation:
         d[0, 2] = d[2, 0] = 2.0 * s * (1.0 + 1e-9)
         with pytest.raises(ValueError, match="triangle"):
             FiniteMetricSpace(("a", "b", "c"), np.zeros((3, 1)), d)
+
+    def test_triangle_violation_in_the_last_rows_is_caught(self):
+        # points 0, 1, ..., n - 1 on a line, with d(n - 2, n - 1) = 3 (1 + 1e-9)
+        # against the path through n - 3 of length 3: only rows n - 2 and
+        # n - 1 see the violation, and both lie in the check's last pass
+        n = 2 * TRIANGLE_ROWS + 2
+        x = np.arange(float(n))
+        d = np.abs(x[:, None] - x[None, :])
+        d[n - 2, n - 1] = d[n - 1, n - 2] = 3.0 * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match="triangle"):
+            FiniteMetricSpace(tuple(map(str, range(n))), x[:, None], d)
+
+    def test_triangle_check_memory_is_quadratic(self):
+        # 400 points: the check once took an n^3 temporary, 491 MB
+        seg = FiniteMetricSpace.euclidean([str(i) for i in range(20)],
+                                          np.linspace(0.0, 1.0, 20)[:, None])
+        tracemalloc.start()
+        try:
+            space = product_space(seg, seg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.size == 400
+        assert peak < 50e6
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_values_are_rejected(self, bad):
