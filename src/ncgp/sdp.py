@@ -9,8 +9,9 @@ directions (the caller projects those out first).  For Hermitian H(y) the
 norm ball is the pair of linear matrix inequalities -I <= H(y) <= I, solved by
 log-det barrier path following without ever diagonalizing the iterate
 (Vandenberghe and Boyd, *Semidefinite programming*, SIAM Rev. 38 (1996)): one
-batched Cholesky factorization of the pair I +- H tests strict feasibility and
-gives logdet(I + H) + logdet(I - H) = 2 sum log diag(L+) + 2 sum log diag(L-),
+batched Cholesky factorization of the pair I +- H (of I + H alone when the
+H_j are chiral, below) tests strict feasibility and gives
+logdet(I + H) + logdet(I - H) = 2 sum log diag(L+) + 2 sum log diag(L-),
 and one batched inverse gives S+- = (I +- H)^-1 once per iterate.  The
 objective is linear, so the barrier's Hessian is -mu K with K below free of
 mu (Boyd and Vandenberghe, *Convex Optimization* (2004), 11.3): a reduction
@@ -74,7 +75,9 @@ Fujisawa, Kojima and Nakata (Math. Program. 79, 1997):
     K_ij = Re tr(X+_i X+_j + X-_i X-_j), one real GEMM; 2k h^3 + 2k^2 h^2 flops.
 
 Each solve computes both counts from (k, h, |U|) and runs the cheaper order;
-both give the same numbers up to roundoff.
+both give the same numbers up to roundoff.  The counts are those of both
+sides; a chiral solve (below) does about half of either and keeps the same
+choice.
 
 Every step runs unchanged on real symmetric H_j, in real arithmetic, which
 is about twice as fast at h = 60 for the inverse, the Cholesky factorizations
@@ -94,6 +97,27 @@ products take it; random complex Dirac operators do not.  ||W* H(y) W|| =
 ||H(y)||, so y, y_best and the bracket keep their meaning, but the dual
 certificate Z+- is that of the gauged H_j: a checker reading the stored
 generators checks it in the gauged frame, or maps it back by W Z+- W*.
+
+Products of even triples are chiral: D is odd under the grading and every
+pi(a) is even, so every H_j is odd under it.  When some diagonal
+Gamma = diag(+-1) has Gamma H_j Gamma = -H_j for every j, which holds exactly
+when the union-support graph is bipartite and has no diagonal entry
+(`_chiral_grading`, the parity traversal of `real_gauge` with every edge odd:
+exact, no tolerance), Gamma (I + H) Gamma = I - H.  The two sides are then
+unitarily equivalent, as are their barriers, inverses and certificates
+(the symmetry reduction of Gatermann and Parrilo, *Symmetry groups,
+semidefinite programs, and sums of squares*, J. Pure Appl. Algebra 192
+(2004)), and the solve keeps the side I + H alone: the side axis has length 1
+and every sum over sides is weighted by w = 2.  That is exact, not an
+approximation: S- = Gamma S+ Gamma, so log det(I - H) = log det(I + H),
+tr(S- H_j) = -tr(S+ H_j), tr(S- H_i S- H_j) = tr(S+ H_i S+ H_j), and
+Z- = Gamma Z+ Gamma gives tr Z- = tr Z+ and (Z+ - Z-)[U] = 2 Z+[U], since
+Gamma_a Gamma_b = -1 on the support; lambda_min(Z-) = lambda_min(Z+), so the
+deficit term takes no weight.  The upper bound is the exact bound of the
+pair (Z+, Gamma Z+ Gamma): the certificate's minus side is Gamma Z+ Gamma,
+and a checker rebuilds it that way.  All two-sheeted lattice
+products and most theorem-1 products take it; a generic Dirac operator, or
+a grading that is not diagonal in the basis of H, does not.
 """
 
 from __future__ import annotations
@@ -129,14 +153,36 @@ def _union_support(H: np.ndarray):
 QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])   # i^g, exactly, for g = 0..3
 
 
+def _parity_colouring(h: int, ia: np.ndarray, ib: np.ndarray, odd) -> list[int] | None:
+    """g in {0, 1}^h with g_a ^ g_b = odd_p at every support position
+    p = (ia_p, ib_p), or None when there is none: one traversal of the
+    union-support graph, each component coloured from its first vertex."""
+    edges = [[] for _ in range(h)]
+    for a, b, o in zip(ia.tolist(), ib.tolist(), odd):
+        edges[a].append((b, o))
+    g = [-1] * h
+    for root in range(h):
+        if g[root] >= 0:
+            continue
+        g[root], todo = 0, [root]
+        while todo:
+            a = todo.pop()
+            for b, o in edges[a]:
+                if g[b] < 0:
+                    g[b] = g[a] ^ o
+                    todo.append(b)
+                elif g[b] != g[a] ^ o:
+                    return None
+    return g
+
+
 def real_gauge(H: np.ndarray) -> np.ndarray | None:
     """g in {0, 1}^h such that i^-g_a H_j[a, b] i^g_b is real for every j, a
     and b, or None when there is none; the test is exact (module docstring).
 
     Each support position must hold real entries in every H_j or imaginary
     entries in every H_j: real ones need g_a = g_b and imaginary ones
-    g_a != g_b, a parity 2-colouring of the union-support graph, solved by one
-    traversal.
+    g_a != g_b, a parity 2-colouring of the union-support graph.
     """
     # nonzero real and imaginary parts at each position, from one comparison
     # of the interleaved (re, im) view: rejecting takes microseconds
@@ -145,25 +191,18 @@ def real_gauge(H: np.ndarray) -> np.ndarray | None:
     real, imag = nonzero[..., 0], nonzero[..., 1]
     if np.any(real & imag):
         return None
-    h = H.shape[1]
     ia, ib = np.nonzero(real | imag)
-    edges = [[] for _ in range(h)]
-    for a, b, odd in zip(ia.tolist(), ib.tolist(), imag[ia, ib].tolist()):
-        edges[a].append((b, odd))
-    g = [-1] * h
-    for root in range(h):
-        if g[root] >= 0:
-            continue
-        g[root], todo = 0, [root]
-        while todo:
-            a = todo.pop()
-            for b, odd in edges[a]:
-                if g[b] < 0:
-                    g[b] = g[a] ^ odd
-                    todo.append(b)
-                elif g[b] != g[a] ^ odd:
-                    return None
-    return np.array(g)
+    g = _parity_colouring(H.shape[1], ia, ib, imag[ia, ib].tolist())
+    return None if g is None else np.array(g)
+
+
+def _chiral_grading(h: int, ia: np.ndarray, ib: np.ndarray) -> np.ndarray | None:
+    """Gamma = diag(+-1) with Gamma H_j Gamma = -H_j for every H_j supported on
+    the positions (ia, ib), or None when there is none: every support entry
+    must join two opposite signs, so the union-support graph is bipartite and
+    has no diagonal entry.  Exact: it reads only which entries are exactly 0."""
+    g = _parity_colouring(h, ia, ib, [1] * ia.size)
+    return None if g is None else 1.0 - 2.0 * np.array(g)
 
 
 def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
@@ -173,20 +212,28 @@ def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
 
 
 def _log_det(P: np.ndarray) -> float:
-    """log det P[0] + log det P[1] from one batched Cholesky factorization;
-    -inf unless both are positive definite to working precision."""
+    """log det(I + H) + log det(I - H) from one batched Cholesky factorization
+    of the sides stacked in P, each weighted by 2 / len(P); -inf unless every
+    side is positive definite to working precision."""
     try:
         ch = np.linalg.cholesky(P)
     except np.linalg.LinAlgError:
         return -np.inf
-    return 2.0 * float(np.sum(np.log(np.diagonal(ch, axis1=1, axis2=2).real)))
+    return 4.0 / len(P) * float(np.sum(np.log(np.diagonal(ch, axis1=1, axis2=2).real)))
 
 
 def _inverse(P: np.ndarray) -> np.ndarray:
-    """[P[0]^-1, P[1]^-1] from one batched inverse, made exactly Hermitian:
-    eigvalsh reads one triangle of the certificate built from it."""
+    """The inverse of each side stacked in P, from one batched inverse, made
+    exactly Hermitian: eigvalsh reads one triangle of the certificate built
+    from it."""
     S = np.linalg.inv(P)
     return (S + np.conj(S.transpose(0, 2, 1))) / 2.0
+
+
+def _signed_sum(X: np.ndarray) -> np.ndarray:
+    """sum_s sign_s X[s] over the leading side axis: X[0] - X[1] for both
+    sides, X[0] for side 0 alone (the caller applies the weight 2 / len(X))."""
+    return X[0] - X[1] if len(X) == 2 else X[0]
 
 
 def _support_order_is_cheaper(k: int, h: int, m: int) -> bool:
@@ -197,37 +244,38 @@ def _support_order_is_cheaper(k: int, h: int, m: int) -> bool:
 
 def _newton_support(Hu: np.ndarray, gather: np.ndarray, S: np.ndarray):
     """g_j = Re tr((S+ - S-) H_j), the gradient of log det(I - H(y)^2), and
-    K = minus its Hessian from S = [S+, S-] (2 x h x h), read on the union
+    K = minus its Hessian from the stacked sides S = [S+, S-] or [S+]
+    (s x h x h, each sum over sides weighted by 2 / s), read on the union
     support only, where gather = ib[:, None] * h + ia indexes the flattened S.
 
     tr(S H_j) = sum_p Hu[j, p] S[ib_p, ia_p] and tr(S H_i S H_j) =
     sum_{p, q} Hu[i, p] S[ib_p, ia_q] Hu[j, q] S[ib_q, ia_p], so with
     A = S[ib, ia] g reads diag(A) and K reads A o A^T.
     """
-    k = Hu.shape[0]
-    A = np.take(S.reshape(2, -1), gather, axis=1)   # A[0] = A+, A[1] = A-
-    g = (Hu @ (np.diagonal(A[0]) - np.diagonal(A[1]))).real
+    k, w = Hu.shape[0], 2.0 / len(S)
+    A = np.take(S.reshape(len(S), -1), gather, axis=1)   # A[0] = A+, A[1] = A-
+    g = w * (Hu @ _signed_sum(np.diagonal(A, axis1=1, axis2=2))).real
     AA = A * A.transpose(0, 2, 1)
     # Re(X @ Y^T) is the real GEMM of the interleaved (re, im) views of X, conj(Y)
-    B = Hu @ (AA[0] + AA[1])
+    B = Hu @ AA.sum(axis=0)
     K = B.view(np.float64).reshape(k, -1) @ np.conj(Hu).view(np.float64).reshape(k, -1).T
-    return g, K
+    return g, w * K
 
 
 def _newton_dense(Hp: np.ndarray, S: np.ndarray):
     """The same g and K as `_newton_support`, from the dense products
     S+- H_j, for Hp = [H_1 ... H_k] (h x k h)."""
-    h, k = Hp.shape[0], Hp.shape[1] // Hp.shape[0]
+    s, h, k, w = len(S), Hp.shape[0], Hp.shape[1] // Hp.shape[0], 2.0 / len(S)
     # one GEMM gives X[s, a, j, b] = (S_s H_j)[a, b]
-    X = (S.reshape(2 * h, h) @ Hp).reshape(2, h, k, h)
+    X = (S.reshape(s * h, h) @ Hp).reshape(s, h, k, h)
     tr = np.diagonal(X, axis1=1, axis2=3).sum(axis=-1)   # tr(S_s H_j), s x j
-    g = (tr[0] - tr[1]).real
+    g = w * _signed_sum(tr).real
     # K_ij = Re sum_s tr(S_s H_i S_s H_j) = Re sum_{s, a, b} X[s, a, i, b] X[s, b, j, a],
     # the real GEMM of the interleaved (re, im) views of X and conj(X) transposed
     P = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
     Q = np.conj(X.transpose(2, 0, 3, 1), order="C")
     K = P.view(np.float64).reshape(k, -1) @ Q.view(np.float64).reshape(k, -1).T
-    return g, K
+    return g, w * K
 
 
 def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
@@ -266,8 +314,11 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
     # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
     ybound = float(np.sqrt(h * gram[-1] / gram[0]))
-    # the two sides of the LMI, stacked: index 0 is I + H, index 1 is I - H
-    eye, signs = np.eye(h), np.array([1.0, -1.0])[:, None, None]
+    # the sides of the LMI, stacked: index 0 is I + H, index 1 is I - H; when
+    # a grading makes every H_j odd, I - H = Gamma (I + H) Gamma and index 0
+    # alone stands for both, each sum over sides weighted by w = 2 / sides
+    sides = 1 if _chiral_grading(h, ia, ib) is not None else 2
+    eye, signs, w = np.eye(h), np.array([1.0, -1.0])[:sides, None, None], 2.0 / sides
 
     # the cheaper contraction order at these (k, h, |U|)
     if _support_order_is_cheaper(k, h, ia.size):
@@ -332,11 +383,13 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
             # is positive definite while lambda^2 = lam2 < 1 (module docstring),
             # which centering to lam2 <= CENTERING_TOL = 0.2 leaves with room;
             # residual roundoff is folded in via the a-priori bound on feasible ||y||.
+            # With one side, Z- = Gamma Z+ Gamma: tr Z- = tr Z+, (Z+ - Z-)[U] =
+            # 2 Z+[U] and lambda_min(Z-) = lambda_min(Z+), which takes no weight.
             Z = mu * (S - signs * (S @ H_of(d) @ S))
-            resid = (Hu @ np.conj((Z[0] - Z[1]).ravel()[flat])).real + c
+            resid = (Hu @ np.conj(w * _signed_sum(Z.reshape(sides, -1)[:, flat]))).real + c
             zmin = float(np.linalg.eigvalsh(Z)[:, 0].min())
-            ub = float(np.trace(Z, axis1=1, axis2=2).real.sum()) + 2 * h * max(0.0, -zmin) \
-                + float(np.linalg.norm(resid)) * ybound
+            ub = w * float(np.trace(Z, axis1=1, axis2=2).real.sum()) \
+                + 2 * h * max(0.0, -zmin) + float(np.linalg.norm(resid)) * ybound
             upper = min(upper, ub)
 
             converged = bool(upper - lower <= tol * lower)

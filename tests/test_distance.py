@@ -517,6 +517,27 @@ class TestTheoremOne:
             assert r.lower <= exact + slack, seed
             assert r.upper >= exact - slack, seed
 
+    def test_sweep_factor_distances_match_closed_form(self, monkeypatch):
+        # the theorem-1 sweep's own d1 and d2 on its C^2 factors, against the
+        # closed form above instead of the solver under test
+        solves = []
+
+        def recorded(triple, phi, phi2, tol):
+            r = spectral_distance(triple, phi, phi2, tol)
+            solves.append((triple, phi, phi2, r))
+            return r
+
+        monkeypatch.setattr(ncgp.experiments, "spectral_distance", recorded)
+        assert ncgp.experiments.sweep_theorem1(trials=24, seed=0).passed
+        factors = [s for s in solves if s[0].algebra.blocks == (1, 1)]
+        assert len(factors) >= 12
+        for t, phi, phi2, r in factors:
+            p, q = phi.densities[0][0, 0].real, phi2.densities[0][0, 0].real
+            g = op_norm(t.commutator_with_dirac(t.algebra.diagonal_element([1.0, 0.0])))
+            exact = abs(p - q) / g
+            assert r.lower <= exact * (1 + 1e-12)
+            assert exact <= r.upper * (1 + 1e-12)
+
 
 class TestAscentOracle:
     def test_ascent_agrees_with_solver_on_catalog(self):

@@ -10,15 +10,15 @@ from scipy.optimize import linprog
 
 import ncgp.distance
 import ncgp.sdp
-from ncgp.algebra import pure_states
+from ncgp.algebra import product_state, pure_states, random_state
 from ncgp.distance import DistanceSolver, spectral_distance
 from ncgp.experiments import random_triple
-from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, _inverse, _log_det, _newton_dense,
-                      _newton_support, _support_order_is_cheaper, _union_support,
-                      maximize_over_unit_ball, ratio_ascent, real_gauge)
+from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, _chiral_grading, _inverse, _log_det,
+                      _newton_dense, _newton_support, _support_order_is_cheaper,
+                      _union_support, maximize_over_unit_ball, ratio_ascent, real_gauge)
 from ncgp.tolerances import CENTERING_TOL, MIN_MU
-from ncgp.triples import (amplified_two_point, lattice_line, product, two_point,
-                          two_sheeted_line)
+from ncgp.triples import (SpectralTriple, amplified_two_point, lattice_line, product,
+                          two_point, two_sheeted_line)
 
 
 def lp_oracle_diagonal(c, diags):
@@ -51,6 +51,16 @@ def diagonal_instance(seed):
     for j, d in enumerate(diags):
         L[j] = np.diag(d)
     return c, L, lp_oracle_diagonal(c, diags)
+
+
+def chiral_embedding(L):
+    """[[0, L_j], [L_j*, 0]]: the same norm ||sum_j y_j L_j||, on a bipartite
+    union support, so Gamma = diag(1, -1) makes every generator odd."""
+    k, n = L.shape[0], L.shape[1]
+    E = np.zeros((k, 2 * n, 2 * n), dtype=L.dtype)
+    E[:, :n, n:] = L
+    E[:, n:, :n] = np.conj(L.transpose(0, 2, 1))
+    return E
 
 
 class TestAgainstLpOracle:
@@ -91,6 +101,28 @@ class TestAgainstLpOracle:
         sol = maximize_over_unit_ball(c, L, tol)
         assert sol.lower <= want * (1 + 1e-9)
         assert sol.upper >= want * (1 - 1e-9)
+
+    @pytest.mark.parametrize("centering", [CENTERING_TOL, 1.0, 1e3, np.inf])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-7])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_chiral_bracket_is_certified_at_any_centering(self, seed, tol, centering,
+                                                          monkeypatch):
+        # the same instances as off-diagonal blocks: the optimum is unchanged,
+        # and the solve keeps the side I + H only, whose certificate Z+ stands
+        # for the pair (Z+, Gamma Z+ Gamma) in the weighted upper bound
+        instance = diagonal_instance(seed)
+        if instance is None:
+            pytest.skip("dependent draw")
+        c, L, want = instance
+        E = chiral_embedding(L)
+        ia, ib, _ = _union_support(E)
+        assert _chiral_grading(E.shape[1], ia, ib) is not None
+        monkeypatch.setattr(ncgp.sdp, "CENTERING_TOL", centering)
+        sol = maximize_over_unit_ball(c, E, tol)
+        assert sol.lower <= want * (1 + 1e-9)
+        assert sol.upper >= want * (1 - 1e-9)
+        if centering == CENTERING_TOL:
+            assert sol.converged and sol.upper - sol.lower <= tol * sol.lower
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_dense_instances_bracket(self, seed):
@@ -180,11 +212,13 @@ class TestAgainstLpOracle:
             maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
 
 
-def interior_instance(seed, k, h, sparse=False):
+def interior_instance(seed, k, h, sparse=False, chiral=False):
     """Random Hermitian H_j, objective c, mu and a point y with ||H(y)|| = 0.6.
 
     With sparse=True each H_j lives on its own random Hermitian support (at
-    least one entry, about a third of the h x h entries).
+    least one entry, about a third of the h x h entries).  With chiral=True
+    the H_j are 2h x 2h, [[0, B_j], [B_j*, 0]] for random complex B_j (sparse
+    as above), odd under Gamma = diag(1, -1).
     """
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
@@ -192,22 +226,23 @@ def interior_instance(seed, k, h, sparse=False):
         mask = rng.random(size=(k, h, h)) < 1.0 / 3.0
         mask[np.arange(k), rng.integers(0, h, size=k), rng.integers(0, h, size=k)] = True
         X = X * mask
-    H = (X + X.conj().transpose(0, 2, 1)) / 2.0
+    H = chiral_embedding(X) if chiral else (X + X.conj().transpose(0, 2, 1)) / 2.0
     c = rng.normal(size=k)
     y = rng.normal(size=k)
     y *= 0.6 / np.linalg.norm(np.einsum("j,jpq->pq", y, H), 2)
     return H, c, float(rng.uniform(0.1, 2.0)), y
 
 
-def lmi_pair(H, y):
-    """[I + H(y), I - H(y)], the two sides of the LMI."""
+def lmi_pair(H, y, sides=2):
+    """[I + H(y), I - H(y)], the two sides of the LMI, or [I + H(y)] alone."""
     Hy = np.einsum("j,jpq->pq", y, H)
-    return np.eye(H.shape[1]) + np.array([1.0, -1.0])[:, None, None] * Hy
+    return np.eye(H.shape[1]) + np.array([1.0, -1.0])[:sides, None, None] * Hy
 
 
-def newton_system_at(c, H, mu, y, order):
-    """The gradient c + mu g of the mu-barrier and K, by the given order."""
-    S = _inverse(lmi_pair(H, y))
+def newton_system_at(c, H, mu, y, order, sides=2):
+    """The gradient c + mu g of the mu-barrier and K, by the given order, from
+    both sides of the LMI or from the side I + H(y) alone (chiral H_j only)."""
+    S = _inverse(lmi_pair(H, y, sides))
     if order is _newton_support:
         ia, ib, Hu = _union_support(H)
         g, K = _newton_support(Hu, ib[:, None] * H.shape[1] + ia, S)
@@ -217,17 +252,19 @@ def newton_system_at(c, H, mu, y, order):
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
-# each contraction order on dense H_j and on H_j with random sparse supports
-CASES = [(order, sparse) for order in (_newton_support, _newton_dense)
-         for sparse in (False, True)]
+# each contraction order on dense H_j and on H_j with random sparse supports;
+# chiral H_j from both sides of the LMI and from the side I + H alone
+CASES = [(order, sparse, chiral, sides) for order in (_newton_support, _newton_dense)
+         for sparse in (False, True) for chiral, sides in ((False, 2), (True, 2), (True, 1))]
 
 
 class TestNewtonSystem:
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_einsum_formulas(self, k, h):
-        for order, sparse in CASES:
-            H, c, mu, y = interior_instance(k * 10 + h + 1000 * sparse, k, h, sparse)
-            grad, K = newton_system_at(c, H, mu, y, order)
+        for order, sparse, chiral, sides in CASES:
+            H, c, mu, y = interior_instance(k * 10 + h + 1000 * sparse + 4000 * chiral,
+                                            k, h, sparse, chiral)
+            grad, K = newton_system_at(c, H, mu, y, order, sides)
             # reference: the general norm LMI [[I, X], [X*, I]] >= 0 on X = L(y),
             # L_j = -i H_j, through the SVD X = U diag(s) V* and L~_j = U* L_j V
             L = -1j * H
@@ -247,14 +284,15 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_finite_differences_of_the_barrier(self, k, h):
-        for order, sparse in CASES:
-            H, c, mu, y = interior_instance(k * 10 + h + 500 + 1000 * sparse, k, h, sparse)
+        for order, sparse, chiral, sides in CASES:
+            H, c, mu, y = interior_instance(k * 10 + h + 500 + 1000 * sparse + 4000 * chiral,
+                                            k, h, sparse, chiral)
 
             def barrier(yv):
                 s = np.linalg.svd(np.einsum("j,jpq->pq", yv, H), compute_uv=False)
                 return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
 
-            grad, K = newton_system_at(c, H, mu, y, order)
+            grad, K = newton_system_at(c, H, mu, y, order, sides)
             eps = 1e-4
             steps = eps * np.eye(k)
             fd_grad = np.array([(barrier(y + e) - barrier(y - e)) / (2 * eps) for e in steps])
@@ -268,6 +306,21 @@ class TestNewtonSystem:
             assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
             if np.linalg.matrix_rank(H.reshape(k, -1), tol=1e-8) == k:
                 assert np.linalg.eigvalsh(K)[0] > 0
+
+    @pytest.mark.parametrize("k,h", SHAPES)
+    def test_one_side_equals_both_on_chiral_generators(self, k, h):
+        # Gamma (I + H) Gamma = I - H, so S- = Gamma S+ Gamma and each sum
+        # over the two sides is twice its value on I + H
+        for order in (_newton_support, _newton_dense):
+            for sparse in (False, True):
+                H, c, mu, y = interior_instance(k * 10 + h + 6000 + 1000 * sparse,
+                                                k, h, sparse, chiral=True)
+                gamma = _chiral_grading(2 * h, *_union_support(H)[:2])
+                assert np.array_equal(gamma[:, None] * H * gamma, -H)
+                grad1, K1 = newton_system_at(c, H, mu, y, order, sides=1)
+                grad2, K2 = newton_system_at(c, H, mu, y, order, sides=2)
+                assert np.allclose(grad1, grad2, rtol=1e-12, atol=1e-12 * np.abs(grad2).max())
+                assert np.allclose(K1, K2, rtol=1e-12, atol=1e-12 * np.abs(K2).max())
 
     def test_order_selection(self):
         # the lattice-n15 triple (k=30, h=60, 146 support entries) takes the
@@ -289,6 +342,11 @@ class TestFactorizedBarrier:
             lam = np.linalg.eigvalsh(np.einsum("j,jpq->pq", y, H))
             want = float(np.sum(np.log1p(-lam * lam)))
             assert _log_det(lmi_pair(H, y)) == pytest.approx(want, rel=1e-12)
+            # on chiral H_j the side I + H alone, weighted by 2, gives the same
+            H, _, _, y = interior_instance(k * 10 + h + 2500 * sparse, k, h, sparse, chiral=True)
+            lam = np.linalg.eigvalsh(np.einsum("j,jpq->pq", y, H))
+            want = float(np.sum(np.log1p(-lam * lam)))
+            assert _log_det(lmi_pair(H, y, 1)) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("norm", [1.0 + 1e-9, 1.5, 1e3])
     def test_minus_inf_off_the_open_ball(self, norm):
@@ -314,19 +372,27 @@ class TestFactorizedBarrier:
         # outer iteration (||H(y)|| and the stacked certificate, the only 3-D
         # call); the inverse and the k x k Cholesky factorization of K run
         # once per iterate, at the start and after each step, and a reduction
-        # of mu factors nothing
+        # of mu factors nothing; the lattice's generators are chiral, and
+        # every stacked (3-D) argument holds the side I + H only, while the
+        # random product, whose second factor is odd, is not and keeps both
         if support:
             H = DistanceSolver(product(two_point(2.0), two_sheeted_line(6))).H_reduced
         else:
-            H = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (1, 1)))).H_reduced
-        ia, _, _ = _union_support(H)
+            H = DistanceSolver(product(random_triple(3, (2,)),
+                                       random_triple(4, (2,), even=False))).H_reduced
+            assert H.shape == (15, 16, 16)
+        ia, ib, _ = _union_support(H)
         assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is support
+        assert (_chiral_grading(H.shape[1], ia, ib) is not None) is support
         calls = collections.Counter()   # (name, ndim of the argument) -> calls
         dtypes = collections.defaultdict(set)   # (name, ndim) -> dtypes of the argument
+        sides = collections.defaultdict(set)   # name -> leading lengths of 3-D arguments
         for name in ("eigh", "eigvalsh", "inv", "cholesky"):
             def counted(a, _f=getattr(np.linalg, name), _name=name):
                 calls[_name, a.ndim] += 1
                 dtypes[_name, a.ndim].add(a.dtype)
+                if a.ndim == 3:
+                    sides[_name].add(a.shape[0])
                 return _f(a)
             monkeypatch.setattr(np.linalg, name, counted)
         c = np.random.default_rng(0).normal(size=H.shape[0])
@@ -337,6 +403,7 @@ class TestFactorizedBarrier:
         assert calls["eigh", 2] == calls["eigh", 3] == calls["inv", 2] == 0
         assert calls["inv", 3] == calls["cholesky", 2] == sol.newton_steps + 1
         assert calls["eigvalsh", 2] + calls["eigvalsh", 3] == 1 + 2 * outer
+        assert sides == {name: {1 if support else 2} for name in ("eigvalsh", "inv", "cholesky")}
         # the lattice's generators take a real gauge, and every factorization
         # and eigenvalue solve runs in real arithmetic; the random product's
         # h x h ones stay complex (K and the Gram matrix are real in both)
@@ -428,6 +495,82 @@ class TestRealGauge:
         gauged = np.conj(w)[:, None] * H * w
         assert not gauged.imag.any()
         assert np.array_equal(np.abs(gauged.real), np.abs(H))
+
+
+class TestChiralSolve:
+    """One side of the LMI when a grading makes every generator odd, checked
+    against the two-side solve of the same problem."""
+
+    @pytest.mark.parametrize("H,gamma", [
+        # a 4-cycle with a pendant vertex: bipartite
+        (hermitian_stack({(0, 1): 1.0, (1, 2): 2j}, {(2, 3): 1.0 - 1j, (0, 3): 3.0, (3, 4): 1.0},
+                         h=5), [1, -1, 1, -1, 1]),
+        # a 3-cycle is not bipartite
+        (hermitian_stack({(0, 1): 1.0, (1, 2): 1.0}, {(0, 2): 1j}), None),
+        # a diagonal entry, however small, is even under every grading
+        (hermitian_stack({(0, 1): 1.0}, {(2, 2): 1e-300}), None),
+    ], ids=["bipartite", "3-cycle", "diagonal entry"])
+    def test_chiral_grading(self, H, gamma):
+        ia, ib, _ = _union_support(H)
+        got = _chiral_grading(H.shape[1], ia, ib)
+        if gamma is None:
+            assert got is None
+        else:
+            assert got.tolist() == gamma
+            assert np.array_equal(got[:, None] * H * got, -H)
+
+    def test_commutant_rotation_keeps_the_distance(self):
+        # u = 1 (x) U2 commutes with pi(a) = a (x) 1, so (pi, u D u*, u gamma u*)
+        # has the same distances; the rotated generators fill their support,
+        # diagonal included, and the solve keeps both sides
+        t = random_triple(7, (2,))
+        rng = np.random.default_rng(0)
+        u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = np.kron(np.eye(2), u2)
+        rotated = SpectralTriple(t.rep, u @ t.dirac @ u.conj().T, u @ t.grading @ u.conj().T)
+        phi, phi2 = random_state(t.algebra, rng), random_state(t.algebra, rng)
+        brackets = []
+        for triple, chiral in ((t, True), (rotated, False)):
+            solver = DistanceSolver(triple)
+            H = solver.H_reduced
+            ia, ib, _ = _union_support(H)
+            assert (_chiral_grading(H.shape[1], ia, ib) is not None) is chiral
+            r = solver.distance(phi, phi2, 1e-10)
+            assert r.status == "finite"
+            brackets.append((r.lower, r.upper))
+        (lo1, up1), (lo2, up2) = brackets
+        assert max(lo1, lo2) <= min(up1, up2) * (1 + 1e-12)
+        assert lo1 == pytest.approx(lo2, rel=1e-10)
+
+    def test_one_side_follows_the_two_side_path(self, monkeypatch):
+        # the lattice product is chiral; with the test switched off the same
+        # solves run on both sides and take the same Newton steps to the same
+        # brackets
+        pt = product(two_point(2.0), two_sheeted_line(6))
+        solver = DistanceSolver(pt)
+        plus, minus = pure_states(pt.algebra.factors[0])
+        deltas = pure_states(pt.algebra.factors[1])
+        pairs = [(product_state(plus, deltas[x], pt.algebra),
+                  product_state(minus, deltas[y], pt.algebra))
+                 for x, y in ((0, 0), (0, 5), (2, 3), (4, 1), (5, 5))]
+        inv, stacked = np.linalg.inv, []
+
+        def recorded(a):
+            stacked.append(a.shape[0])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recorded)
+        one = [solver.distance(phi, phi2, 1e-7) for phi, phi2 in pairs]
+        assert set(stacked) == {1}
+        stacked.clear()
+        monkeypatch.setattr(ncgp.sdp, "_chiral_grading", lambda h, ia, ib: None)
+        both = [solver.distance(phi, phi2, 1e-7) for phi, phi2 in pairs]
+        assert set(stacked) == {2}
+        for a, b in zip(one, both):
+            assert a.status == b.status == "finite"
+            assert a.newton_steps == b.newton_steps
+            assert a.lower == pytest.approx(b.lower, rel=1e-12)
+            assert a.upper == pytest.approx(b.upper, rel=1e-12)
 
 
 @pytest.mark.usefixtures("no_fallback")
