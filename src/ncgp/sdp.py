@@ -5,119 +5,116 @@ The problem solved here is
     maximize  c . y   subject to  || H(y) || <= 1,    H(y) = sum_j y_j H_j,
 
 with H_j Hermitian h x h matrices whose span contains no nonzero kernel
-directions (the caller projects those out first).  For Hermitian H(y) the
-norm ball is the pair of linear matrix inequalities -I <= H(y) <= I, solved by
-log-det barrier path following without ever diagonalizing the iterate
-(Vandenberghe and Boyd, *Semidefinite programming*, SIAM Rev. 38 (1996)): one
-batched Cholesky factorization of the pair I +- H (of I + H alone when the
-H_j are chiral, below) tests strict feasibility and gives
-logdet(I + H) + logdet(I - H) = 2 sum log diag(L+) + 2 sum log diag(L-),
-and one batched inverse gives S+- = (I +- H)^-1 once per iterate.  The
-objective is linear, so the barrier's Hessian is -mu K with K below free of
-mu (Boyd and Vandenberghe, *Convex Optimization* (2004), 11.3): a reduction
-of mu solves again for the direction and factors nothing.
+directions (the caller projects those out first).  The solve works on one
+p x q block B_j of each H_j with ||B(y)|| = ||H(y)|| for every y, and on the
+single problem max c.y s.t. ||B(y)|| <= 1:
 
-The problem is homogeneous: for a, b > 0, max (a c).y over ||H(y) / b|| <= 1
-is a b times max c.y over ||H(y)|| <= 1.  So the solve first divides c by
-||c|| and the H_j by sigma = sqrt(lambda_max(G)), G_ij = Re tr(H_i H_j) the
+  * chiral generators: products of even triples have D odd under the grading
+    and every pi(a) even, so every H_j is odd under it.  When some diagonal
+    Gamma = diag(+-1) has Gamma H_j Gamma = -H_j for every j, which holds
+    exactly when the union-support graph is bipartite and has no diagonal
+    entry (`_chiral_grading`, the parity traversal of `real_gauge` with every
+    edge odd: exact, no tolerance), then H_j = [[0, B_j], [B_j*, 0]] on the
+    Gamma-sorted basis, and B_j = H_j[P, Q] with P the smaller class;
+  * otherwise B_j = H_j, p = q = h.
+
+The barrier is log det(I - B B*), the standard barrier of the spectral-norm
+ball, whose dual norm is the nuclear norm (Ben-Tal and Nemirovski, *Lectures
+on Modern Convex Optimization* (2001); Recht, Fazel and Parrilo, SIAM Rev. 52
+(2010)).  One p x p Cholesky factorization of I - B B* tests strict
+feasibility and gives it; by the Schur complement it is
+log det(I + H) + log det(I - H) when B = H, and half of that for the chiral
+block.  It is followed by path following without diagonalizing the iterate
+(Vandenberghe and Boyd, *Semidefinite programming*, SIAM Rev. 38 (1996)).
+Per iterate, with R = (I - B B*)^-1 from one p x p inverse, made exactly
+Hermitian, T = R B and V = I + B* T = (I - B* B)^-1, the barrier has gradient
+-g and Hessian -K,
+
+    g_j  = 2 Re <B_j, T>,
+    K_ij = 2 Re [tr(R B_i V B_j*) + tr(T B_i* T B_j*)].
+
+The objective is linear, so the Hessian of the mu-barrier is -mu K with K free
+of mu (Boyd and Vandenberghe, *Convex Optimization* (2004), 11.3): a
+reduction of mu solves again for the direction and factors nothing.  A
+Cholesky factorization proves the ridged K positive definite, and one
+general solve gives the direction.
+
+The B_j are read only on their union support U = {(a, b) : some B_j[a, b] != 0},
+as index arrays ia, ib and the values Bu = B[:, ia, ib] (k x |U|): B(y) is
+y @ Bu scattered into (ia, ib), the Gram matrix is Re(Bu Bu*), and
+Re <B_j, W> is Re(conj(Bu) W[ia, ib]).  Products of spectral triples have
+sparse supports: on the two-sheeted lattices |U| grows linearly in h.  K has two
+contraction orders, after the sparse Schur-complement assembly of Fujisawa,
+Kojima and Nakata (Math. Program. 79, 1997); counted in complex
+multiply-adds, they cost
+
+  * support order: gather A = T[ia, ib^T] and C = R[ia^T, ia] o V[ib, ib^T]
+    (|U| x |U|), then g = 2 Re(conj(Bu) diag(A)) and
+    K = 2 Re((Bu C + conj(Bu) (A o A^T)) Bu*): 2k|U|^2 + k^2|U|, plus
+    memory-bound passes over the three gathered |U| x |U| arrays that take
+    about as long as 24|U|^2;
+  * dense order: R [B_1 ... B_k] and [V; T] [B_1* ... B_k*], two GEMMs
+    holding every R B_j, V B_j* and T B_j*, then g_j = 2 Re tr(T B_j*) and K
+    as one real GEMM: k p q (2p + q) + k^2 p (p + q).
+
+Each solve computes both counts from (k, p, q, |U|) and runs the cheaper
+order; both give the same numbers up to roundoff.
+
+The problem is homogeneous: for a, b > 0, max (a c).y over ||B(y) / b|| <= 1
+is a b times max c.y over ||B(y)|| <= 1.  So the solve first divides c by
+||c|| and the B_j by sigma = sqrt(lambda_max(G)), G_ij = Re <B_i, B_j> the
 Gram matrix, runs on that unit-scale data, and scales the bracket by
 ||c|| / sigma and y_best by 1 / sigma on return.  It forms G only after
-scaling the H_j by the power of two 2^-e that brings their largest entry
+scaling the B_j by the power of two 2^-e that brings their largest entry
 into [1/2, 1): that is exact, and G neither underflows nor overflows, at H_j
 of 1e-300 or of 1e300.  sigma = 2^e sqrt(lambda_max(2^-2e G)) is kept as that
 mantissa and power of two, and each rescaling applies the power last, since
 sigma itself overflows at H_j near 1e308.  On unit-scale data every
 threshold (the decrement, the line-search step, the ridge, the final mu) is
-relative, and the optimum is at least 1 (y = c / ||H(c)|| attains
-1 / ||H(c)|| >= 1 / ||H(c)||_F >= 1), so the bracket closes when
-upper - lower <= tol * lower, at any scale of c and the H_j.  The barrier
-parameter starts at mu = 1 / (2h): centered pairs have duality gap 2 h mu,
-so the first bracket is already within a factor of 2 of the optimum.
+relative, and the optimum is at least 1 (y = c / ||B(c)|| attains
+1 / ||B(c)|| >= 1 / ||B(c)||_F >= 1), so the bracket closes when
+upper - lower <= tol * lower, at any scale of c and the B_j.  The barrier
+parameter starts at mu = 1 / (p + q): a centered pair has duality gap
+2 mu sum_i s_i / (1 + s_i) < p mu <= 1/2 over the singular values s_i of
+B(y), so the first bracket is already within a factor of 2 of the optimum.
 
-Once per outer iteration, the strictly feasible iterate scaled to the
-boundary by its exact norm (one eigvalsh of H(y)) gives a certified lower
-bound, and dual certificates Z+, Z- >= 0 built from S+- with
-<Z+ - Z-, H_j> = -c_j (one eigvalsh of the stack [Z+, Z-]) give a certified
-upper bound tr Z+ + tr Z-.  Centering at one mu is loose, as in long-step
-path following (Nesterov and Nemirovski, *Interior-Point Polynomial
-Algorithms in Convex Programming* (1994); Boyd and Vandenberghe, ch. 11): it
-ends when the squared Newton decrement lambda^2 = d.K.d is at most
-CENTERING_TOL = 0.2, the line search finds no ascent or MAX_CENTERING steps
-were taken; then mu falls by 0.15, until the bracket closes or mu reaches
-MIN_MU (at most 17 outer iterations).  A Newton system that is not positive
-definite to working precision ends the solve with the bracket it has.
+Once per outer iteration, two SVDs give the bracket.  The strictly feasible
+iterate scaled to the boundary by its exact norm sigma_max(B(y)) gives a
+certified lower bound.  Any p x q matrix W gives a certified upper bound:
+with r_j = c_j - Re <B_j, W>, every feasible y has
+c.y = Re <B(y), W> + r.y <= ||W||_* + ||r|| ybound, where ||W||_* is the
+nuclear norm and ybound = sqrt(p lambda_max(G) / lambda_min(G)) bounds ||y||,
+since ||B(y)||_F <= sqrt(p) ||B(y)||.  The solve takes the Newton-corrected
+dual W = 2 mu (T + R E V + T E* T), E = B(d) for the Newton direction d,
+whose residual r is zero by the Newton equations up to the ridge and
+roundoff, and projects it onto its constraint, W += B(G^-1 r), which leaves a
+residual of roundoff size.  No positivity condition is needed, so the bracket
+is certified at any centering accuracy.  Centering at one mu is loose, as in
+long-step path following (Nesterov and Nemirovski, *Interior-Point
+Polynomial Algorithms in Convex Programming* (1994); Boyd and Vandenberghe,
+ch. 11): it ends when the squared Newton decrement lambda^2 = d.K.d is at
+most CENTERING_TOL = 0.2, the line search finds no ascent or MAX_CENTERING
+steps were taken; then mu falls by 0.15, until the bracket closes or mu
+reaches MIN_MU (at most 17 outer iterations).  A Newton system that is not
+positive definite to working precision ends the solve with the bracket it
+has.
 
-The bracket is certified at any centering accuracy: the lower bound holds
-for every strictly feasible iterate, and the upper bound adds the deficit
-term 2h max(0, -lambda_min(Z+-)), which pays for an indefinite certificate.
-Loose centering costs it nothing either: Z+- = mu S^1/2 (I -+ M) S^1/2 with
-S = S+- and M = S^1/2 H(d) S^1/2, and lambda^2 = ||M+||_F^2 + ||M-||_F^2, so
-Z+- is positive definite whenever lambda < 1, and at lambda^2 <= 0.2 the
-deficit term does not bind in exact arithmetic.
-
-The H_j are read only on their union support U = {(a, b) : some H_j[a, b] != 0},
-as index arrays ia, ib and the values Hu = H[:, ia, ib] (k x |U|): H(y) is
-y @ Hu scattered into (ia, ib), the Gram matrix is Hu @ Hu*, and the
-certificate residual is Hu @ conj(Z+ - Z-)[ia, ib].  Products of spectral
-triples give sparse H_j (6 to 8 entries each on the two-sheeted lattices).
-The Newton system (gradient c + mu g, g_j = Re tr((S+ - S-) H_j), and
-K_ij = Re tr(S+ H_i S+ H_j) + Re tr(S- H_i S- H_j)) has two contraction orders on
-top of the shared S+-, after the sparse Schur-complement assembly of
-Fujisawa, Kojima and Nakata (Math. Program. 79, 1997):
-
-  * support order: gather A+- = S+-[ib, ia] (|U| x |U|), then
-        g = Re(Hu diag(A+ - A-)),
-        K = Re(Hu (A+ o A+^T + A- o A-^T) Hu^T);
-    k|U|^2 + k^2|U| flops, plus memory-bound passes over the 2|U|^2 entries
-    of A+- (gather, Hadamard products) that take about as long as 16|U|^2;
-  * dense order: X = [S+; S-] [H_1 ... H_k], one GEMM holding every S+- H_j,
-    then g_j = Re tr(X+_j - X-_j) and
-    K_ij = Re tr(X+_i X+_j + X-_i X-_j), one real GEMM; 2k h^3 + 2k^2 h^2 flops.
-
-Each solve computes both counts from (k, h, |U|) and runs the cheaper order;
-both give the same numbers up to roundoff.  The counts are those of both
-sides; a chiral solve (below) does about half of either and keeps the same
-choice.
-
-Every step runs unchanged on real symmetric H_j, in real arithmetic, which
-is about twice as fast at h = 60 for the inverse, the Cholesky factorizations
-and eigvalsh, and four times for a GEMM.  `real_gauge` finds, where one exists,
-a diagonal unitary W = diag(i^g_a), g in {0, 1}^h, with W* H_j W real for
-every j: the switching equivalence of gain graphs (Zaslavsky, *Signed
-graphs*, Discrete Appl. Math. 4 (1982); Reff, *Spectral properties of complex
-unit gain graphs*, Linear Algebra Appl. 436 (2012)).  Entry (a, b) is
-multiplied by i^(g_b - g_a), one of 1, -1, i and -i, taken from the table
-QUARTER_TURNS rather than computed: multiplying by them only moves and
-negates the two parts of a complex number, so W* H_j W is exact.  A gauge
-exists only when every support entry is exactly real or exactly imaginary
-(the other part is 0, not small: no tolerance), with the same kind at one
-position in every H_j, and then the imaginary parts it leaves are exactly
-zero.  The two-sheeted lattices, the two-point spaces and their
-products take it; random complex Dirac operators do not.  ||W* H(y) W|| =
-||H(y)||, so y, y_best and the bracket keep their meaning, but the dual
-certificate Z+- is that of the gauged H_j: a checker reading the stored
-generators checks it in the gauged frame, or maps it back by W Z+- W*.
-
-Products of even triples are chiral: D is odd under the grading and every
-pi(a) is even, so every H_j is odd under it.  When some diagonal
-Gamma = diag(+-1) has Gamma H_j Gamma = -H_j for every j, which holds exactly
-when the union-support graph is bipartite and has no diagonal entry
-(`_chiral_grading`, the parity traversal of `real_gauge` with every edge odd:
-exact, no tolerance), Gamma (I + H) Gamma = I - H.  The two sides are then
-unitarily equivalent, as are their barriers, inverses and certificates
-(the symmetry reduction of Gatermann and Parrilo, *Symmetry groups,
-semidefinite programs, and sums of squares*, J. Pure Appl. Algebra 192
-(2004)), and the solve keeps the side I + H alone: the side axis has length 1
-and every sum over sides is weighted by w = 2.  That is exact, not an
-approximation: S- = Gamma S+ Gamma, so log det(I - H) = log det(I + H),
-tr(S- H_j) = -tr(S+ H_j), tr(S- H_i S- H_j) = tr(S+ H_i S+ H_j), and
-Z- = Gamma Z+ Gamma gives tr Z- = tr Z+ and (Z+ - Z-)[U] = 2 Z+[U], since
-Gamma_a Gamma_b = -1 on the support; lambda_min(Z-) = lambda_min(Z+), so the
-deficit term takes no weight.  The upper bound is the exact bound of the
-pair (Z+, Gamma Z+ Gamma): the certificate's minus side is Gamma Z+ Gamma,
-and a checker rebuilds it that way.  All two-sheeted lattice
-products and most theorem-1 products take it; a generic Dirac operator, or
-a grading that is not diagonal in the basis of H, does not.
+Every step runs unchanged on real B_j, in real arithmetic, which is faster
+for every factorization, inverse, SVD and GEMM.  `real_gauge` finds, where
+one exists, a diagonal unitary W = diag(i^g_a), g in {0, 1}^h, with
+W* H_j W real for every j: the switching equivalence of gain graphs
+(Zaslavsky, *Signed graphs*, Discrete Appl. Math. 4 (1982); Reff, *Spectral
+properties of complex unit gain graphs*, Linear Algebra Appl. 436 (2012)).
+Entry (a, b) is multiplied by i^(g_b - g_a), one of 1, -1, i and -i, taken
+from the table QUARTER_TURNS rather than computed: multiplying by them only
+moves and negates the two parts of a complex number, so W* H_j W is exact.  A
+gauge exists only when every support entry is exactly real or exactly
+imaginary (the other part is 0, not small: no tolerance), with the same kind
+at one position in every H_j, and then the imaginary parts it leaves are
+exactly zero.  The two-sheeted lattices, the two-point spaces and their
+products take it; random complex Dirac operators do not.
+||W* H(y) W|| = ||H(y)||, so y, y_best and the bracket keep their meaning, but
+the dual certificate is that of the gauged H_j, on their Gamma-sorted block.
 """
 
 from __future__ import annotations
@@ -211,75 +208,71 @@ def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(X.view(np.float64), e).view(X.dtype)
 
 
-def _log_det(P: np.ndarray) -> float:
-    """log det(I + H) + log det(I - H) from one batched Cholesky factorization
-    of the sides stacked in P, each weighted by 2 / len(P); -inf unless every
-    side is positive definite to working precision."""
+def _log_slack(X: np.ndarray) -> float:
+    """log det(I - X X*) for p x q X from one p x p Cholesky factorization;
+    -inf unless I - X X* is positive definite to working precision, that is
+    off the open unit ball ||X|| < 1."""
     try:
-        ch = np.linalg.cholesky(P)
+        ch = np.linalg.cholesky(np.eye(len(X)) - X @ np.conj(X.T))
     except np.linalg.LinAlgError:
         return -np.inf
-    return 4.0 / len(P) * float(np.sum(np.log(np.diagonal(ch, axis1=1, axis2=2).real)))
+    return 2.0 * float(np.sum(np.log(np.diagonal(ch).real)))
 
 
-def _inverse(P: np.ndarray) -> np.ndarray:
-    """The inverse of each side stacked in P, from one batched inverse, made
-    exactly Hermitian: eigvalsh reads one triangle of the certificate built
-    from it."""
-    S = np.linalg.inv(P)
-    return (S + np.conj(S.transpose(0, 2, 1))) / 2.0
+def _resolvents(X: np.ndarray):
+    """R = (I - X X*)^-1, made exactly Hermitian, T = R X and
+    V = I + X* T = (I - X* X)^-1, for p x q X inside the unit ball."""
+    R = np.linalg.inv(np.eye(len(X)) - X @ np.conj(X.T))
+    R = (R + np.conj(R.T)) / 2.0
+    T = R @ X
+    return R, T, np.eye(X.shape[1]) + np.conj(X.T) @ T
 
 
-def _signed_sum(X: np.ndarray) -> np.ndarray:
-    """sum_s sign_s X[s] over the leading side axis: X[0] - X[1] for both
-    sides, X[0] for side 0 alone (the caller applies the weight 2 / len(X))."""
-    return X[0] - X[1] if len(X) == 2 else X[0]
+def _re_gemm(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Re(P @ Q^T), the real GEMM of the interleaved (re, im) views of P and
+    conj(Q), for 2-D P and Q."""
+    P, Q = np.ascontiguousarray(P), np.conj(Q, order="C")
+    return P.view(np.float64).reshape(len(P), -1) @ Q.view(np.float64).reshape(len(Q), -1).T
 
 
-def _support_order_is_cheaper(k: int, h: int, m: int) -> bool:
+def _support_order_is_cheaper(k: int, p: int, q: int, m: int) -> bool:
     """Whether `_newton_support` is cheaper than `_newton_dense`, by the module
-    docstring's counts, for k generators h x h with m union-support entries."""
-    return (k + 16) * m * m + k * k * m < 2 * k * h ** 3 + 2 * k * k * h * h
+    docstring's counts, for k generators p x q with m union-support entries."""
+    return (2 * k + 24) * m * m + k * k * m < k * p * q * (2 * p + q) + k * k * p * (p + q)
 
 
-def _newton_support(Hu: np.ndarray, gather: np.ndarray, S: np.ndarray):
-    """g_j = Re tr((S+ - S-) H_j), the gradient of log det(I - H(y)^2), and
-    K = minus its Hessian from the stacked sides S = [S+, S-] or [S+]
-    (s x h x h, each sum over sides weighted by 2 / s), read on the union
-    support only, where gather = ib[:, None] * h + ia indexes the flattened S.
-
-    tr(S H_j) = sum_p Hu[j, p] S[ib_p, ia_p] and tr(S H_i S H_j) =
-    sum_{p, q} Hu[i, p] S[ib_p, ia_q] Hu[j, q] S[ib_q, ia_p], so with
-    A = S[ib, ia] g reads diag(A) and K reads A o A^T.
-    """
-    k, w = Hu.shape[0], 2.0 / len(S)
-    A = np.take(S.reshape(len(S), -1), gather, axis=1)   # A[0] = A+, A[1] = A-
-    g = w * (Hu @ _signed_sum(np.diagonal(A, axis1=1, axis2=2))).real
-    AA = A * A.transpose(0, 2, 1)
-    # Re(X @ Y^T) is the real GEMM of the interleaved (re, im) views of X, conj(Y)
-    B = Hu @ AA.sum(axis=0)
-    K = B.view(np.float64).reshape(k, -1) @ np.conj(Hu).view(np.float64).reshape(k, -1).T
-    return g, w * K
+def _newton_support(Bu: np.ndarray, gR: np.ndarray, gV: np.ndarray, gT: np.ndarray,
+                    R: np.ndarray, T: np.ndarray, V: np.ndarray):
+    """g_j = 2 Re<B_j, T>, minus the gradient of log det(I - B(y) B(y)*), and
+    K = minus its Hessian, from R, T and V read on the union support only:
+    gT, gR and gV index the flattened T, R and V at A[p, q] = T[ia_p, ib_q]
+    and C[p, q] = R[ia_q, ia_p] V[ib_p, ib_q], so that
+    g = 2 Re(conj(Bu) diag(A)) and K = 2 Re((Bu C + conj(Bu) (A o A^T)) Bu*)."""
+    A = np.take(T, gT)
+    g = 2.0 * (np.conj(Bu) @ np.diagonal(A)).real
+    M = Bu @ (np.take(R, gR) * np.take(V, gV)) + np.conj(Bu) @ (A * A.T)
+    return g, 2.0 * _re_gemm(M, np.conj(Bu))
 
 
-def _newton_dense(Hp: np.ndarray, S: np.ndarray):
-    """The same g and K as `_newton_support`, from the dense products
-    S+- H_j, for Hp = [H_1 ... H_k] (h x k h)."""
-    s, h, k, w = len(S), Hp.shape[0], Hp.shape[1] // Hp.shape[0], 2.0 / len(S)
-    # one GEMM gives X[s, a, j, b] = (S_s H_j)[a, b]
-    X = (S.reshape(s * h, h) @ Hp).reshape(s, h, k, h)
-    tr = np.diagonal(X, axis1=1, axis2=3).sum(axis=-1)   # tr(S_s H_j), s x j
-    g = w * _signed_sum(tr).real
-    # K_ij = Re sum_s tr(S_s H_i S_s H_j) = Re sum_{s, a, b} X[s, a, i, b] X[s, b, j, a],
-    # the real GEMM of the interleaved (re, im) views of X and conj(X) transposed
-    P = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
-    Q = np.conj(X.transpose(2, 0, 3, 1), order="C")
-    K = P.view(np.float64).reshape(k, -1) @ Q.view(np.float64).reshape(k, -1).T
-    return g, w * K
+def _newton_dense(Bp: np.ndarray, Bh: np.ndarray, R: np.ndarray, T: np.ndarray,
+                  V: np.ndarray):
+    """The same g and K as `_newton_support`, from the dense products R B_j,
+    V B_j* and T B_j*, for Bp = [B_1 ... B_k] (p x k q) and
+    Bh = [B_1* ... B_k*] (q x k p)."""
+    (p, q), k = T.shape, Bp.shape[1] // T.shape[1]
+    X = (R @ Bp).reshape(p, k, q)   # X[a, i, b] = (R B_i)[a, b]
+    # one GEMM gives Y[b, j, a] = (V B_j*)[b, a] for b < q, and below them
+    # N[c, j, a] = (T B_j*)[c, a]: g_j = 2 Re tr(T B_j*)
+    YN = (np.concatenate([V, T]) @ Bh).reshape(q + p, k, p)
+    g = 2.0 * np.trace(YN[q:], axis1=0, axis2=2).real
+    # K_ij = 2 Re [sum_ab X[a, i, b] Y[b, j, a] + sum_ac N[a, i, c] N[c, j, a]],
+    # one real GEMM of [X N] against YN, both read with the index a first
+    XN = np.concatenate([X, YN[q:]], axis=2).transpose(1, 0, 2).reshape(k, -1)
+    return g, 2.0 * _re_gemm(XN, YN.transpose(1, 2, 0).reshape(k, -1))
 
 
 def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
-    """Path-following solve of max c.y s.t. -I <= sum_j y_j H_j <= I.
+    """Path-following solve of max c.y s.t. ||sum_j y_j H_j|| <= 1.
 
     Requires c != 0 and the H_j to be exactly Hermitian and linearly
     independent; returns a certified bracket [lower, upper] with
@@ -293,71 +286,81 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     c = np.asarray(c, dtype=float)
     if not c.any():
         raise ValueError("c must be nonzero")
-    k, h = H.shape[0], H.shape[1]
-    ia, ib, Hu = _union_support(H)
-    flat = ia * h + ib
+    # the block B_j = H_j[P, Q] carries the norm: all of H_j, or the
+    # off-diagonal block between the classes of a grading that makes every
+    # H_j odd, P the smaller one
+    gamma = _chiral_grading(H.shape[1], *_union_support(H)[:2])
+    P = Q = np.arange(H.shape[1])
+    if gamma is not None:
+        P, Q = sorted((np.flatnonzero(gamma > 0), np.flatnonzero(gamma < 0)), key=len)
+    B = H[:, P[:, None], Q]
+    k, p, q = B.shape
+    ia, ib, Bu = _union_support(B)
 
-    # Gram matrix of the H_j, PD by linear independence, formed from the H_j
+    # Gram matrix of the B_j, PD by linear independence, formed from the B_j
     # times the power of two 2^-e that brings their largest entry into
     # [1/2, 1): exact, and it neither underflows nor overflows at any scale
-    e = int(np.frexp(np.abs(Hu).max(initial=0.0))[1])
-    Hu = _ldexp(Hu, -e)
-    gram = np.linalg.eigvalsh((Hu @ np.conj(Hu).T).real)
+    e = int(np.frexp(np.abs(Bu).max(initial=0.0))[1])
+    Bu = _ldexp(Bu, -e)
+    G = (Bu @ np.conj(Bu).T).real
+    gram = np.linalg.eigvalsh(G)
     if gram[0] <= 0:
         raise ValueError("H_j must be linearly independent (project out the kernel first)")
-    # unit-scale data: c / ||c|| and H_j / sigma, sigma^2 = 2^2e gram[-1] the
+    # unit-scale data: c / ||c|| and B_j / sigma, sigma^2 = 2^2e gram[-1] the
     # top eigenvalue of the unscaled Gram matrix, kept as the mantissa
     # sqrt(gram[-1]) and the power 2^e (it overflows at H_j near 1e308); the
     # bracket scales back by ||c|| / sigma, y_best by 1 / sigma
     cnorm, root = float(np.linalg.norm(c)), float(np.sqrt(gram[-1]))
-    c, Hu = c / cnorm, Hu / root
-    # for feasible y, ||H(y)||_F <= sqrt(h) ||H(y)||_op <= sqrt(h), and the
+    c, Bu, G = c / cnorm, Bu / root, G / gram[-1]
+    # for feasible y, ||B(y)||_F <= sqrt(p) ||B(y)|| <= sqrt(p), and the
     # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
-    ybound = float(np.sqrt(h * gram[-1] / gram[0]))
-    # the sides of the LMI, stacked: index 0 is I + H, index 1 is I - H; when
-    # a grading makes every H_j odd, I - H = Gamma (I + H) Gamma and index 0
-    # alone stands for both, each sum over sides weighted by w = 2 / sides
-    sides = 1 if _chiral_grading(h, ia, ib) is not None else 2
-    eye, signs, w = np.eye(h), np.array([1.0, -1.0])[:sides, None, None], 2.0 / sides
+    ybound = float(np.sqrt(p * gram[-1] / gram[0]))
 
-    # the cheaper contraction order at these (k, h, |U|)
-    if _support_order_is_cheaper(k, h, ia.size):
-        newton_system = partial(_newton_support, Hu, ib[:, None] * h + ia)
+    # the cheaper contraction order at these (k, p, q, |U|)
+    if _support_order_is_cheaper(k, p, q, ia.size):
+        newton_system = partial(_newton_support, Bu, ia * p + ia[:, None],
+                                ib[:, None] * q + ib, ia[:, None] * q + ib)
     else:
-        newton_system = partial(_newton_dense, _ldexp(np.concatenate(H, axis=1), -e) / root)
+        Bs = _ldexp(B, -e) / root
+        newton_system = partial(_newton_dense, np.concatenate(Bs, axis=1),
+                                np.concatenate(np.conj(Bs.transpose(0, 2, 1)), axis=1))
 
-    def H_of(yv: np.ndarray) -> np.ndarray:
-        """H(yv) = sum_j yv_j H_j, scattered from the union support."""
-        out = np.zeros(h * h, dtype=Hu.dtype)
-        out[flat] = yv @ Hu
-        return out.reshape(h, h)
+    def B_of(yv: np.ndarray) -> np.ndarray:
+        """B(yv) = sum_j yv_j B_j, scattered from the union support."""
+        out = np.zeros((p, q), dtype=Bu.dtype)
+        out[ia, ib] = yv @ Bu
+        return out
+
+    def residual(W: np.ndarray) -> np.ndarray:
+        """c_j - Re<B_j, W>, read on the union support."""
+        return c - (np.conj(Bu) @ W[ia, ib]).real
 
     def barrier(yv: np.ndarray, mu: float) -> float:
-        """c.yv + mu log det(I - H(yv)^2), -inf off the open unit ball."""
-        return float(c @ yv) + mu * _log_det(eye + signs * H_of(yv))
+        """c.yv + mu log det(I - B(yv) B(yv)*), -inf off the open unit ball."""
+        return float(c @ yv) + mu * _log_slack(B_of(yv))
 
     def factor(yv: np.ndarray):
-        """S = [S+, S-] = (I +- H(yv))^-1, g and the Cholesky factor of the ridged
-        K, none of which depends on mu; LinAlgError if K is not positive definite."""
-        S = _inverse(eye + signs * H_of(yv))
-        g, K = newton_system(S)
+        """R, T and V at yv, g and the ridged K, none of which depends on mu;
+        LinAlgError if K is not positive definite."""
+        R, T, V = _resolvents(B_of(yv))
+        g, K = newton_system(R, T, V)
         K.flat[::k + 1] += RIDGE_TOL * float(np.trace(K)) / k
-        return S, g, np.linalg.cholesky(K)
+        np.linalg.cholesky(K)   # proves K positive definite: the direction solve is sound
+        return R, T, V, g, K
 
     y, y_best = np.zeros(k), np.zeros(k)
-    lower, upper = 0.0, np.inf
-    mu = 1.0 / (2 * h)   # first duality gap 2 h mu = 1 <= the optimum
-    steps, centering, converged = 0, 0, False
+    lower, upper, steps, centering, converged = 0.0, np.inf, 0, 0, False
+    mu = 1.0 / (p + q)   # first duality gap at most p mu <= 1/2 <= the optimum
 
     try:
-        S, g, ch = factor(y)
+        R, T, V, g, K = factor(y)
         fy = barrier(y, mu)
-        # (S, g, ch) belong to y, fy to y and mu; each pass takes a centering
-        # step or computes the bounds and reduces mu
+        # (R, T, V, g, K) belong to y, fy to y and mu; each pass takes a
+        # centering step or computes the bounds and reduces mu
         while True:
             # Newton direction (K d = grad / mu) and squared decrement at mu
-            grad = c + mu * g
-            d = np.linalg.solve(ch.T, np.linalg.solve(ch, grad)) / mu
+            grad = c - mu * g
+            d = np.linalg.solve(K, grad) / mu
             lam2 = abs(float(grad @ d)) / mu
             if lam2 > CENTERING_TOL and centering < MAX_CENTERING:
                 gd = lam2 * mu   # equals grad.d by definition of the decrement
@@ -367,30 +370,23 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
                 if t > MIN_STEP:
                     y, fy = y + t * d, ft
                     steps, centering = steps + 1, centering + 1
-                    S, g, ch = factor(y)
+                    R, T, V, g, K = factor(y)
                     continue
 
             # primal bound: scale the strictly feasible iterate to the boundary
-            # (skipped at y = 0, where H(y) = 0: no step has been taken yet)
-            lam = np.linalg.eigvalsh(H_of(y))
-            norm = max(-lam[0], lam[-1])
+            # (skipped at y = 0, where B(y) = 0: no step has been taken yet)
+            norm = float(np.linalg.svd(B_of(y), compute_uv=False)[0])
             if norm > 0 and (cand := float(c @ y) / norm) > lower:
                 lower, y_best = cand, y / norm
 
-            # dual bound: the Newton-corrected dual pair
-            #   Z+ = mu (S+ - S+ dH S+),   Z- = mu (S- + S- dH S-),   dH = H(d),
-            # satisfies <Z+ - Z-, H_j> = -c_j exactly by the Newton equations and
-            # is positive definite while lambda^2 = lam2 < 1 (module docstring),
-            # which centering to lam2 <= CENTERING_TOL = 0.2 leaves with room;
-            # residual roundoff is folded in via the a-priori bound on feasible ||y||.
-            # With one side, Z- = Gamma Z+ Gamma: tr Z- = tr Z+, (Z+ - Z-)[U] =
-            # 2 Z+[U] and lambda_min(Z-) = lambda_min(Z+), which takes no weight.
-            Z = mu * (S - signs * (S @ H_of(d) @ S))
-            resid = (Hu @ np.conj(w * _signed_sum(Z.reshape(sides, -1)[:, flat]))).real + c
-            zmin = float(np.linalg.eigvalsh(Z)[:, 0].min())
-            ub = w * float(np.trace(Z, axis1=1, axis2=2).real.sum()) \
-                + 2 * h * max(0.0, -zmin) + float(np.linalg.norm(resid)) * ybound
-            upper = min(upper, ub)
+            # dual bound: any W gives c.y = Re<B(y), W> + r.y <= ||W||_* + ||r|| ybound
+            # for feasible y, r = residual(W).  The Newton-corrected dual
+            # W = 2 mu (T + R E V + T E* T), E = B(d), has r = 0 up to the ridge
+            # and roundoff; adding B(G^-1 r) projects it onto r = 0
+            W = 2.0 * mu * (T + R @ B_of(d) @ V + T @ np.conj(B_of(d).T) @ T)
+            W += B_of(np.linalg.solve(G, residual(W)))
+            upper = min(upper, float(np.linalg.svd(W, compute_uv=False).sum())
+                        + float(np.linalg.norm(residual(W))) * ybound)
 
             converged = bool(upper - lower <= tol * lower)
             if converged or mu <= MIN_MU:
@@ -422,9 +418,7 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
     rng = np.random.default_rng(seed)
     starts = [c / np.linalg.norm(c)] if np.linalg.norm(c) > 0 else []
     starts += [e for e in np.eye(k)]
-    for _ in range(n_random_starts):
-        v = rng.normal(size=k)
-        starts.append(v / np.linalg.norm(v))
+    starts += [v / np.linalg.norm(v) for v in rng.normal(size=(n_random_starts, k))]
 
     def ratio_and_grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         Ly = np.einsum("j,jpq->pq", y, L)
@@ -441,16 +435,13 @@ def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,
     best_val, best_y = -np.inf, np.zeros(k)
     for y0 in starts:
         y = y0.copy()
-        for step in range(n_steps):
+        for step in range(n_steps + 1):   # the last pass only reads the final y
             v, grad = ratio_and_grad(y)
             if v > best_val:
                 best_val, best_y = v, y.copy()
             gn = np.linalg.norm(grad)
-            if gn < 1e-14:
+            if gn < 1e-14 or step == n_steps:
                 break
             y = y + (0.5 / (1.0 + step / 25.0)) * grad / gn
             y = y / np.linalg.norm(y)
-        v, _ = ratio_and_grad(y)
-        if v > best_val:
-            best_val, best_y = v, y.copy()
     return best_val, best_y

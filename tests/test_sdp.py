@@ -1,4 +1,4 @@
-"""Direct tests of the LMI engine behind the distance solver."""
+"""Direct tests of the interior-point engine behind the distance solver."""
 
 import ast
 import collections
@@ -13,8 +13,8 @@ import ncgp.sdp
 from ncgp.algebra import product_state, pure_states, random_state
 from ncgp.distance import DistanceSolver, spectral_distance
 from ncgp.experiments import random_triple
-from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, _chiral_grading, _inverse, _log_det,
-                      _newton_dense, _newton_support, _support_order_is_cheaper,
+from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, _chiral_grading, _log_slack, _newton_dense,
+                      _newton_support, _resolvents, _support_order_is_cheaper,
                       _union_support, maximize_over_unit_ball, ratio_ascent, real_gauge)
 from ncgp.tolerances import CENTERING_TOL, MIN_MU
 from ncgp.triples import (SpectralTriple, amplified_two_point, lattice_line, product,
@@ -56,8 +56,8 @@ def diagonal_instance(seed):
 def chiral_embedding(L):
     """[[0, L_j], [L_j*, 0]]: the same norm ||sum_j y_j L_j||, on a bipartite
     union support, so Gamma = diag(1, -1) makes every generator odd."""
-    k, n = L.shape[0], L.shape[1]
-    E = np.zeros((k, 2 * n, 2 * n), dtype=L.dtype)
+    k, n, m = L.shape
+    E = np.zeros((k, n + m, n + m), dtype=L.dtype)
     E[:, :n, n:] = L
     E[:, n:, :n] = np.conj(L.transpose(0, 2, 1))
     return E
@@ -89,10 +89,10 @@ class TestAgainstLpOracle:
     @pytest.mark.parametrize("seed", range(12))
     def test_bracket_is_certified_at_any_centering(self, seed, tol, centering, monkeypatch):
         # the lower bound is any strictly feasible iterate scaled to the
-        # boundary and the upper bound pays for an indefinite certificate,
-        # so the bracket holds however loosely each mu is centered: at 1e3
-        # most and at inf all bounds are taken far from the central path,
-        # where the certificate's deficit term binds
+        # boundary and the upper bound is the nuclear norm of any certificate
+        # plus its residual term, so the bracket holds however loosely each
+        # mu is centered: at 1e3 most and at inf all bounds are taken far
+        # from the central path
         instance = diagonal_instance(seed)
         if instance is None:
             pytest.skip("dependent draw")
@@ -108,8 +108,7 @@ class TestAgainstLpOracle:
     def test_chiral_bracket_is_certified_at_any_centering(self, seed, tol, centering,
                                                           monkeypatch):
         # the same instances as off-diagonal blocks: the optimum is unchanged,
-        # and the solve keeps the side I + H only, whose certificate Z+ stands
-        # for the pair (Z+, Gamma Z+ Gamma) in the weighted upper bound
+        # and the solve runs on the block B_j = L_j alone
         instance = diagonal_instance(seed)
         if instance is None:
             pytest.skip("dependent draw")
@@ -165,9 +164,9 @@ class TestAgainstLpOracle:
 
     def test_unreachable_tol_ends_at_the_mu_floor(self, monkeypatch):
         # tol = 1e-16 is below the bracket's roundoff: the path runs one outer
-        # iteration per mu from 1 / (2h) down to the first mu <= MIN_MU, each
-        # of at most MAX_CENTERING steps, and ends unconverged with a valid
-        # bracket
+        # iteration per mu from 1 / (p + q) = 1 / (2h) down to the first
+        # mu <= MIN_MU, each of at most MAX_CENTERING steps, and ends
+        # unconverged with a valid bracket
         rng = np.random.default_rng(3)
         diags = [rng.normal(size=6) for _ in range(4)]
         c = rng.normal(size=4)
@@ -175,20 +174,22 @@ class TestAgainstLpOracle:
         L = np.zeros((4, 6, 6), dtype=complex)
         for j, d in enumerate(diags):
             L[j] = np.diag(d)
-        eigvalsh, outer = np.linalg.eigvalsh, []
+        svd, shapes = np.linalg.svd, collections.Counter()
 
-        def counted(a):
-            if a.ndim == 3:   # the certificate, once per outer iteration
-                outer.append(1)
-            return eigvalsh(a)
+        def counted(a, **kwargs):
+            shapes[a.shape] += 1
+            return svd(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         sol = maximize_over_unit_ball(c, L, 1e-16)
         mus = [1.0 / (2 * 6)]
         while mus[-1] > MIN_MU:
             mus.append(mus[-1] * 0.15)
         assert not sol.converged
-        assert len(outer) == len(mus) <= 17
+        # two 6 x 6 SVDs per outer iteration: ||B(y)|| and the certificate's
+        # nuclear norm
+        assert set(shapes) == {(6, 6)}
+        assert shapes[6, 6] == 2 * len(mus) and len(mus) <= 17
         assert sol.newton_steps <= 17 * MAX_CENTERING
         assert 0.0 < sol.lower <= want + 1e-9
         assert want - 1e-9 <= sol.upper <= want * (1 + 1e-9)
@@ -212,70 +213,67 @@ class TestAgainstLpOracle:
             maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
 
 
-def interior_instance(seed, k, h, sparse=False, chiral=False):
-    """Random Hermitian H_j, objective c, mu and a point y with ||H(y)|| = 0.6.
+def interior_instance(seed, k, h, sparse=False, rect=False):
+    """Random generators B_j, objective c, mu and a point y with ||B(y)|| = 0.6.
 
-    With sparse=True each H_j lives on its own random Hermitian support (at
-    least one entry, about a third of the h x h entries).  With chiral=True
-    the H_j are 2h x 2h, [[0, B_j], [B_j*, 0]] for random complex B_j (sparse
-    as above), odd under Gamma = diag(1, -1).
+    The B_j are Hermitian h x h, or with rect=True complex h x (h + 2).  With
+    sparse=True each B_j lives on its own random support (at least one entry,
+    about a third of the entries, Hermitian for Hermitian B_j).
     """
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(k, h, h)) + 1j * rng.normal(size=(k, h, h))
+    q = h + 2 if rect else h
+    X = rng.normal(size=(k, h, q)) + 1j * rng.normal(size=(k, h, q))
     if sparse:
-        mask = rng.random(size=(k, h, h)) < 1.0 / 3.0
-        mask[np.arange(k), rng.integers(0, h, size=k), rng.integers(0, h, size=k)] = True
+        mask = rng.random(size=(k, h, q)) < 1.0 / 3.0
+        mask[np.arange(k), rng.integers(0, h, size=k), rng.integers(0, q, size=k)] = True
         X = X * mask
-    H = chiral_embedding(X) if chiral else (X + X.conj().transpose(0, 2, 1)) / 2.0
+    B = X if rect else (X + X.conj().transpose(0, 2, 1)) / 2.0
     c = rng.normal(size=k)
     y = rng.normal(size=k)
-    y *= 0.6 / np.linalg.norm(np.einsum("j,jpq->pq", y, H), 2)
-    return H, c, float(rng.uniform(0.1, 2.0)), y
+    y *= 0.6 / np.linalg.norm(np.einsum("j,jpq->pq", y, B), 2)
+    return B, c, float(rng.uniform(0.1, 2.0)), y
 
 
-def lmi_pair(H, y, sides=2):
-    """[I + H(y), I - H(y)], the two sides of the LMI, or [I + H(y)] alone."""
-    Hy = np.einsum("j,jpq->pq", y, H)
-    return np.eye(H.shape[1]) + np.array([1.0, -1.0])[:sides, None, None] * Hy
-
-
-def newton_system_at(c, H, mu, y, order, sides=2):
-    """The gradient c + mu g of the mu-barrier and K, by the given order, from
-    both sides of the LMI or from the side I + H(y) alone (chiral H_j only)."""
-    S = _inverse(lmi_pair(H, y, sides))
+def newton_system_at(c, B, mu, y, order):
+    """The gradient c - mu g of the mu-barrier and K, by the given order."""
+    R, T, V = _resolvents(np.einsum("j,jpq->pq", y, B))
+    p, q = B.shape[1], B.shape[2]
     if order is _newton_support:
-        ia, ib, Hu = _union_support(H)
-        g, K = _newton_support(Hu, ib[:, None] * H.shape[1] + ia, S)
+        ia, ib, Bu = _union_support(B)
+        g, K = _newton_support(Bu, ia * p + ia[:, None], ib[:, None] * q + ib,
+                               ia[:, None] * q + ib, R, T, V)
     else:
-        g, K = _newton_dense(np.concatenate(H, axis=1), S)
-    return c + mu * g, K
+        g, K = _newton_dense(np.concatenate(B, axis=1),
+                             np.concatenate(np.conj(B.transpose(0, 2, 1)), axis=1), R, T, V)
+    return c - mu * g, K
 
 
 SHAPES = [(1, 1), (1, 4), (3, 1), (4, 3), (6, 5)]
-# each contraction order on dense H_j and on H_j with random sparse supports;
-# chiral H_j from both sides of the LMI and from the side I + H alone
-CASES = [(order, sparse, chiral, sides) for order in (_newton_support, _newton_dense)
-         for sparse in (False, True) for chiral, sides in ((False, 2), (True, 2), (True, 1))]
+# each contraction order on dense B_j and on B_j with random sparse supports,
+# Hermitian (B = H) and rectangular complex
+CASES = [(order, sparse, rect) for order in (_newton_support, _newton_dense)
+         for sparse in (False, True) for rect in (False, True)]
 
 
 class TestNewtonSystem:
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_einsum_formulas(self, k, h):
-        for order, sparse, chiral, sides in CASES:
-            H, c, mu, y = interior_instance(k * 10 + h + 1000 * sparse + 4000 * chiral,
-                                            k, h, sparse, chiral)
-            grad, K = newton_system_at(c, H, mu, y, order, sides)
-            # reference: the general norm LMI [[I, X], [X*, I]] >= 0 on X = L(y),
-            # L_j = -i H_j, through the SVD X = U diag(s) V* and L~_j = U* L_j V
-            L = -1j * H
-            U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, L))
-            V = Vh.conj().T
+        for order, sparse, rect in CASES:
+            B, c, mu, y = interior_instance(k * 10 + h + 1000 * sparse + 4000 * rect,
+                                            k, h, sparse, rect)
+            grad, K = newton_system_at(c, B, mu, y, order)
+            # reference: the norm ball [[I, X], [X*, I]] >= 0 on X = B(y),
+            # through the full SVD X = U diag(s) V* and B~_j = U* B_j V; the
+            # q - p columns beyond the singular values have slack 1
+            p, q = B.shape[1], B.shape[2]
+            U, s, Vh = np.linalg.svd(np.einsum("j,jpq->pq", y, B))
             slack = 1.0 - s * s
             dq, dp = s / slack, 1.0 / slack
-            Lt = np.conj(U).T @ L @ V
-            want_grad = c - 2.0 * mu * np.einsum("jpp,p->j", Lt, dq).real
-            K1 = np.einsum("ipq,jpq->ij", Lt * dp[None, :, None] * dp[None, None, :], np.conj(Lt))
-            Mt = np.conj(Lt) * dq[None, None, :]
+            dv = np.concatenate([dp, np.ones(q - p)])
+            Bt = np.conj(U).T @ B @ Vh.conj().T
+            want_grad = c - 2.0 * mu * np.einsum("jpp,p->j", Bt[:, :, :p], dq).real
+            K1 = np.einsum("ipq,jpq->ij", Bt * dp[None, :, None] * dv[None, None, :], np.conj(Bt))
+            Mt = np.conj(Bt[:, :, :p]) * dq[None, None, :]
             K2 = np.einsum("iqp,jpq->ij", Mt, Mt)
             want_K = 2.0 * (K1 + K2).real
             scale = np.abs(want_K).max()
@@ -284,15 +282,15 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_matches_finite_differences_of_the_barrier(self, k, h):
-        for order, sparse, chiral, sides in CASES:
-            H, c, mu, y = interior_instance(k * 10 + h + 500 + 1000 * sparse + 4000 * chiral,
-                                            k, h, sparse, chiral)
+        for order, sparse, rect in CASES:
+            B, c, mu, y = interior_instance(k * 10 + h + 500 + 1000 * sparse + 4000 * rect,
+                                            k, h, sparse, rect)
 
             def barrier(yv):
-                s = np.linalg.svd(np.einsum("j,jpq->pq", yv, H), compute_uv=False)
+                s = np.linalg.svd(np.einsum("j,jpq->pq", yv, B), compute_uv=False)
                 return float(c @ yv) + mu * float(np.sum(np.log1p(-s * s)))
 
-            grad, K = newton_system_at(c, H, mu, y, order, sides)
+            grad, K = newton_system_at(c, B, mu, y, order)
             eps = 1e-4
             steps = eps * np.eye(k)
             fd_grad = np.array([(barrier(y + e) - barrier(y - e)) / (2 * eps) for e in steps])
@@ -302,118 +300,136 @@ class TestNewtonSystem:
                                  for b in steps] for a in steps])
             assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
             assert np.allclose(-mu * K, fd_hess, rtol=1e-5, atol=1e-5 * np.abs(mu * K).max())
-            # K is symmetric, and positive definite when the H_j are independent
+            # K is symmetric, and positive definite when the B_j are independent
             assert np.allclose(K, K.T, atol=1e-12 * np.abs(K).max())
-            if np.linalg.matrix_rank(H.reshape(k, -1), tol=1e-8) == k:
+            if np.linalg.matrix_rank(B.reshape(k, -1), tol=1e-8) == k:
                 assert np.linalg.eigvalsh(K)[0] > 0
 
     @pytest.mark.parametrize("k,h", SHAPES)
-    def test_one_side_equals_both_on_chiral_generators(self, k, h):
-        # Gamma (I + H) Gamma = I - H, so S- = Gamma S+ Gamma and each sum
-        # over the two sides is twice its value on I + H
+    def test_block_is_half_of_the_full_system_on_chiral_generators(self, k, h):
+        # on H_j = [[0, B_j], [B_j*, 0]], log det(I - H^2) = 2 log det(I - B B*),
+        # so the block's g and K are half those of the full generators, and
+        # the block at mu takes the full generators' direction at mu / 2
         for order in (_newton_support, _newton_dense):
             for sparse in (False, True):
-                H, c, mu, y = interior_instance(k * 10 + h + 6000 + 1000 * sparse,
-                                                k, h, sparse, chiral=True)
-                gamma = _chiral_grading(2 * h, *_union_support(H)[:2])
+                B, c, mu, y = interior_instance(k * 10 + h + 6000 + 1000 * sparse,
+                                                k, h, sparse, rect=True)
+                H = chiral_embedding(B)
+                gamma = _chiral_grading(H.shape[1], *_union_support(H)[:2])
                 assert np.array_equal(gamma[:, None] * H * gamma, -H)
-                grad1, K1 = newton_system_at(c, H, mu, y, order, sides=1)
-                grad2, K2 = newton_system_at(c, H, mu, y, order, sides=2)
-                assert np.allclose(grad1, grad2, rtol=1e-12, atol=1e-12 * np.abs(grad2).max())
-                assert np.allclose(K1, K2, rtol=1e-12, atol=1e-12 * np.abs(K2).max())
+                grad_b, K_b = newton_system_at(c, B, mu, y, order)
+                grad_h, K_h = newton_system_at(c, H, mu / 2.0, y, order)
+                assert np.allclose(grad_b, grad_h, rtol=1e-12, atol=1e-12 * np.abs(grad_h).max())
+                assert np.allclose(K_b, K_h / 2.0, rtol=1e-12, atol=1e-12 * np.abs(K_h).max())
 
-    def test_order_selection(self):
-        # the lattice-n15 triple (k=30, h=60, 146 support entries) takes the
-        # support order; a (2,) x (2,) random product (k=15, h=16) the dense order
+    def test_order_selection(self, monkeypatch):
+        # the lattice-n15 solve (k=30, its chiral 30 x 30 block with 73
+        # support entries) takes the support order; a (2,) x (2,) random
+        # product (k=15, h=16, an 8 x 8 block) the dense order
         lattice = DistanceSolver(product(two_point(2.0), two_sheeted_line(15))).H_reduced
         small = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (2,)))).H_reduced
-        for H, want in ((lattice, True), (small, False)):
-            ia, _, _ = _union_support(H)
-            assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is want
-        assert (lattice.shape, _union_support(lattice)[0].size) == ((30, 60, 60), 146)
-        assert small.shape == (15, 16, 16)
+        rule, seen = _support_order_is_cheaper, []
+
+        def recorded(*shape):
+            seen.append((shape, rule(*shape)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(ncgp.sdp, "_support_order_is_cheaper", recorded)
+        for H in (lattice, small):
+            maximize_over_unit_ball(np.ones(H.shape[0]), H, 1e-3)
+        assert seen == [((30, 30, 30, 73), True), ((15, 8, 8, 64), False)]
 
 
 class TestFactorizedBarrier:
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_log_det_matches_the_eigenvalues(self, k, h):
         for sparse in (False, True):
+            # on B = H, log det(I - H^2) = log det(I + H) + log det(I - H)
             H, _, _, y = interior_instance(k * 10 + h + 2000 * sparse, k, h, sparse)
             lam = np.linalg.eigvalsh(np.einsum("j,jpq->pq", y, H))
             want = float(np.sum(np.log1p(-lam * lam)))
-            assert _log_det(lmi_pair(H, y)) == pytest.approx(want, rel=1e-12)
-            # on chiral H_j the side I + H alone, weighted by 2, gives the same
-            H, _, _, y = interior_instance(k * 10 + h + 2500 * sparse, k, h, sparse, chiral=True)
-            lam = np.linalg.eigvalsh(np.einsum("j,jpq->pq", y, H))
-            want = float(np.sum(np.log1p(-lam * lam)))
-            assert _log_det(lmi_pair(H, y, 1)) == pytest.approx(want, rel=1e-12)
+            assert _log_slack(np.einsum("j,jpq->pq", y, H)) == pytest.approx(want, rel=1e-12)
+            # on a rectangular block it is half the barrier of its chiral
+            # embedding [[0, B], [B*, 0]], whose eigenvalues are +-s
+            B, _, _, y = interior_instance(k * 10 + h + 2500 * sparse, k, h, sparse, rect=True)
+            lam = np.linalg.eigvalsh(np.einsum("j,jpq->pq", y, chiral_embedding(B)))
+            want = float(np.sum(np.log1p(-lam * lam))) / 2.0
+            assert _log_slack(np.einsum("j,jpq->pq", y, B)) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("norm", [1.0 + 1e-9, 1.5, 1e3])
     def test_minus_inf_off_the_open_ball(self, norm):
-        # on the boundary exactly (I - H or I + H singular) and beyond it, on
-        # either side of the LMI
+        # on the boundary exactly (I - X X* singular) and beyond it, for
+        # Hermitian and rectangular X
         for d in ([1.0, 0.3], [-1.0, 0.3]):
-            assert _log_det(lmi_pair(np.diag(d)[None].astype(complex), np.ones(1))) == -np.inf
-        H, _, _, y = interior_instance(5, 3, 4)
-        for sign in (1.0, -1.0):
-            assert _log_det(lmi_pair(H, sign * y * norm / 0.6)) == -np.inf
+            assert _log_slack(np.diag(d).astype(complex)) == -np.inf
+        for rect in (False, True):
+            B, _, _, y = interior_instance(5, 3, 4, rect=rect)
+            for sign in (1.0, -1.0):
+                assert _log_slack(np.einsum("j,jpq->pq", sign * y * norm / 0.6, B)) == -np.inf
 
     @pytest.mark.parametrize("k,h", SHAPES)
     def test_inverse_is_exactly_hermitian(self, k, h):
-        H, _, _, y = interior_instance(k * 10 + h + 3000, k, h)
-        P = lmi_pair(H, y)
-        S = _inverse(P)
-        assert np.array_equal(S, S.conj().transpose(0, 2, 1))
-        assert np.allclose(S @ P, np.eye(h), atol=1e-12)
+        for rect in (False, True):
+            B, _, _, y = interior_instance(k * 10 + h + 3000, k, h, rect=rect)
+            X = np.einsum("j,jpq->pq", y, B)
+            R, T, V = _resolvents(X)
+            assert np.array_equal(R, R.conj().T)
+            assert np.allclose(R @ (np.eye(h) - X @ X.conj().T), np.eye(h), atol=1e-12)
+            assert np.allclose(V @ (np.eye(X.shape[1]) - X.conj().T @ X), np.eye(X.shape[1]),
+                               atol=1e-12)
+            assert np.allclose(T, R @ X, atol=1e-12)
 
     @pytest.mark.parametrize("support", [True, False])
     def test_solve_diagonalizes_only_for_the_bounds(self, support, monkeypatch):
-        # no eigh anywhere; eigvalsh once for the Gram matrix and twice per
-        # outer iteration (||H(y)|| and the stacked certificate, the only 3-D
-        # call); the inverse and the k x k Cholesky factorization of K run
-        # once per iterate, at the start and after each step, and a reduction
-        # of mu factors nothing; the lattice's generators are chiral, and
-        # every stacked (3-D) argument holds the side I + H only, while the
-        # random product, whose second factor is odd, is not and keeps both
+        # every argument LAPACK sees is 2-D, and no eigh runs: eigvalsh once
+        # for the Gram matrix; two SVDs per outer iteration, the exact
+        # ||B(y)|| and the certificate's nuclear norm; the p x p inverse and
+        # the k x k Cholesky factorization of K once per iterate, at the start
+        # and after each step, so a reduction of mu factors nothing; the line
+        # search's factorizations are p x p.  The lattice's generators are
+        # chiral, so p = q = h / 2; the random product, whose second factor is
+        # odd, is not, and p = q = h
         if support:
-            H = DistanceSolver(product(two_point(2.0), two_sheeted_line(6))).H_reduced
+            H = DistanceSolver(product(two_point(1.5), lattice_line(7))).H_reduced
+            assert H.shape == (13, 14, 14)
         else:
             H = DistanceSolver(product(random_triple(3, (2,)),
                                        random_triple(4, (2,), even=False))).H_reduced
             assert H.shape == (15, 16, 16)
+        k, h = H.shape[0], H.shape[1]
+        p = h // 2 if support else h
         ia, ib, _ = _union_support(H)
-        assert _support_order_is_cheaper(H.shape[0], H.shape[1], ia.size) is support
-        assert (_chiral_grading(H.shape[1], ia, ib) is not None) is support
-        calls = collections.Counter()   # (name, ndim of the argument) -> calls
-        dtypes = collections.defaultdict(set)   # (name, ndim) -> dtypes of the argument
-        sides = collections.defaultdict(set)   # name -> leading lengths of 3-D arguments
-        for name in ("eigh", "eigvalsh", "inv", "cholesky"):
-            def counted(a, _f=getattr(np.linalg, name), _name=name):
-                calls[_name, a.ndim] += 1
-                dtypes[_name, a.ndim].add(a.dtype)
-                if a.ndim == 3:
-                    sides[_name].add(a.shape[0])
-                return _f(a)
+        assert (_chiral_grading(h, ia, ib) is not None) is support
+        calls = collections.Counter()   # (name, shape of the argument) -> calls
+        dtypes = collections.defaultdict(set)   # name -> dtypes of the argument
+        for name in ("eigh", "eigvalsh", "inv", "cholesky", "svd"):
+            def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name, a.shape] += 1
+                dtypes[_name].add(a.dtype)
+                return _f(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        c = np.random.default_rng(0).normal(size=H.shape[0])
+        c = np.random.default_rng(0).normal(size=k)
         sol = maximize_over_unit_ball(c, H, 1e-6)
         assert sol.converged
-        outer = calls["eigvalsh", 3]
-        assert outer >= 2
-        assert calls["eigh", 2] == calls["eigh", 3] == calls["inv", 2] == 0
-        assert calls["inv", 3] == calls["cholesky", 2] == sol.newton_steps + 1
-        assert calls["eigvalsh", 2] + calls["eigvalsh", 3] == 1 + 2 * outer
-        assert sides == {name: {1 if support else 2} for name in ("eigvalsh", "inv", "cholesky")}
-        # the lattice's generators take a real gauge, and every factorization
-        # and eigenvalue solve runs in real arithmetic; the random product's
-        # h x h ones stay complex (K and the Gram matrix are real in both)
+        assert all(len(shape) == 2 for _, shape in calls)
+        assert {name for name, _ in calls} == {"eigvalsh", "inv", "cholesky", "svd"}
+        assert set(calls) - {("cholesky", (p, p))} == {
+            ("eigvalsh", (k, k)), ("inv", (p, p)), ("cholesky", (k, k)), ("svd", (p, p))}
+        outer = calls["svd", (p, p)] // 2
+        assert outer >= 2 and calls["svd", (p, p)] == 2 * outer
+        assert calls["eigvalsh", (k, k)] == 1
+        assert calls["inv", (p, p)] == calls["cholesky", (k, k)] == sol.newton_steps + 1
+        assert calls["cholesky", (p, p)] >= sol.newton_steps
+        # the lattice's generators take a real gauge, and every factorization,
+        # inverse and SVD runs in real arithmetic; the random product's
+        # p x p ones stay complex (K and the Gram matrix are real in both)
         if support:
             assert set().union(*dtypes.values()) == {np.dtype(np.float64)}
         else:
             assert H.dtype == np.complex128
-            for key in (("inv", 3), ("cholesky", 3), ("eigvalsh", 3)):
-                assert dtypes[key] == {np.dtype(np.complex128)}
-            assert dtypes["cholesky", 2] == {np.dtype(np.float64)}
+            for name in ("inv", "svd"):
+                assert dtypes[name] == {np.dtype(np.complex128)}
+            assert dtypes["cholesky"] == {np.dtype(np.float64), np.dtype(np.complex128)}
 
     def test_sdp_imports_no_scipy(self):
         # scipy bundles a second OpenBLAS, whose thread pool contends with
@@ -498,8 +514,8 @@ class TestRealGauge:
 
 
 class TestChiralSolve:
-    """One side of the LMI when a grading makes every generator odd, checked
-    against the two-side solve of the same problem."""
+    """The off-diagonal block when a grading makes every generator odd,
+    checked against the solve on the full generators."""
 
     @pytest.mark.parametrize("H,gamma", [
         # a 4-cycle with a pendant vertex: bipartite
@@ -522,7 +538,7 @@ class TestChiralSolve:
     def test_commutant_rotation_keeps_the_distance(self):
         # u = 1 (x) U2 commutes with pi(a) = a (x) 1, so (pi, u D u*, u gamma u*)
         # has the same distances; the rotated generators fill their support,
-        # diagonal included, and the solve keeps both sides
+        # diagonal included, and the solve runs on the full generators
         t = random_triple(7, (2,))
         rng = np.random.default_rng(0)
         u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -542,10 +558,10 @@ class TestChiralSolve:
         assert max(lo1, lo2) <= min(up1, up2) * (1 + 1e-12)
         assert lo1 == pytest.approx(lo2, rel=1e-10)
 
-    def test_one_side_follows_the_two_side_path(self, monkeypatch):
-        # the lattice product is chiral; with the test switched off the same
-        # solves run on both sides and take the same Newton steps to the same
-        # brackets
+    def test_block_solve_agrees_with_the_full_solve(self, monkeypatch):
+        # the lattice product is chiral and solves on its 12 x 12 block; with
+        # the grading test switched off the same solves run on the full
+        # 24 x 24 generators, and both close to brackets that overlap
         pt = product(two_point(2.0), two_sheeted_line(6))
         solver = DistanceSolver(pt)
         plus, minus = pure_states(pt.algebra.factors[0])
@@ -553,24 +569,36 @@ class TestChiralSolve:
         pairs = [(product_state(plus, deltas[x], pt.algebra),
                   product_state(minus, deltas[y], pt.algebra))
                  for x, y in ((0, 0), (0, 5), (2, 3), (4, 1), (5, 5))]
-        inv, stacked = np.linalg.inv, []
+        inv, shapes, tol = np.linalg.inv, set(), 1e-7
 
         def recorded(a):
-            stacked.append(a.shape[0])
+            shapes.add(a.shape)
             return inv(a)
 
         monkeypatch.setattr(np.linalg, "inv", recorded)
-        one = [solver.distance(phi, phi2, 1e-7) for phi, phi2 in pairs]
-        assert set(stacked) == {1}
-        stacked.clear()
+        block = [solver.distance(phi, phi2, tol) for phi, phi2 in pairs]
+        assert shapes == {(12, 12)}
+        shapes.clear()
         monkeypatch.setattr(ncgp.sdp, "_chiral_grading", lambda h, ia, ib: None)
-        both = [solver.distance(phi, phi2, 1e-7) for phi, phi2 in pairs]
-        assert set(stacked) == {2}
-        for a, b in zip(one, both):
+        full = [solver.distance(phi, phi2, tol) for phi, phi2 in pairs]
+        assert shapes == {(24, 24)}
+        for a, b in zip(block, full):
             assert a.status == b.status == "finite"
-            assert a.newton_steps == b.newton_steps
-            assert a.lower == pytest.approx(b.lower, rel=1e-12)
-            assert a.upper == pytest.approx(b.upper, rel=1e-12)
+            assert max(a.lower, b.lower) <= min(a.upper, b.upper)
+            assert a.lower == pytest.approx(b.lower, rel=tol)
+
+    @pytest.mark.parametrize("x", [0, 3, 5])
+    def test_edge_pairs_close(self, x):
+        # (phi+ x delta_x, phi- x delta_x) on the two-sheeted line: at the
+        # ends x = 0 and 5 the certificate closes tol 1e-8 only once it is
+        # projected onto its constraint
+        pt = product(two_point(2.0), two_sheeted_line(6))
+        plus, minus = pure_states(pt.algebra.factors[0])
+        delta = pure_states(pt.algebra.factors[1])[x]
+        r = DistanceSolver(pt).distance(product_state(plus, delta, pt.algebra),
+                                        product_state(minus, delta, pt.algebra), 1e-8)
+        assert r.status == "finite"
+        assert r.upper - r.lower <= 1e-8 * r.lower
 
 
 @pytest.mark.usefixtures("no_fallback")
@@ -579,9 +607,8 @@ class TestCholeskyFailure:
         # the k x k factorization of K, once per iterate, works at the start
         # and after 11 Newton steps, then raises after the 12th: the solve
         # stops without an exception, unconverged, with the bracket of the
-        # outer iterations it completed (three, after steps 4, 7 and 9); the
-        # line search's batched factorizations of I +- H(y) (2 x h x h) pass
-        # through uncounted
+        # outer iterations it completed; the line search's h x h
+        # factorizations of I - B(y) B(y)* pass through uncounted
         rng = np.random.default_rng(7)
         diags = [rng.normal(size=5) for _ in range(3)]
         c = rng.normal(size=3)
@@ -592,7 +619,7 @@ class TestCholeskyFailure:
         cholesky, calls = np.linalg.cholesky, []
 
         def failing(a):
-            if a.ndim == 2:
+            if a.shape == (3, 3):
                 calls.append(1)
                 if len(calls) > 12:
                     raise np.linalg.LinAlgError("not positive definite")
