@@ -273,27 +273,44 @@ def _check_star_rep(rep: Representation) -> None:
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Positive normalized functional, one density matrix per block."""
+    """Positive normalized functional, one density matrix per block.
+
+    `total_trace` is sum_b tr(rho_b), within STRUCT_TOL of 1, kept from the
+    validation that computes it.
+    """
 
     algebra: FiniteAlgebra
     densities: tuple[np.ndarray, ...]
+    total_trace: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = []
-        total = 0.0
-        for rho, n in zip(self.densities, self.algebra.blocks, strict=True):
-            rho = as_operator(rho)
+        blocks = self.algebra.blocks
+        mats = tuple(np.asarray(rho, dtype=complex) for rho in self.densities)
+        if len(mats) != len(blocks):
+            raise ValueError(f"expected {len(blocks)} densities, one per block, got {len(mats)}")
+        for rho, n in zip(mats, blocks):
+            if rho.ndim != 2:
+                raise ValueError(f"expected a matrix, got ndim={rho.ndim}")
             if rho.shape != (n, n):
                 raise ValueError(f"density shape {rho.shape} does not match block size {n}")
-            if not is_hermitian(rho, STRUCT_TOL):
+        # the other checks run on one stack per block size, with one eigvalsh
+        # call each: a lattice state has 30 blocks of size 1
+        sizes, traces = np.array(blocks), np.empty(len(blocks))
+        for n in dict.fromkeys(blocks):
+            idx = np.flatnonzero(sizes == n)
+            stack = np.stack([mats[b] for b in idx])
+            if not np.isfinite(stack).all():
+                raise ValueError("matrix has non-finite entries")
+            if np.abs(stack - stack.conj().transpose(0, 2, 1)).max() > STRUCT_TOL:
                 raise ValueError("density matrix is not Hermitian")
-            if np.linalg.eigvalsh(rho)[0] < -STRUCT_TOL:
+            if np.linalg.eigvalsh(stack)[:, 0].min() < -STRUCT_TOL:
                 raise ValueError("density matrix is not positive semidefinite")
-            total += float(np.trace(rho).real)
-            mats.append(rho)
+            traces[idx] = np.trace(stack, axis1=1, axis2=2).real
+        total = sum(traces.tolist())   # in block order, as a running sum
         if abs(total - 1.0) > STRUCT_TOL:
             raise ValueError(f"densities must have total trace 1, got {total}")
-        object.__setattr__(self, "densities", tuple(mats))
+        object.__setattr__(self, "densities", mats)
+        object.__setattr__(self, "total_trace", total)
 
     def __call__(self, a: AlgebraElement) -> complex:
         _same_algebra(self, a)

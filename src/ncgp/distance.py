@@ -55,6 +55,28 @@ class DistanceResult:
         return self.status == "infinite"
 
 
+def _unit_commutators(D: np.ndarray, units: np.ndarray):
+    """The flat positions pos = a h + b where some [D, units[r]] is nonzero,
+    ascending, and C[r, s] = [D, units[r]] at pos[s], without a product of
+    h x h matrices: each unit entry U_r[c, b] = u adds u D[:, c] to column b
+    of D U_r and u D[b, :] to row c of U_r D."""
+    N, h = len(units), len(D)
+    # the nonzero entries, from one comparison of the interleaved (re, im)
+    # view, which needs a contiguous array (a caller's units may be strided)
+    units = np.ascontiguousarray(units)
+    v = units.reshape(-1).view(np.float64) != 0
+    t = np.flatnonzero(v[::2] | v[1::2])
+    r, c, b = np.unravel_index(t, units.shape)
+    u = units.reshape(-1)[t][:, None]
+    C = np.zeros((N, h, h), dtype=complex)
+    every = np.arange(h)
+    np.add.at(C, (r[:, None], every, b[:, None]), u * D[:, c].T)
+    np.add.at(C, (r[:, None], c[:, None], every), -u * D[b])
+    C = C.reshape(N, h * h)
+    pos = np.flatnonzero(C.any(axis=0))
+    return pos, C[:, pos]
+
+
 class DistanceSolver:
     """Distance computations on one triple, reusing the commutator geometry.
 
@@ -67,10 +89,12 @@ class DistanceSolver:
         self.triple = triple
         frame = hermitian_basis(triple.algebra)   # row i: b_i in the flat layout of rep.units
         k, h = len(frame), triple.hilbert_dim
-        P = (frame @ triple.rep.units.reshape(k, h * h)).reshape(k, h, h)   # pi(b_i)
-        L = triple.dirac @ P - P @ triple.dirac
-        del P   # not needed past here; freeing it lowers the set-up's peak memory
-        flat = np.concatenate([L.reshape(k, -1).real, L.reshape(k, -1).imag], axis=1)
+        # L_j = [D, pi(b_j)] on the union support `pos` of the unit commutators:
+        # the map's other columns are zero and change neither its singular
+        # values nor its left singular vectors
+        pos, C = _unit_commutators(triple.dirac, triple.rep.units)
+        L = frame @ C
+        flat = np.concatenate([L.real, L.imag], axis=1)
         # thin SVD: only u is read; zero columns keep u square (k x k) when
         # the map has fewer than k real components, as for a non-faithful pi
         if flat.shape[1] < k:
@@ -79,7 +103,6 @@ class DistanceSolver:
         # into [1/2, 1) first: exact, and the SVD does not overflow at D near 1e308
         e = int(np.frexp(np.abs(flat).max(initial=0.0))[1])
         u, s, _ = np.linalg.svd(np.ldexp(flat, -e, out=flat), full_matrices=False)
-        del flat
         smax = float(s[0]) if s.size else 0.0
         rank = int(np.sum(s > KERNEL_SVD_TOL * smax))
         self.range_basis = u[:, :rank]           # k x r
@@ -87,11 +110,13 @@ class DistanceSolver:
         # H_j = i L_j is Hermitian as D and pi(b_j) are, and ||H(y)|| = ||L(y)||;
         # taking its Hermitian part, (i L_j / 2) + (i L_j / 2)*, makes that exact
         # in floating point, and halving before the sum keeps it finite at D
-        # near 1e308
-        H = (self.range_basis.T @ L.reshape(k, -1)).reshape(rank, h, h)
-        del L
-        H *= 0.5j
-        H += H.conj().transpose(0, 2, 1)
+        # near 1e308; it is formed on the support and its transpose
+        Hs = self.range_basis.T @ L
+        Hs *= 0.5j
+        H = np.zeros((rank, h * h), dtype=complex)
+        H[:, pos] = Hs
+        H[:, pos % h * h + pos // h] += np.conj(Hs)
+        H = H.reshape(rank, h, h)
         # a diagonal quarter-turn unitary diag(i^g) that makes every H_j real,
         # where one exists, lets the IPM run in real arithmetic; the norm, and
         # so the y coordinates, the bracket and the optimizer, are unchanged
@@ -106,8 +131,7 @@ class DistanceSolver:
     def _values(self, state: State) -> np.ndarray:
         """phi(b_i) / phi(1): a total trace off 1 (State admits STRUCT_TOL)
         would read as a kernel difference of two states."""
-        total = sum(float(np.trace(r).real) for r in state.densities)
-        return state.on_hermitian_basis() / total
+        return state.on_hermitian_basis() / state.total_trace
 
     def distance(self, phi: State, phi2: State, tol: float = DEFAULT_TOL) -> DistanceResult:
         if not 0.0 < tol < math.inf:

@@ -53,9 +53,13 @@ multiply-adds, they cost
     K = 2 Re((Bu C + conj(Bu) (A o A^T)) Bu*): 2k|U|^2 + k^2|U|, plus
     memory-bound passes over the three gathered |U| x |U| arrays that take
     about as long as 24|U|^2;
-  * dense order: R [B_1 ... B_k] and [V; T] [B_1* ... B_k*], two GEMMs
-    holding every R B_j, V B_j* and T B_j*, then g_j = 2 Re tr(T B_j*) and K
-    as one real GEMM: k p q (2p + q) + k^2 p (p + q).
+  * dense order: R B_j (one batched GEMM), B_j V and Y_j = B_j T* (one GEMM
+    each on the (k p) x q rows of the stacked B_j), then g_j = 2 Re<B_j, T>
+    and, as Re tr(R B_i V B_j*) = Re<B_j V, R B_i> and
+    Re tr(T B_i* T B_j*) = Re<Y_j, Y_i*>, K as two real GEMMs of interleaved
+    views: k p q (2p + q) + k^2 p (p + q).  Beyond one adjoint copy of Y,
+    nothing is concatenated or transposed, so a call holds two products at
+    a time.
 
 Each solve computes both counts from (k, p, q, |U|) and runs the cheaper
 order; both give the same numbers up to roundoff.
@@ -228,11 +232,16 @@ def _resolvents(X: np.ndarray):
     return R, T, np.eye(X.shape[1]) + np.conj(X.T) @ T
 
 
+def _rows(X: np.ndarray, k: int) -> np.ndarray:
+    """The interleaved (re, im) view of a C-contiguous X as k rows: for X and
+    Y holding k matrices each, rows(X) @ rows(Y).T = Re<Y_j, X_i>."""
+    return X.view(np.float64).reshape(k, -1)
+
+
 def _re_gemm(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Re(P @ Q^T), the real GEMM of the interleaved (re, im) views of P and
     conj(Q), for 2-D P and Q."""
-    P, Q = np.ascontiguousarray(P), np.conj(Q, order="C")
-    return P.view(np.float64).reshape(len(P), -1) @ Q.view(np.float64).reshape(len(Q), -1).T
+    return _rows(np.ascontiguousarray(P), len(P)) @ _rows(np.conj(Q, order="C"), len(Q)).T
 
 
 def _support_order_is_cheaper(k: int, p: int, q: int, m: int) -> bool:
@@ -254,21 +263,20 @@ def _newton_support(Bu: np.ndarray, gR: np.ndarray, gV: np.ndarray, gT: np.ndarr
     return g, 2.0 * _re_gemm(M, np.conj(Bu))
 
 
-def _newton_dense(Bp: np.ndarray, Bh: np.ndarray, R: np.ndarray, T: np.ndarray,
-                  V: np.ndarray):
-    """The same g and K as `_newton_support`, from the dense products R B_j,
-    V B_j* and T B_j*, for Bp = [B_1 ... B_k] (p x k q) and
-    Bh = [B_1* ... B_k*] (q x k p)."""
-    (p, q), k = T.shape, Bp.shape[1] // T.shape[1]
-    X = (R @ Bp).reshape(p, k, q)   # X[a, i, b] = (R B_i)[a, b]
-    # one GEMM gives Y[b, j, a] = (V B_j*)[b, a] for b < q, and below them
-    # N[c, j, a] = (T B_j*)[c, a]: g_j = 2 Re tr(T B_j*)
-    YN = (np.concatenate([V, T]) @ Bh).reshape(q + p, k, p)
-    g = 2.0 * np.trace(YN[q:], axis1=0, axis2=2).real
-    # K_ij = 2 Re [sum_ab X[a, i, b] Y[b, j, a] + sum_ac N[a, i, c] N[c, j, a]],
-    # one real GEMM of [X N] against YN, both read with the index a first
-    XN = np.concatenate([X, YN[q:]], axis=2).transpose(1, 0, 2).reshape(k, -1)
-    return g, 2.0 * _re_gemm(XN, YN.transpose(1, 2, 0).reshape(k, -1))
+def _newton_dense(Bs: np.ndarray, R: np.ndarray, T: np.ndarray, V: np.ndarray):
+    """The same g and K as `_newton_support`, from the stack Bs = (B_1, ...,
+    B_k) (k x p x q): g_j = 2 Re<B_j, T>, and as Re tr(R B_i V B_j*) =
+    Re<B_j V, R B_i> and, with Y_j = B_j T* and Y_i* = T B_i*,
+    Re tr(T B_i* T B_j*) = Re<Y_j, Y_i*>, K is two real GEMMs of interleaved
+    views.  R B_i is one batched GEMM, B_j V and B_j T* one GEMM each on the
+    (k p) x q rows of Bs, and Y* one adjoint copy; nothing is concatenated."""
+    k, p, q = Bs.shape
+    g = 2.0 * (_rows(Bs, k) @ T.view(np.float64).ravel())
+    K = _rows(R @ Bs, k) @ _rows(Bs.reshape(-1, q) @ V, k).T
+    Y = Bs.reshape(-1, q) @ np.conj(T.T, order="C")
+    Ya = Y.reshape(k, p, p).transpose(0, 2, 1).copy()
+    K += _rows(Y, k) @ _rows(np.conjugate(Ya, out=Ya), k).T
+    return g, 2.0 * K
 
 
 def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
@@ -321,9 +329,7 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
         newton_system = partial(_newton_support, Bu, ia * p + ia[:, None],
                                 ib[:, None] * q + ib, ia[:, None] * q + ib)
     else:
-        Bs = _ldexp(B, -e) / root
-        newton_system = partial(_newton_dense, np.concatenate(Bs, axis=1),
-                                np.concatenate(np.conj(Bs.transpose(0, 2, 1)), axis=1))
+        newton_system = partial(_newton_dense, _ldexp(B, -e) / root)
 
     def B_of(yv: np.ndarray) -> np.ndarray:
         """B(yv) = sum_j yv_j B_j, scattered from the union support."""

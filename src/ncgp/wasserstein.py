@@ -12,6 +12,9 @@ of `FiniteMetricSpace` are relative to the largest distance: w1(s d) = s w1(d).
 HiGHS runs with feasibility tolerances of 1e-10.  At its default of 1e-7 the
 simplex may stop at a basis with reduced costs near -3e-8, whose plan costs
 a few 1e-9 more than the optimum: the duality-gap check then rightly fails.
+
+scipy is imported by the first `w1` call, not with this module: importing it
+takes about half a second, and nothing else in ncgp uses it.
 """
 
 from __future__ import annotations
@@ -19,13 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .tolerances import GAP_TOL, MARGINAL_TOL, STRUCT_TOL, TRIANGLE_TOL
 
 TRIANGLE_ROWS = 4   # rows of the triangle check per pass: O(n^2) memory, not O(n^3)
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +130,8 @@ class W1Result:
 
 def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     """Wasserstein-1 distance with its optimal potential and transport plan."""
+    from scipy import sparse
+
     if mu.space is not space and not np.array_equal(mu.space.dist, space.dist):
         raise ValueError("mu does not live on the given space")
     if nu.space is not space and not np.array_equal(nu.space.dist, space.dist):

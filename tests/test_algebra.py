@@ -29,6 +29,7 @@ from ncgp.algebra import (
     tensor_element,
 )
 from ncgp.experiments import random_triple
+from ncgp.tolerances import STRUCT_TOL
 from ncgp.triples import product
 
 C2 = FiniteAlgebra((1, 1))
@@ -414,6 +415,58 @@ class TestState:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             State(FiniteAlgebra((2,)), (np.array([[0.5, 0.3], [0.0, 0.5]]),))
+
+    @pytest.mark.parametrize("blocks", [(1,) * 30, (2, 1, 3, 1, 2), (3, 2, 1, 1)])
+    @pytest.mark.parametrize("defect,message", [
+        ("non-Hermitian", "density matrix is not Hermitian"),
+        ("negative", "density matrix is not positive semidefinite"),
+        ("nan", "matrix has non-finite entries"),
+        ("shape", "does not match block size"),
+        ("ndim", "expected a matrix, got ndim=1"),
+        ("trace", "densities must have total trace 1"),
+    ])
+    def test_one_defect_in_the_last_block(self, blocks, defect, message):
+        # the blocks are checked in one stack per block size; a defect in the
+        # last block still raises the message of its check
+        alg = FiniteAlgebra(blocks)
+        good = [np.eye(n, dtype=complex) / sum(blocks) for n in blocks]
+        phi = State(alg, tuple(good))
+        assert phi.total_trace == pytest.approx(1.0, abs=1e-15)
+        n = blocks[-1]
+        last = good[-1].copy()
+        if defect == "non-Hermitian":
+            last[0, -1] += 1e-6j if n == 1 else 1e-6
+        elif defect == "negative":
+            shift = last[0, 0].real + 1e-6   # to an eigenvalue -1e-6; the first block
+            last[0, 0] -= shift               # takes the trace, so the total stays 1
+            good[0] = good[0] + shift * np.eye(blocks[0]) / blocks[0]
+        elif defect == "nan":
+            last[-1, -1] = np.nan
+        elif defect == "shape":
+            last = np.eye(n + 1) / (sum(blocks) * (n + 1) / n)
+        elif defect == "ndim":
+            last = np.diagonal(last).copy()
+        else:
+            last *= 1.0 + 2.0 * STRUCT_TOL * sum(blocks) / n
+        with pytest.raises(ValueError, match=message):
+            State(alg, tuple(good[:-1]) + (last,))
+
+    def test_wrong_number_of_densities(self):
+        alg = FiniteAlgebra((1,) * 30)
+        densities = (np.array([[1.0 / 29]]),) * 29
+        with pytest.raises(ValueError, match="expected 30 densities, one per block, got 29"):
+            State(alg, densities)
+        with pytest.raises(ValueError, match="expected 1 densities, one per block, got 2"):
+            State(FiniteAlgebra((2,)), (np.eye(2) / 4, np.eye(2) / 4))
+
+    def test_total_trace_is_the_running_sum_of_the_block_traces(self):
+        rng = np.random.default_rng(7)
+        for blocks in ((1,) * 30, (2, 1, 3, 1, 2)):
+            phi = random_state(FiniteAlgebra(blocks), rng)
+            total = 0.0
+            for rho in phi.densities:
+                total += float(np.trace(rho).real)
+            assert phi.total_trace == total
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

@@ -22,14 +22,15 @@ from ncgp.algebra import (
 )
 from ncgp.distance import (
     DistanceSolver,
+    _unit_commutators,
     distance_matrix,
     distance_result_to_json,
     spectral_distance,
 )
 from ncgp.experiments import random_triple
 from ncgp.linalg import op_norm
-from ncgp.sdp import maximize_over_unit_ball, ratio_ascent
-from ncgp.tolerances import SWEEP_TOL
+from ncgp.sdp import QUARTER_TURNS, maximize_over_unit_ball, ratio_ascent
+from ncgp.tolerances import KERNEL_SVD_TOL, SWEEP_TOL
 from ncgp.triples import (
     SpectralTriple,
     amplified_two_point,
@@ -378,6 +379,54 @@ class TestKernelSplit:
         if h == 2:
             r = solver.distance(states[0], states[1], 1e-7)
             assert r.status == "finite" and r.lower == pytest.approx(3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["lattice-6", "theorem-1", "amplified", "coordinate",
+                                      "zero-dirac", "odd-lattice"])
+    def test_union_support_matches_the_dense_commutator_map(self, name):
+        # the set-up forms [D, pi(b_j)] on the union support of the unit
+        # commutators and takes the SVD of those columns only; against the
+        # dense map: every other column is zero, the ranks are equal and the
+        # range projectors agree
+        t = {"lattice-6": lambda: product(two_point(2.0), two_sheeted_line(6)),
+             "theorem-1": lambda: product(random_triple(3, (1, 2)), random_triple(4, (2,))),
+             "amplified": lambda: product(two_point(1.5), amplified_two_point(0.7)),
+             "coordinate": lambda: coordinate_triple(9, 2, lam=3.0),
+             "zero-dirac": lambda: SpectralTriple(Representation.defining(C2), np.zeros((2, 2))),
+             "odd-lattice": lambda: random_triple(5, (1, 1, 2), even=False)}[name]()
+        k, h = t.algebra.selfadjoint_dim, t.hilbert_dim
+        P = hermitian_basis(t.algebra) @ t.rep.units.reshape(k, -1)
+        L = np.stack([t.dirac @ p - p @ t.dirac for p in P.reshape(k, h, h)]).reshape(k, -1)
+        pos, C = _unit_commutators(t.dirac, t.rep.units)
+        dense_C = np.stack([t.dirac @ u - u @ t.dirac for u in t.rep.units]).reshape(k, -1)
+        assert np.allclose(C, dense_C[:, pos], rtol=0, atol=1e-14 * max(1.0, np.abs(L).max()))
+        assert not np.delete(dense_C, pos, axis=1).any()
+        flat = np.concatenate([L.real, L.imag, np.zeros((k, k))], axis=1)
+        s = np.linalg.svd(flat, compute_uv=False)
+        rank = int(np.sum(s > KERNEL_SVD_TOL * s[0])) if s[0] > 0 else 0
+        solver = DistanceSolver(t)
+        assert solver.range_basis.shape == (k, rank)
+        u = np.linalg.svd(flat)[0][:, :rank]
+        assert np.allclose(solver.range_basis @ solver.range_basis.T, u @ u.T, rtol=0, atol=1e-13)
+        # and the reduced generators are the range directions of i L, Hermitian
+        H = solver.H_reduced
+        if solver.gauge is not None:
+            w = QUARTER_TURNS[solver.gauge]
+            H = w[:, None] * H * np.conj(w)
+        want = 1j * (solver.range_basis.T @ L).reshape(rank, h, h)
+        assert np.allclose(H, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max(initial=0.0)))
+
+    def test_strided_unit_images(self):
+        # Representation keeps a strided complex `units` array as given; the
+        # set-up reads its entries through a contiguous copy
+        t = product(two_point(2.0), amplified_two_point(1.0))
+        buf = np.zeros(2 * t.rep.units.size, dtype=complex)
+        buf[::2] = t.rep.units.ravel()
+        rep = Representation(t.algebra, t.hilbert_dim, buf[::2].reshape(t.rep.units.shape))
+        assert not rep.units.flags.c_contiguous
+        strided = SpectralTriple(rep, t.dirac, t.grading)
+        phi, phi2 = product_states_pm(t, PLUS, PLUS), product_states_pm(t, MINUS, PLUS)
+        assert (spectral_distance(strided, phi, phi2).lower
+                == spectral_distance(t, phi, phi2).lower)
 
     def test_lattice_n15_ranks(self):
         # the benchmark's lattice-n15 triple: full-rank commutator map

@@ -3,6 +3,7 @@
 import ast
 import collections
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,8 +244,7 @@ def newton_system_at(c, B, mu, y, order):
         g, K = _newton_support(Bu, ia * p + ia[:, None], ib[:, None] * q + ib,
                                ia[:, None] * q + ib, R, T, V)
     else:
-        g, K = _newton_dense(np.concatenate(B, axis=1),
-                             np.concatenate(np.conj(B.transpose(0, 2, 1)), axis=1), R, T, V)
+        g, K = _newton_dense(np.ascontiguousarray(B), R, T, V)
     return c - mu * g, K
 
 
@@ -321,6 +321,22 @@ class TestNewtonSystem:
                 grad_h, K_h = newton_system_at(c, H, mu / 2.0, y, order)
                 assert np.allclose(grad_b, grad_h, rtol=1e-12, atol=1e-12 * np.abs(grad_h).max())
                 assert np.allclose(K_b, K_h / 2.0, rtol=1e-12, atol=1e-12 * np.abs(K_h).max())
+
+    def test_dense_order_allocates_little(self):
+        # at a theorem-1 shape (k = 15, p = q = 16, complex) one call holds
+        # at most two products of the size of the stack Bs (61 KB each) at a
+        # time: arrays above glibc's 128 KiB mmap threshold are mapped and
+        # unmapped on every call, and page-fault each time they are touched
+        B, c, mu, y = interior_instance(11, 15, 16)
+        R, T, V = _resolvents(np.einsum("j,jpq->pq", y, B))
+        _newton_dense(B, R, T, V)
+        tracemalloc.start()
+        try:
+            _newton_dense(B, R, T, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B.nbytes == 61440 and peak < 3 * B.nbytes
 
     def test_order_selection(self, monkeypatch):
         # the lattice-n15 solve (k=30, its chiral 30 x 30 block with 73

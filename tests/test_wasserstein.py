@@ -2,13 +2,18 @@
 
 import json
 import math
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncgp
 from ncgp.wasserstein import (
     TRIANGLE_ROWS,
     FiniteMetricSpace,
@@ -284,3 +289,28 @@ def test_json_round_trip():
     m = lambda_measure(seg, 0.25)
     back_m = measure_from_json(back, json.loads(json.dumps(measure_to_json(m))))
     assert np.array_equal(back_m.weights, m.weights)
+
+
+def test_scipy_is_imported_only_by_w1():
+    # a fresh interpreter: importing ncgp, a distance solve and the theorem-1
+    # sweep of the CLI load no scipy (about half a second of import); the
+    # first w1 call loads it and solves as before
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import ncgp
+        from ncgp.cli import main
+        t = ncgp.two_point(2.0)
+        assert ncgp.spectral_distance(t, *ncgp.pure_states(t.algebra)).status == "finite"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "theorem1", "--trials", "2", "--seed", "1"]) == 0
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded[:3]
+        seg = ncgp.FiniteMetricSpace.segment()
+        r = ncgp.w1(seg, ncgp.lambda_measure(seg, 0.3), ncgp.lambda_measure(seg, 0.0))
+        assert abs(r.value - 0.3) <= 1e-9 and "scipy.optimize" in sys.modules
+        print("ok")
+    """)
+    src = str(Path(ncgp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
