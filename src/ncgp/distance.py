@@ -24,7 +24,7 @@ from .algebra import (AlgebraElement, State, element_from_coordinates, element_t
                       hermitian_basis)
 from .linalg import finite_json, op_norm
 # ratio_ascent is not called here: perfbench/tracing.py counts its calls under this name
-from .sdp import QUARTER_TURNS, maximize_over_unit_ball, ratio_ascent, real_gauge  # noqa: F401
+from .sdp import NormBall, maximize_over_unit_ball, ratio_ascent  # noqa: F401
 from .tolerances import DEFAULT_TOL, INFINITY_TOL, KERNEL_SVD_TOL, ROUNDOFF_TOL
 from .triples import SpectralTriple
 
@@ -116,17 +116,9 @@ class DistanceSolver:
         H = np.zeros((rank, h * h), dtype=complex)
         H[:, pos] = Hs
         H[:, pos % h * h + pos // h] += np.conj(Hs)
-        H = H.reshape(rank, h, h)
-        # a diagonal quarter-turn unitary diag(i^g) that makes every H_j real,
-        # where one exists, lets the IPM run in real arithmetic; the norm, and
-        # so the y coordinates, the bracket and the optimizer, are unchanged
-        self.gauge = real_gauge(H)
-        if self.gauge is not None:
-            w = QUARTER_TURNS[self.gauge]
-            H *= np.conj(w)[:, None]
-            H *= w
-            H = np.ascontiguousarray(H.real)
-        self.H_reduced = H
+        # reduced once to the norm ball that every solve reads; at rank 0
+        # every objective vanishes on the range and no solve runs
+        self.ball = NormBall(H.reshape(rank, h, h)) if rank else None
 
     def _values(self, state: State) -> np.ndarray:
         """phi(b_i) / phi(1): a total trace off 1 (State admits STRUCT_TOL)
@@ -157,7 +149,7 @@ class DistanceSolver:
         c_red = self.range_basis.T @ c
         if not c_red.any():
             return DistanceResult(0.0, 0.0, alg.zero(), "finite")
-        sol = maximize_over_unit_ball(c_red, self.H_reduced, tol)
+        sol = maximize_over_unit_ball(c_red, self.ball, tol)
         x = self.range_basis @ sol.y_best
         optimizer = element_from_coordinates(alg, x)
         gnorm = op_norm(self.triple.commutator_with_dirac(optimizer))

@@ -35,7 +35,7 @@ from .khomology import (
     pairing_vector,
 )
 from .linalg import commutator, finite_json, op_norm, parity_split, tensor
-from .tolerances import CHECK_TOL, SWEEP_TOL
+from .tolerances import CHECK_TOL, EXACT_TOL, LATTICE_TOL, PAIRING_INT_TOL, SWEEP_TOL
 from .triples import (
     SpectralTriple,
     amplified_two_point,
@@ -192,7 +192,7 @@ def check_pullback_infinite(tol: float = CHECK_TOL) -> ExperimentReport:
     return _report("pullback-infinite", {}, "infinite", statuses, passed, tol, t0)
 
 
-def check_wasserstein_point(lam: float = 0.5, tol: float = 1e-9) -> ExperimentReport:
+def check_wasserstein_point(lam: float = 0.5, tol: float = EXACT_TOL) -> ExperimentReport:
     """W1 = lam on the segment and W = sqrt(2) lam (lam + sqrt(2)(1 - lam))
     on the product square."""
     t0 = time.perf_counter()
@@ -210,7 +210,7 @@ def check_wasserstein_point(lam: float = 0.5, tol: float = 1e-9) -> ExperimentRe
                    passed, tol, t0)
 
 
-def check_khomology(tol: float = 1e-8) -> ExperimentReport:
+def check_khomology(tol: float = PAIRING_INT_TOL) -> ExperimentReport:
     """Pairing table: <F_i, p_j> = delta_ij, F1 -> (1,-1), F2 -> (1,1),
     and the rank pairing over C equals 1."""
     t0 = time.perf_counter()
@@ -231,7 +231,7 @@ def check_khomology(tol: float = 1e-8) -> ExperimentReport:
 
 
 def check_lattice_bound(n: int = 5, lam: float = 2.0, h: float = 1.0,
-                        tol: float = 1e-5) -> ExperimentReport:
+                        tol: float = LATTICE_TOL) -> ExperimentReport:
     """Two-sheeted lattice line: d(phi+ x delta_x, phi- x delta_y) <= 1 for all
     grid points, and < lam on the diagonal when lam > 1."""
     t0 = time.perf_counter()
@@ -257,7 +257,7 @@ def check_lattice_bound(n: int = 5, lam: float = 2.0, h: float = 1.0,
 # Randomized sweeps -----------------------------------------------------------
 
 
-def sweep_wasserstein(lambda_steps: int = 9, tol: float = 1e-9) -> ExperimentReport:
+def sweep_wasserstein(lambda_steps: int = 9, tol: float = EXACT_TOL) -> ExperimentReport:
     """Sweep lam over a uniform grid; rows (lambda, W1, W2, W, ratio) must match
     W = k_lam sqrt(W1^2 + W2^2) with k_lam = lam + sqrt(2)(1 - lam)."""
     if lambda_steps < 1:
@@ -329,7 +329,7 @@ def sweep_theorem1(trials: int = 200, seed: int = 0,
 
 
 def sweep_lemmas(trials: int = 1000, seed: int = 0,
-                 tol: float = 1e-9) -> ExperimentReport:
+                 tol: float = EXACT_TOL) -> ExperimentReport:
     """Operator lemmas behind the main theorem, on random instances:
     the norm Pythagoras identity for a1 (x) 1 + 1 (x) a2, the odd/even max
     bound, and the slice-map contraction."""

@@ -5,7 +5,13 @@ The problem solved here is
     maximize  c . y   subject to  || H(y) || <= 1,    H(y) = sum_j y_j H_j,
 
 with H_j Hermitian h x h matrices whose span contains no nonzero kernel
-directions (the caller projects those out first).  The solve works on one
+directions (the caller projects those out first).  Everything that depends on
+the H_j alone is derived once, by `NormBall(H)`, before any solve: the union
+support, the exact Hermiticity check on it, the linear-independence check,
+the gauge and the grading below, the block, its scale, its Gram matrix and
+ybound, and the contraction order.  `maximize_over_unit_ball(c, ball, tol)`
+then only normalizes c and follows the path; a `DistanceSolver` builds one
+ball per triple and reuses it for every pair of states.  The solve works on one
 p x q block B_j of each H_j with ||B(y)|| = ||H(y)|| for every y, and on the
 single problem max c.y s.t. ||B(y)|| <= 1:
 
@@ -13,9 +19,11 @@ single problem max c.y s.t. ||B(y)|| <= 1:
     and every pi(a) even, so every H_j is odd under it.  When some diagonal
     Gamma = diag(+-1) has Gamma H_j Gamma = -H_j for every j, which holds
     exactly when the union-support graph is bipartite and has no diagonal
-    entry (`_chiral_grading`, the parity traversal of `real_gauge` with every
-    edge odd: exact, no tolerance), then H_j = [[0, B_j], [B_j*, 0]] on the
-    Gamma-sorted basis, and B_j = H_j[P, Q] with P the smaller class;
+    entry (`_parity_colouring` with every edge odd, the traversal that
+    `real_gauge` runs too: exact, no tolerance), then H_j = [[0, B_j],
+    [B_j*, 0]] on the Gamma-sorted basis, and B_j = H_j[P, Q] with P the
+    smaller class; the block's union support is the H_j's restricted to the
+    rows in P and re-indexed;
   * otherwise B_j = H_j, p = q = h.
 
 The barrier is log det(I - B B*), the standard barrier of the spectral-norm
@@ -61,14 +69,15 @@ multiply-adds, they cost
     nothing is concatenated or transposed, so a call holds two products at
     a time.
 
-Each solve computes both counts from (k, p, q, |U|) and runs the cheaper
-order; both give the same numbers up to roundoff.
+`NormBall` computes both counts from (k, p, q, |U|) once and keeps the
+cheaper order (for the dense one, the stack of the B_j scattered from Bu);
+both give the same numbers up to roundoff.
 
 The problem is homogeneous: for a, b > 0, max (a c).y over ||B(y) / b|| <= 1
-is a b times max c.y over ||B(y)|| <= 1.  So the solve first divides c by
-||c|| and the B_j by sigma = sqrt(lambda_max(G)), G_ij = Re <B_i, B_j> the
-Gram matrix, runs on that unit-scale data, and scales the bracket by
-||c|| / sigma and y_best by 1 / sigma on return.  It forms G only after
+is a b times max c.y over ||B(y)|| <= 1.  So `NormBall` divides the B_j by
+sigma = sqrt(lambda_max(G)), G_ij = Re <B_i, B_j> the Gram matrix, the solve
+divides c by ||c||, runs on that unit-scale data, and scales the bracket by
+||c|| / sigma and y_best by 1 / sigma on return.  `NormBall` forms G only after
 scaling the B_j by the power of two 2^-e that brings their largest entry
 into [1/2, 1): that is exact, and G neither underflows nor overflows, at H_j
 of 1e-300 or of 1e300.  sigma = 2^e sqrt(lambda_max(2^-2e G)) is kept as that
@@ -104,7 +113,8 @@ positive definite to working precision ends the solve with the bracket it
 has.
 
 Every step runs unchanged on real B_j, in real arithmetic, which is faster
-for every factorization, inverse, SVD and GEMM.  `real_gauge` finds, where
+for every factorization, inverse, SVD and GEMM.  `real_gauge` finds, from the
+values on the union support, where
 one exists, a diagonal unitary W = diag(i^g_a), g in {0, 1}^h, with
 W* H_j W real for every j: the switching equivalence of gain graphs
 (Zaslavsky, *Signed graphs*, Discrete Appl. Math. 4 (1982); Reff, *Spectral
@@ -117,8 +127,9 @@ imaginary (the other part is 0, not small: no tolerance), with the same kind
 at one position in every H_j, and then the imaginary parts it leaves are
 exactly zero.  The two-sheeted lattices, the two-point spaces and their
 products take it; random complex Dirac operators do not.
-||W* H(y) W|| = ||H(y)||, so y, y_best and the bracket keep their meaning, but
-the dual certificate is that of the gauged H_j, on their Gamma-sorted block.
+`NormBall` applies it to the support values only.  ||W* H(y) W|| =
+||H(y)||, so y, y_best and the bracket keep their meaning, but the dual
+certificate is that of the gauged H_j, on their Gamma-sorted block.
 """
 
 from __future__ import annotations
@@ -144,17 +155,10 @@ class LMISolution:
     newton_steps: int
 
 
-def _union_support(H: np.ndarray):
-    """Index arrays (ia, ib) of the entries where some H_j is nonzero, and
-    the values Hu = H[:, ia, ib]."""
-    ia, ib = np.nonzero(np.any(H, axis=0))
-    return ia, ib, np.ascontiguousarray(H[:, ia, ib])
-
-
 QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])   # i^g, exactly, for g = 0..3
 
 
-def _parity_colouring(h: int, ia: np.ndarray, ib: np.ndarray, odd) -> list[int] | None:
+def _parity_colouring(h: int, ia: np.ndarray, ib: np.ndarray, odd) -> np.ndarray | None:
     """g in {0, 1}^h with g_a ^ g_b = odd_p at every support position
     p = (ia_p, ib_p), or None when there is none: one traversal of the
     union-support graph, each component coloured from its first vertex."""
@@ -174,12 +178,14 @@ def _parity_colouring(h: int, ia: np.ndarray, ib: np.ndarray, odd) -> list[int] 
                     todo.append(b)
                 elif g[b] != g[a] ^ o:
                     return None
-    return g
+    return np.array(g)
 
 
-def real_gauge(H: np.ndarray) -> np.ndarray | None:
+def real_gauge(h: int, ia: np.ndarray, ib: np.ndarray, Hu: np.ndarray) -> np.ndarray | None:
     """g in {0, 1}^h such that i^-g_a H_j[a, b] i^g_b is real for every j, a
-    and b, or None when there is none; the test is exact (module docstring).
+    and b, or None when there is none, read off the values Hu = H[:, ia, ib]
+    (complex, C-contiguous) on the union support (ia, ib); the test is exact
+    (module docstring).
 
     Each support position must hold real entries in every H_j or imaginary
     entries in every H_j: real ones need g_a = g_b and imaginary ones
@@ -187,23 +193,10 @@ def real_gauge(H: np.ndarray) -> np.ndarray | None:
     """
     # nonzero real and imaginary parts at each position, from one comparison
     # of the interleaved (re, im) view: rejecting takes microseconds
-    H = np.ascontiguousarray(H, dtype=complex)
-    nonzero = (H.view(np.float64) != 0).reshape(*H.shape, 2).any(axis=0)
-    real, imag = nonzero[..., 0], nonzero[..., 1]
-    if np.any(real & imag):
+    nonzero = (Hu.view(np.float64) != 0).reshape(*Hu.shape, 2).any(axis=0)
+    if np.any(nonzero[:, 0] & nonzero[:, 1]):
         return None
-    ia, ib = np.nonzero(real | imag)
-    g = _parity_colouring(H.shape[1], ia, ib, imag[ia, ib].tolist())
-    return None if g is None else np.array(g)
-
-
-def _chiral_grading(h: int, ia: np.ndarray, ib: np.ndarray) -> np.ndarray | None:
-    """Gamma = diag(+-1) with Gamma H_j Gamma = -H_j for every H_j supported on
-    the positions (ia, ib), or None when there is none: every support entry
-    must join two opposite signs, so the union-support graph is bipartite and
-    has no diagonal entry.  Exact: it reads only which entries are exactly 0."""
-    g = _parity_colouring(h, ia, ib, [1] * ia.size)
-    return None if g is None else 1.0 - 2.0 * np.array(g)
+    return _parity_colouring(h, ia, ib, nonzero[:, 1].tolist())
 
 
 def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
@@ -279,67 +272,106 @@ def _newton_dense(Bs: np.ndarray, R: np.ndarray, T: np.ndarray, V: np.ndarray):
     return g, 2.0 * K
 
 
-def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolution:
-    """Path-following solve of max c.y s.t. ||sum_j y_j H_j|| <= 1.
+class NormBall:
+    """The unit ball ||sum_j y_j H_j|| <= 1 of k exactly Hermitian, linearly
+    independent h x h generators H_j (k x h x h), reduced once to what
+    `maximize_over_unit_ball` reads (module docstring):
 
-    Requires c != 0 and the H_j to be exactly Hermitian and linearly
-    independent; returns a certified bracket [lower, upper] with
+      * gauge: the quarter-turn gauge g of `real_gauge`, or None;
+      * P, Q: the rows and columns of the block B_j = H_j[P, Q];
+      * ia, ib, Bu: its union support and the k x |U| values there, gauged
+        and scaled to unit scale, B_j 2^-e / root;
+      * e, root: that scale, sigma = 2^e root;
+      * G, ybound: the normalized Gram matrix and the bound on ||y||;
+      * newton_system: (R, T, V) -> (g, K) in the cheaper contraction order.
+
+    Raises ValueError when the H_j are not Hermitian or not linearly
+    independent."""
+
+    def __init__(self, H: np.ndarray):
+        h = H.shape[1]
+        ia, ib = np.nonzero(np.any(H, axis=0))
+        Hu = np.ascontiguousarray(H[:, ia, ib], dtype=complex)
+        # H_j[b, a] = conj(H_j[a, b]) at every support position (a, b) is the
+        # whole test: were (b, a) off the support, the conjugate would be 0
+        if not np.array_equal(H[:, ib, ia], np.conj(Hu)):
+            raise ValueError("H_j must be Hermitian")
+        # a diagonal quarter-turn unitary diag(i^g) that makes every H_j real,
+        # where one exists, lets the IPM run in real arithmetic; the norm, and
+        # so y and the bracket, are unchanged
+        self.gauge = real_gauge(h, ia, ib, Hu)
+        if self.gauge is not None:
+            w = QUARTER_TURNS[self.gauge]
+            Hu = np.ascontiguousarray((Hu * np.conj(w)[ia] * w[ib]).real)
+        # the block B_j = H_j[P, Q] carries the norm: all of H_j, or the
+        # off-diagonal block between the classes of a grading that makes every
+        # H_j odd (every support entry joins the two classes), P the smaller one
+        P = Q = np.arange(h)
+        g = _parity_colouring(h, ia, ib, [1] * ia.size)
+        if g is not None:
+            side = int(2 * g.sum() < h)   # the colour of the smaller class, 0 on a tie
+            P, Q, rows = np.flatnonzero(g == side), np.flatnonzero(g != side), g[ia] == side
+            Hu, ia, ib = Hu[:, rows], np.searchsorted(P, ia[rows]), np.searchsorted(Q, ib[rows])
+        self.P, self.Q, self.ia, self.ib = P, Q, ia, ib
+        k, p, q = len(Hu), P.size, Q.size
+
+        # Gram matrix of the B_j, PD by linear independence, formed from the B_j
+        # times the power of two 2^-e that brings their largest entry into
+        # [1/2, 1): exact, and it neither underflows nor overflows at any scale
+        self.e = int(np.frexp(np.abs(Hu).max(initial=0.0))[1])
+        Bu = _ldexp(Hu, -self.e)
+        G = (Bu @ np.conj(Bu).T).real
+        gram = np.linalg.eigvalsh(G)
+        if gram[0] <= 0:
+            raise ValueError("H_j must be linearly independent (project out the kernel first)")
+        # unit-scale data: B_j / sigma, sigma^2 = 2^2e gram[-1] the top
+        # eigenvalue of the unscaled Gram matrix, kept as the mantissa
+        # sqrt(gram[-1]) and the power 2^e (it overflows at H_j near 1e308)
+        self.root = float(np.sqrt(gram[-1]))
+        self.Bu, self.G = Bu / self.root, G / gram[-1]
+        # for feasible y, ||B(y)||_F <= sqrt(p) ||B(y)|| <= sqrt(p), and the
+        # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
+        self.ybound = float(np.sqrt(p * gram[-1] / gram[0]))
+
+        # the cheaper contraction order at these (k, p, q, |U|); the dense one
+        # reads the stack of the B_j, scattered from the union support
+        if _support_order_is_cheaper(k, p, q, ia.size):
+            self.newton_system = partial(_newton_support, self.Bu, ia * p + ia[:, None],
+                                         ib[:, None] * q + ib, ia[:, None] * q + ib)
+        else:
+            Bs = np.zeros((k, p, q), dtype=Bu.dtype)
+            Bs[:, ia, ib] = self.Bu
+            self.newton_system = partial(_newton_dense, Bs)
+
+    def B_of(self, yv: np.ndarray) -> np.ndarray:
+        """B(yv) = sum_j yv_j B_j at unit scale, scattered from the union support."""
+        out = np.zeros((self.P.size, self.Q.size), dtype=self.Bu.dtype)
+        out[self.ia, self.ib] = yv @ self.Bu
+        return out
+
+
+def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISolution:
+    """Path-following solve of max c.y s.t. ||sum_j y_j H_j|| <= 1 on the
+    reduced generators of `ball`.
+
+    Requires c != 0; returns a certified bracket [lower, upper] with
     `lower` attained by `y_best`, converged when upper - lower <= tol * lower.
     The solve ends unconverged, with the bracket it has, when mu reaches
     `MIN_MU` first or a Newton system is not positive definite to working
     precision.
     """
-    if not np.array_equal(H, H.conj().transpose(0, 2, 1)):
-        raise ValueError("H_j must be Hermitian")
     c = np.asarray(c, dtype=float)
     if not c.any():
         raise ValueError("c must be nonzero")
-    # the block B_j = H_j[P, Q] carries the norm: all of H_j, or the
-    # off-diagonal block between the classes of a grading that makes every
-    # H_j odd, P the smaller one
-    gamma = _chiral_grading(H.shape[1], *_union_support(H)[:2])
-    P = Q = np.arange(H.shape[1])
-    if gamma is not None:
-        P, Q = sorted((np.flatnonzero(gamma > 0), np.flatnonzero(gamma < 0)), key=len)
-    B = H[:, P[:, None], Q]
-    k, p, q = B.shape
-    ia, ib, Bu = _union_support(B)
-
-    # Gram matrix of the B_j, PD by linear independence, formed from the B_j
-    # times the power of two 2^-e that brings their largest entry into
-    # [1/2, 1): exact, and it neither underflows nor overflows at any scale
-    e = int(np.frexp(np.abs(Bu).max(initial=0.0))[1])
-    Bu = _ldexp(Bu, -e)
-    G = (Bu @ np.conj(Bu).T).real
-    gram = np.linalg.eigvalsh(G)
-    if gram[0] <= 0:
-        raise ValueError("H_j must be linearly independent (project out the kernel first)")
-    # unit-scale data: c / ||c|| and B_j / sigma, sigma^2 = 2^2e gram[-1] the
-    # top eigenvalue of the unscaled Gram matrix, kept as the mantissa
-    # sqrt(gram[-1]) and the power 2^e (it overflows at H_j near 1e308); the
-    # bracket scales back by ||c|| / sigma, y_best by 1 / sigma
-    cnorm, root = float(np.linalg.norm(c)), float(np.sqrt(gram[-1]))
-    c, Bu, G = c / cnorm, Bu / root, G / gram[-1]
-    # for feasible y, ||B(y)||_F <= sqrt(p) ||B(y)|| <= sqrt(p), and the
-    # normalized Gram matrix has smallest eigenvalue gram[0] / gram[-1]
-    ybound = float(np.sqrt(p * gram[-1] / gram[0]))
-
-    # the cheaper contraction order at these (k, p, q, |U|)
-    if _support_order_is_cheaper(k, p, q, ia.size):
-        newton_system = partial(_newton_support, Bu, ia * p + ia[:, None],
-                                ib[:, None] * q + ib, ia[:, None] * q + ib)
-    else:
-        newton_system = partial(_newton_dense, _ldexp(B, -e) / root)
-
-    def B_of(yv: np.ndarray) -> np.ndarray:
-        """B(yv) = sum_j yv_j B_j, scattered from the union support."""
-        out = np.zeros((p, q), dtype=Bu.dtype)
-        out[ia, ib] = yv @ Bu
-        return out
+    # unit-scale objective c / ||c||; the bracket scales back by
+    # ||c|| / sigma, y_best by 1 / sigma
+    cnorm = float(np.linalg.norm(c))
+    c = c / cnorm
+    B_of, k = ball.B_of, c.size
 
     def residual(W: np.ndarray) -> np.ndarray:
         """c_j - Re<B_j, W>, read on the union support."""
-        return c - (np.conj(Bu) @ W[ia, ib]).real
+        return c - (np.conj(ball.Bu) @ W[ball.ia, ball.ib]).real
 
     def barrier(yv: np.ndarray, mu: float) -> float:
         """c.yv + mu log det(I - B(yv) B(yv)*), -inf off the open unit ball."""
@@ -349,14 +381,15 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
         """R, T and V at yv, g and the ridged K, none of which depends on mu;
         LinAlgError if K is not positive definite."""
         R, T, V = _resolvents(B_of(yv))
-        g, K = newton_system(R, T, V)
+        g, K = ball.newton_system(R, T, V)
         K.flat[::k + 1] += RIDGE_TOL * float(np.trace(K)) / k
         np.linalg.cholesky(K)   # proves K positive definite: the direction solve is sound
         return R, T, V, g, K
 
     y, y_best = np.zeros(k), np.zeros(k)
     lower, upper, steps, centering, converged = 0.0, np.inf, 0, 0, False
-    mu = 1.0 / (p + q)   # first duality gap at most p mu <= 1/2 <= the optimum
+    # the first duality gap is at most p mu <= 1/2 <= the optimum
+    mu = 1.0 / (ball.P.size + ball.Q.size)
 
     try:
         R, T, V, g, K = factor(y)
@@ -390,9 +423,9 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
             # W = 2 mu (T + R E V + T E* T), E = B(d), has r = 0 up to the ridge
             # and roundoff; adding B(G^-1 r) projects it onto r = 0
             W = 2.0 * mu * (T + R @ B_of(d) @ V + T @ np.conj(B_of(d).T) @ T)
-            W += B_of(np.linalg.solve(G, residual(W)))
+            W += B_of(np.linalg.solve(ball.G, residual(W)))
             upper = min(upper, float(np.linalg.svd(W, compute_uv=False).sum())
-                        + float(np.linalg.norm(residual(W))) * ybound)
+                        + float(np.linalg.norm(residual(W))) * ball.ybound)
 
             converged = bool(upper - lower <= tol * lower)
             if converged or mu <= MIN_MU:
@@ -402,10 +435,10 @@ def maximize_over_unit_ball(c: np.ndarray, H: np.ndarray, tol: float) -> LMISolu
     except np.linalg.LinAlgError:
         pass   # K singular: keep the bracket found so far
 
-    scale = cnorm / root
-    return LMISolution(y_best=_ldexp(y_best / root, -e),
-                       lower=float(np.ldexp(lower * scale, -e)),
-                       upper=float(np.ldexp(upper * scale, -e)),
+    scale = cnorm / ball.root
+    return LMISolution(y_best=_ldexp(y_best / ball.root, -ball.e),
+                       lower=float(np.ldexp(lower * scale, -ball.e)),
+                       upper=float(np.ldexp(upper * scale, -ball.e)),
                        converged=converged, newton_steps=steps)
 
 

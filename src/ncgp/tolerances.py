@@ -33,6 +33,8 @@ MIN_MU = 1e-13              # barrier parameter below which path following stops
 
 CHECK_TOL = 1e-6            # closed-form reproductions
 SWEEP_TOL = 1e-4            # randomized property sweeps (solver limited)
+EXACT_TOL = 1e-9            # identities exact in real arithmetic: W1 closed forms, operator lemmas
+LATTICE_TOL = 1e-5          # the two-sheeted lattice bound d <= 1, solves to this relative tol
 
 # K-homology
 

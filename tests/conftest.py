@@ -15,3 +15,16 @@ def no_fallback(monkeypatch):
 
     monkeypatch.setattr(ncgp.distance, "ratio_ascent", fail)
     monkeypatch.setattr(ncgp.sdp, "ratio_ascent", fail)
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """A function triple -> the reduced generators H_j (rank x h x h, complex,
+    before any gauge) that DistanceSolver hands to NormBall."""
+    def capture(triple):
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(ncgp.distance, "NormBall", seen.append)
+            ncgp.distance.DistanceSolver(triple)
+        return seen[0]
+    return capture

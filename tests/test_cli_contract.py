@@ -134,6 +134,18 @@ def test_non_finite_catalog_scale_is_usage_error(argv, capsys):
     assert err.startswith("ncgp: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # an option the named sweep does not take: the W1 sweep is not seeded,
+    # and only the W1 sweep has a lambda grid
+    ["sweep", "wasserstein-rsquare", "--seed", "5"],
+    ["sweep", "theorem1", "--lambda-steps", "3"],
+], ids=lambda argv: " ".join(argv))
+def test_option_foreign_to_the_sweep_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ncgp: ") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv,code", [
     (["check", "two-point", "--lambda", "1e300"], 0),
     (["check", "two-point", "--lambda", "1e-300"], 0),

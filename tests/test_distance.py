@@ -29,7 +29,7 @@ from ncgp.distance import (
 )
 from ncgp.experiments import random_triple
 from ncgp.linalg import op_norm
-from ncgp.sdp import QUARTER_TURNS, maximize_over_unit_ball, ratio_ascent
+from ncgp.sdp import maximize_over_unit_ball, ratio_ascent
 from ncgp.tolerances import KERNEL_SVD_TOL, SWEEP_TOL
 from ncgp.triples import (
     SpectralTriple,
@@ -40,6 +40,7 @@ from ncgp.triples import (
 )
 
 C2 = FiniteAlgebra((1, 1))
+EPS = np.finfo(float).eps
 PLUS, MINUS = pure_states(C2)
 
 # Exact distance between phi+ x phi+ and phi- x phi+ on the lam=2, mu=1
@@ -92,12 +93,12 @@ def product_states_pm(pt, first, second):
     return product_state(first, second, pt.algebra)
 
 
-def seeded_instance(blocks, seed):
+def seeded_instance(blocks, seed, states=2):
     """two_point(lam) for blocks None, else random_triple(seed, blocks), with
-    two random states."""
+    `states` random states."""
     rng = np.random.default_rng(seed)
     t = two_point(float(rng.uniform(0.5, 2.0))) if blocks is None else random_triple(rng, blocks)
-    return t, random_state(t.algebra, rng), random_state(t.algebra, rng)
+    return (t, *(random_state(t.algebra, rng) for _ in range(states)))
 
 
 class TestCatalogDistances:
@@ -278,7 +279,7 @@ class TestResultInvariants:
                                ("phases", phases, np.complex128)):
             solver = DistanceSolver(SpectralTriple(pt.rep, w[:, None] * pt.dirac * np.conj(w),
                                                    pt.grading))
-            assert solver.H_reduced.dtype == dtype, name
+            assert solver.ball.Bu.dtype == dtype, name
             r = solver.distance(phi, phi2, 1e-7)
             assert r.status == "finite", name
             brackets[name] = (r.lower, r.upper)
@@ -289,8 +290,8 @@ class TestResultInvariants:
     def test_optimizer_outside_the_ball_does_not_raise_lower(self, monkeypatch):
         # an optimizer a few ulps outside ||[D, pi(a)]|| <= 1, whichever
         # arithmetic the solve ran in, is scaled back before it is evaluated
-        def outside(c, H, tol):
-            sol = maximize_over_unit_ball(c, H, tol)
+        def outside(c, ball, tol):
+            sol = maximize_over_unit_ball(c, ball, tol)
             return dataclasses.replace(sol, y_best=sol.y_best * (1.0 + 1e-9))
 
         monkeypatch.setattr(ncgp.distance, "maximize_over_unit_ball", outside)
@@ -325,6 +326,27 @@ class TestResultInvariants:
         r = spectral_distance(rotated, phi, phi2, 1e-10)
         assert base.status == r.status == "finite"
         assert r.lower == pytest.approx(base.lower, rel=1e-9)
+
+    # metric properties on the same seeded instances, three states and one
+    # solver each: both ends of a bracket are certified, so only the
+    # roundoff of the compared sums is allowed for
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([None, (2,), (2, 1)]), st.integers(0, 2 ** 31 - 1))
+    def test_symmetry_property(self, blocks, seed):
+        t, phi, psi, _ = seeded_instance(blocks, seed, states=3)
+        solver = DistanceSolver(t)
+        r, back = solver.distance(phi, psi, 1e-7), solver.distance(psi, phi, 1e-7)
+        assert r.status == back.status == "finite"
+        assert max(r.lower, back.lower) <= min(r.upper, back.upper) * (1 + 4 * EPS)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([None, (2,), (2, 1)]), st.integers(0, 2 ** 31 - 1))
+    def test_triangle_property(self, blocks, seed):
+        t, phi, psi, chi = seeded_instance(blocks, seed, states=3)
+        solver = DistanceSolver(t)
+        direct = solver.distance(phi, chi, 1e-7)
+        via = solver.distance(phi, psi, 1e-7).upper + solver.distance(psi, chi, 1e-7).upper
+        assert direct.lower <= via * (1 + 4 * EPS)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tol(self, tol):
@@ -382,7 +404,7 @@ class TestKernelSplit:
 
     @pytest.mark.parametrize("name", ["lattice-6", "theorem-1", "amplified", "coordinate",
                                       "zero-dirac", "odd-lattice"])
-    def test_union_support_matches_the_dense_commutator_map(self, name):
+    def test_union_support_matches_the_dense_commutator_map(self, name, generators):
         # the set-up forms [D, pi(b_j)] on the union support of the unit
         # commutators and takes the SVD of those columns only; against the
         # dense map: every other column is zero, the ranks are equal and the
@@ -407,11 +429,12 @@ class TestKernelSplit:
         assert solver.range_basis.shape == (k, rank)
         u = np.linalg.svd(flat)[0][:, :rank]
         assert np.allclose(solver.range_basis @ solver.range_basis.T, u @ u.T, rtol=0, atol=1e-13)
-        # and the reduced generators are the range directions of i L, Hermitian
-        H = solver.H_reduced
-        if solver.gauge is not None:
-            w = QUARTER_TURNS[solver.gauge]
-            H = w[:, None] * H * np.conj(w)
+        # and the reduced generators are the range directions of i L,
+        # Hermitian; at rank 0 there are none, and no norm ball is built
+        if rank == 0:
+            assert solver.ball is None
+            return
+        H = generators(t)
         want = 1j * (solver.range_basis.T @ L).reshape(rank, h, h)
         assert np.allclose(H, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max(initial=0.0)))
 
@@ -589,7 +612,7 @@ class TestTheoremOne:
 
 
 class TestAscentOracle:
-    def test_ascent_agrees_with_solver_on_catalog(self):
+    def test_ascent_agrees_with_solver_on_catalog(self, generators):
         # the heuristic ascent is an independent lower-bound oracle
         pt = product(two_point(2.0), amplified_two_point(1.0))
         solver = DistanceSolver(pt)
@@ -598,7 +621,7 @@ class TestAscentOracle:
         basis = [AlgebraElement(pt.algebra, row) for row in hermitian_basis(pt.algebra)]
         c = np.array([(phi(b) - phi2(b)).real for b in basis])
         c_red = solver.range_basis.T @ c
-        val, y = ratio_ascent(c_red, solver.H_reduced)
+        val, y = ratio_ascent(c_red, generators(pt))
         r = solver.distance(phi, phi2, 1e-7)
         assert val <= r.upper + 1e-9
         assert val == pytest.approx(r.lower, abs=1e-4)

@@ -14,9 +14,9 @@ import ncgp.sdp
 from ncgp.algebra import product_state, pure_states, random_state
 from ncgp.distance import DistanceSolver, spectral_distance
 from ncgp.experiments import random_triple
-from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, _chiral_grading, _log_slack, _newton_dense,
+from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, NormBall, _log_slack, _newton_dense,
                       _newton_support, _resolvents, _support_order_is_cheaper,
-                      _union_support, maximize_over_unit_ball, ratio_ascent, real_gauge)
+                      maximize_over_unit_ball, ratio_ascent)
 from ncgp.tolerances import CENTERING_TOL, MIN_MU
 from ncgp.triples import (SpectralTriple, amplified_two_point, lattice_line, product,
                           two_point, two_sheeted_line)
@@ -64,11 +64,22 @@ def chiral_embedding(L):
     return E
 
 
+def grading(ball):
+    """Gamma = diag(+-1), -1 on the rows P of the ball's block, when the ball
+    found a grading that makes every generator odd; None when it did not, and
+    its block is all of H (P = Q)."""
+    if np.array_equal(ball.P, ball.Q):
+        return None
+    gamma = np.ones(ball.P.size + ball.Q.size)
+    gamma[ball.P] = -1.0
+    return gamma
+
+
 class TestAgainstLpOracle:
     def test_single_direction(self):
         L = np.zeros((1, 3, 3), dtype=complex)
         L[0] = np.diag([2.0, -1.0, 0.5])
-        sol = maximize_over_unit_ball(np.array([3.0]), L, 1e-9)
+        sol = maximize_over_unit_ball(np.array([3.0]), NormBall(L), 1e-9)
         # best y has |2y| <= 1, objective 3/2
         assert sol.lower == pytest.approx(1.5, abs=1e-8)
         assert sol.upper == pytest.approx(1.5, abs=1e-7)
@@ -80,7 +91,7 @@ class TestAgainstLpOracle:
         if instance is None:
             pytest.skip("dependent draw")
         c, L, want = instance
-        sol = maximize_over_unit_ball(c, L, 1e-7)
+        sol = maximize_over_unit_ball(c, NormBall(L), 1e-7)
         assert sol.lower <= want + 1e-6
         assert sol.upper >= want - 1e-6
         assert sol.lower == pytest.approx(want, abs=1e-5)
@@ -99,7 +110,7 @@ class TestAgainstLpOracle:
             pytest.skip("dependent draw")
         c, L, want = instance
         monkeypatch.setattr(ncgp.sdp, "CENTERING_TOL", centering)
-        sol = maximize_over_unit_ball(c, L, tol)
+        sol = maximize_over_unit_ball(c, NormBall(L), tol)
         assert sol.lower <= want * (1 + 1e-9)
         assert sol.upper >= want * (1 - 1e-9)
 
@@ -115,10 +126,10 @@ class TestAgainstLpOracle:
             pytest.skip("dependent draw")
         c, L, want = instance
         E = chiral_embedding(L)
-        ia, ib, _ = _union_support(E)
-        assert _chiral_grading(E.shape[1], ia, ib) is not None
+        ball = NormBall(E)
+        assert grading(ball) is not None
         monkeypatch.setattr(ncgp.sdp, "CENTERING_TOL", centering)
-        sol = maximize_over_unit_ball(c, E, tol)
+        sol = maximize_over_unit_ball(c, ball, tol)
         assert sol.lower <= want * (1 + 1e-9)
         assert sol.upper >= want * (1 - 1e-9)
         if centering == CENTERING_TOL:
@@ -133,7 +144,7 @@ class TestAgainstLpOracle:
         if np.linalg.matrix_rank(H.reshape(k, -1), tol=1e-8) < k:
             pytest.skip("dependent draw")
         c = rng.normal(size=k)
-        sol = maximize_over_unit_ball(c, H, 1e-7)
+        sol = maximize_over_unit_ball(c, NormBall(H), 1e-7)
         assert sol.lower <= sol.upper
         # the boundary-scaled optimizer is genuinely feasible
         g = np.linalg.norm(np.einsum("j,jpq->pq", sol.y_best, H), 2)
@@ -153,8 +164,8 @@ class TestAgainstLpOracle:
         X = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
         H = (X + X.conj().transpose(0, 2, 1)) / 2.0
         c = rng.normal(size=3)
-        base = maximize_over_unit_ball(c, H, 1e-8)
-        sol = maximize_over_unit_ball(a * c, H / b, 1e-8)
+        base = maximize_over_unit_ball(c, NormBall(H), 1e-8)
+        sol = maximize_over_unit_ball(a * c, NormBall(H / b), 1e-8)
         assert base.converged and sol.converged
         assert sol.lower == pytest.approx(a * b * base.lower, rel=1e-9)
         assert sol.upper == pytest.approx(a * b * base.upper, rel=1e-9)
@@ -182,7 +193,7 @@ class TestAgainstLpOracle:
             return svd(a, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        sol = maximize_over_unit_ball(c, L, 1e-16)
+        sol = maximize_over_unit_ball(c, NormBall(L), 1e-16)
         mus = [1.0 / (2 * 6)]
         while mus[-1] > MIN_MU:
             mus.append(mus[-1] * 0.15)
@@ -197,21 +208,26 @@ class TestAgainstLpOracle:
 
     def test_rejects_zero_objective(self):
         with pytest.raises(ValueError, match="nonzero"):
-            maximize_over_unit_ball(np.zeros(1), np.eye(2)[None].astype(complex), 1e-6)
+            maximize_over_unit_ball(np.zeros(1), NormBall(np.eye(2)[None].astype(complex)), 1e-6)
 
     def test_rejects_dependent_generators(self):
         L = np.zeros((2, 2, 2), dtype=complex)
         L[0] = np.eye(2)
         L[1] = 2.0 * np.eye(2)
         with pytest.raises(ValueError):
-            maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
+            NormBall(L)
 
-    def test_rejects_non_hermitian_generators(self):
+    @pytest.mark.parametrize("second", [
+        [[0.0, 1.0], [-1.0, 0.0]],   # anti-Hermitian
+        [[0.0, 1.0], [0.0, 0.0]],    # an entry whose transposed position is off the support
+        [[1j, 0.0], [0.0, 1.0]],     # an imaginary diagonal entry
+    ], ids=["anti-hermitian", "one-sided", "imaginary-diagonal"])
+    def test_rejects_non_hermitian_generators(self, second):
         L = np.zeros((2, 2, 2), dtype=complex)
         L[0] = np.eye(2)
-        L[1] = [[0.0, 1.0], [-1.0, 0.0]]   # anti-Hermitian
+        L[1] = second
         with pytest.raises(ValueError, match="Hermitian"):
-            maximize_over_unit_ball(np.array([1.0, 0.0]), L, 1e-6)
+            NormBall(L)
 
 
 def interior_instance(seed, k, h, sparse=False, rect=False):
@@ -240,7 +256,8 @@ def newton_system_at(c, B, mu, y, order):
     R, T, V = _resolvents(np.einsum("j,jpq->pq", y, B))
     p, q = B.shape[1], B.shape[2]
     if order is _newton_support:
-        ia, ib, Bu = _union_support(B)
+        ia, ib = np.nonzero(np.any(B, axis=0))
+        Bu = B[:, ia, ib]
         g, K = _newton_support(Bu, ia * p + ia[:, None], ib[:, None] * q + ib,
                                ia[:, None] * q + ib, R, T, V)
     else:
@@ -315,7 +332,7 @@ class TestNewtonSystem:
                 B, c, mu, y = interior_instance(k * 10 + h + 6000 + 1000 * sparse,
                                                 k, h, sparse, rect=True)
                 H = chiral_embedding(B)
-                gamma = _chiral_grading(H.shape[1], *_union_support(H)[:2])
+                gamma = grading(NormBall(H))
                 assert np.array_equal(gamma[:, None] * H * gamma, -H)
                 grad_b, K_b = newton_system_at(c, B, mu, y, order)
                 grad_h, K_h = newton_system_at(c, H, mu / 2.0, y, order)
@@ -339,11 +356,10 @@ class TestNewtonSystem:
         assert B.nbytes == 61440 and peak < 3 * B.nbytes
 
     def test_order_selection(self, monkeypatch):
-        # the lattice-n15 solve (k=30, its chiral 30 x 30 block with 73
-        # support entries) takes the support order; a (2,) x (2,) random
-        # product (k=15, h=16, an 8 x 8 block) the dense order
-        lattice = DistanceSolver(product(two_point(2.0), two_sheeted_line(15))).H_reduced
-        small = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (2,)))).H_reduced
+        # the lattice-n15 set-up (k=30, its chiral 30 x 30 block with 73
+        # support entries) picks the support order; a (2,) x (2,) random
+        # product (k=15, h=16, an 8 x 8 block) the dense order; the rule runs
+        # when the solver is built, and no solve runs it again
         rule, seen = _support_order_is_cheaper, []
 
         def recorded(*shape):
@@ -351,9 +367,12 @@ class TestNewtonSystem:
             return seen[-1][1]
 
         monkeypatch.setattr(ncgp.sdp, "_support_order_is_cheaper", recorded)
-        for H in (lattice, small):
-            maximize_over_unit_ball(np.ones(H.shape[0]), H, 1e-3)
+        balls = [DistanceSolver(product(two_point(2.0), two_sheeted_line(15))).ball,
+                 DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (2,)))).ball]
         assert seen == [((30, 30, 30, 73), True), ((15, 8, 8, 64), False)]
+        for ball in balls:
+            maximize_over_unit_ball(np.ones(len(ball.Bu)), ball, 1e-3)
+        assert len(seen) == 2
 
 
 class TestFactorizedBarrier:
@@ -396,26 +415,24 @@ class TestFactorizedBarrier:
             assert np.allclose(T, R @ X, atol=1e-12)
 
     @pytest.mark.parametrize("support", [True, False])
-    def test_solve_diagonalizes_only_for_the_bounds(self, support, monkeypatch):
-        # every argument LAPACK sees is 2-D, and no eigh runs: eigvalsh once
-        # for the Gram matrix; two SVDs per outer iteration, the exact
-        # ||B(y)|| and the certificate's nuclear norm; the p x p inverse and
-        # the k x k Cholesky factorization of K once per iterate, at the start
-        # and after each step, so a reduction of mu factors nothing; the line
-        # search's factorizations are p x p.  The lattice's generators are
-        # chiral, so p = q = h / 2; the random product, whose second factor is
-        # odd, is not, and p = q = h
+    def test_solve_diagonalizes_only_for_the_bounds(self, support, monkeypatch, generators):
+        # every argument LAPACK sees is 2-D, and no eigh runs: building the
+        # ball takes one eigvalsh, of the Gram matrix, and nothing else; a
+        # solve takes no eigvalsh, two SVDs per outer iteration, the exact
+        # ||B(y)|| and the certificate's nuclear norm, and the p x p inverse
+        # and the k x k Cholesky factorization of K once per iterate, at the
+        # start and after each step, so a reduction of mu factors nothing;
+        # the line search's factorizations are p x p.  The lattice's
+        # generators are chiral, so p = q = h / 2; the random product, whose
+        # second factor is odd, is not, and p = q = h
         if support:
-            H = DistanceSolver(product(two_point(1.5), lattice_line(7))).H_reduced
+            H = generators(product(two_point(1.5), lattice_line(7)))
             assert H.shape == (13, 14, 14)
         else:
-            H = DistanceSolver(product(random_triple(3, (2,)),
-                                       random_triple(4, (2,), even=False))).H_reduced
+            H = generators(product(random_triple(3, (2,)), random_triple(4, (2,), even=False)))
             assert H.shape == (15, 16, 16)
         k, h = H.shape[0], H.shape[1]
         p = h // 2 if support else h
-        ia, ib, _ = _union_support(H)
-        assert (_chiral_grading(h, ia, ib) is not None) is support
         calls = collections.Counter()   # (name, shape of the argument) -> calls
         dtypes = collections.defaultdict(set)   # name -> dtypes of the argument
         for name in ("eigh", "eigvalsh", "inv", "cholesky", "svd"):
@@ -424,28 +441,72 @@ class TestFactorizedBarrier:
                 dtypes[_name].add(a.dtype)
                 return _f(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
+        ball = NormBall(H)
+        assert (grading(ball) is not None) is support
+        assert calls == {("eigvalsh", (k, k)): 1}
+        calls.clear()
+        dtypes.clear()
         c = np.random.default_rng(0).normal(size=k)
-        sol = maximize_over_unit_ball(c, H, 1e-6)
+        sol = maximize_over_unit_ball(c, ball, 1e-6)
         assert sol.converged
         assert all(len(shape) == 2 for _, shape in calls)
-        assert {name for name, _ in calls} == {"eigvalsh", "inv", "cholesky", "svd"}
+        assert {name for name, _ in calls} == {"inv", "cholesky", "svd"}
         assert set(calls) - {("cholesky", (p, p))} == {
-            ("eigvalsh", (k, k)), ("inv", (p, p)), ("cholesky", (k, k)), ("svd", (p, p))}
+            ("inv", (p, p)), ("cholesky", (k, k)), ("svd", (p, p))}
         outer = calls["svd", (p, p)] // 2
         assert outer >= 2 and calls["svd", (p, p)] == 2 * outer
-        assert calls["eigvalsh", (k, k)] == 1
         assert calls["inv", (p, p)] == calls["cholesky", (k, k)] == sol.newton_steps + 1
         assert calls["cholesky", (p, p)] >= sol.newton_steps
         # the lattice's generators take a real gauge, and every factorization,
         # inverse and SVD runs in real arithmetic; the random product's
-        # p x p ones stay complex (K and the Gram matrix are real in both)
+        # p x p ones stay complex (K is real in both)
         if support:
             assert set().union(*dtypes.values()) == {np.dtype(np.float64)}
         else:
-            assert H.dtype == np.complex128
+            assert ball.gauge is None and ball.Bu.dtype == np.complex128
             for name in ("inv", "svd"):
                 assert dtypes[name] == {np.dtype(np.complex128)}
             assert dtypes["cholesky"] == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+    def test_solves_reuse_the_norm_ball(self, monkeypatch):
+        # one solver, many solves: the parity colouring (the gauge's and the
+        # grading's) runs only while the solver is built, and no solve runs
+        # the Hermiticity check, a union-support pass, the grading's row mask
+        # or an eigvalsh (the Gram matrix is diagonalized once, at set-up)
+        calls, inside = collections.Counter(), [False]
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                calls[name, inside[0]] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ncgp.sdp, "_parity_colouring",
+                            counted("colouring", ncgp.sdp._parity_colouring))
+        for name in ("array_equal", "any", "nonzero", "isin"):
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        solve = ncgp.distance.maximize_over_unit_ball
+
+        def flagged(*args):
+            inside[0] = True
+            try:
+                return solve(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ncgp.distance, "maximize_over_unit_ball", flagged)
+        pt = product(two_point(2.0), two_sheeted_line(6))
+        solver = DistanceSolver(pt)
+        assert calls["colouring", False] == 2
+        plus, minus = pure_states(pt.algebra.factors[0])
+        deltas = pure_states(pt.algebra.factors[1])
+        steps = [solver.distance(product_state(plus, deltas[x], pt.algebra),
+                                 product_state(minus, deltas[y], pt.algebra), 1e-6).newton_steps
+                 for x, y in ((0, 0), (0, 5), (2, 3), (4, 1), (5, 5), (3, 0))]
+        assert min(steps) > 0
+        assert calls["colouring", False] == 2
+        assert not [key for key in calls if key[1]]
 
     def test_sdp_imports_no_scipy(self):
         # scipy bundles a second OpenBLAS, whose thread pool contends with
@@ -456,13 +517,6 @@ class TestFactorizedBarrier:
         names += [node.module or "" for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)]
         assert names and not [n for n in names if n.split(".")[0] == "scipy"]
-
-
-def ungauged(triple, monkeypatch):
-    """The solver's complex generators, as they are before any gauge."""
-    with monkeypatch.context() as m:
-        m.setattr(ncgp.distance, "real_gauge", lambda H: None)
-        return DistanceSolver(triple).H_reduced
 
 
 def hermitian_stack(*entries, h=3):
@@ -490,20 +544,27 @@ GAUGED = {
 
 class TestRealGauge:
     @pytest.mark.parametrize("name", GAUGED)
-    def test_catalog_generators_take_an_exact_gauge(self, name, monkeypatch):
-        # the stored generators are real symmetric, and diag(i^g) conjugates
-        # them back to the complex ones bit for bit: no rounding happened
-        t = GAUGED[name]()
-        solver = DistanceSolver(t)
-        H = solver.H_reduced
-        assert H.dtype == np.float64 and np.array_equal(H, H.transpose(0, 2, 1))
-        assert set(solver.gauge.tolist()) <= {0, 1}
-        w = QUARTER_TURNS[solver.gauge]
-        assert np.array_equal(w[:, None] * H * np.conj(w), ungauged(t, monkeypatch))
+    def test_catalog_generators_take_an_exact_gauge(self, name, generators):
+        # the gauged generators are real symmetric, diag(i^g) conjugates them
+        # back to the complex ones bit for bit (no rounding happened), and
+        # the ball holds exactly their block's support values, scaled
+        H = generators(GAUGED[name]())
+        ball = NormBall(H)
+        assert set(ball.gauge.tolist()) <= {0, 1}
+        w = QUARTER_TURNS[ball.gauge]
+        gauged = np.conj(w)[:, None] * H * w
+        assert not gauged.imag.any()
+        gauged = gauged.real
+        assert np.array_equal(gauged, gauged.transpose(0, 2, 1))
+        assert np.array_equal(w[:, None] * gauged * np.conj(w), H)
+        block = gauged[:, ball.P[:, None], ball.Q]
+        assert np.array_equal(np.nonzero(np.any(block, axis=0)), (ball.ia, ball.ib))
+        assert ball.Bu.dtype == np.float64
+        assert np.array_equal(ball.Bu, np.ldexp(block[:, ball.ia, ball.ib], -ball.e) / ball.root)
 
     def test_random_product_stays_complex(self):
-        solver = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (1, 1))))
-        assert solver.gauge is None and solver.H_reduced.dtype == np.complex128
+        ball = DistanceSolver(product(random_triple(3, (2,)), random_triple(4, (1, 1)))).ball
+        assert ball.gauge is None and ball.Bu.dtype == np.complex128
 
     @pytest.mark.parametrize("H", [
         # a 3-cycle with gain i: an odd number of imaginary edges on a cycle
@@ -514,14 +575,14 @@ class TestRealGauge:
         hermitian_stack({(0, 1): 1.0 + 1e-300j}),
     ], ids=["3-cycle with gain i", "real and imaginary position", "complex entry"])
     def test_no_gauge_without_a_consistent_parity(self, H):
-        assert real_gauge(H) is None
+        assert NormBall(H).gauge is None
 
     def test_gauge_on_a_balanced_cycle(self):
         # two imaginary edges on a 4-cycle and an isolated vertex: each
         # imaginary edge flips the parity, the real edges keep it
         H = hermitian_stack({(0, 1): 1j, (1, 2): -2j, (2, 3): 3.0, (0, 3): -1.0},
                             {(0, 0): 5.0, (1, 2): 0.5j}, h=5)
-        g = real_gauge(H)
+        g = NormBall(H).gauge
         assert g.tolist() == [0, 1, 0, 0, 0]
         w = QUARTER_TURNS[g]
         gauged = np.conj(w)[:, None] * H * w
@@ -540,11 +601,10 @@ class TestChiralSolve:
         # a 3-cycle is not bipartite
         (hermitian_stack({(0, 1): 1.0, (1, 2): 1.0}, {(0, 2): 1j}), None),
         # a diagonal entry, however small, is even under every grading
-        (hermitian_stack({(0, 1): 1.0}, {(2, 2): 1e-300}), None),
+        (hermitian_stack({(0, 1): 1.0, (2, 2): 1e-300}, {(1, 2): 1.0}), None),
     ], ids=["bipartite", "3-cycle", "diagonal entry"])
     def test_chiral_grading(self, H, gamma):
-        ia, ib, _ = _union_support(H)
-        got = _chiral_grading(H.shape[1], ia, ib)
+        got = grading(NormBall(H))
         if gamma is None:
             assert got is None
         else:
@@ -564,9 +624,7 @@ class TestChiralSolve:
         brackets = []
         for triple, chiral in ((t, True), (rotated, False)):
             solver = DistanceSolver(triple)
-            H = solver.H_reduced
-            ia, ib, _ = _union_support(H)
-            assert (_chiral_grading(H.shape[1], ia, ib) is not None) is chiral
+            assert (grading(solver.ball) is not None) is chiral
             r = solver.distance(phi, phi2, 1e-10)
             assert r.status == "finite"
             brackets.append((r.lower, r.upper))
@@ -575,9 +633,11 @@ class TestChiralSolve:
         assert lo1 == pytest.approx(lo2, rel=1e-10)
 
     def test_block_solve_agrees_with_the_full_solve(self, monkeypatch):
-        # the lattice product is chiral and solves on its 12 x 12 block; with
-        # the grading test switched off the same solves run on the full
-        # 24 x 24 generators, and both close to brackets that overlap
+        # the lattice product is chiral and solves on its 12 x 12 block; a
+        # second solver, built with the parity colouring switched off, runs
+        # the same solves on the full 24 x 24 generators (in complex
+        # arithmetic: its generators are imaginary, so their gauge is the
+        # grading's colouring), and both close to brackets that overlap
         pt = product(two_point(2.0), two_sheeted_line(6))
         solver = DistanceSolver(pt)
         plus, minus = pure_states(pt.algebra.factors[0])
@@ -595,8 +655,9 @@ class TestChiralSolve:
         block = [solver.distance(phi, phi2, tol) for phi, phi2 in pairs]
         assert shapes == {(12, 12)}
         shapes.clear()
-        monkeypatch.setattr(ncgp.sdp, "_chiral_grading", lambda h, ia, ib: None)
-        full = [solver.distance(phi, phi2, tol) for phi, phi2 in pairs]
+        monkeypatch.setattr(ncgp.sdp, "_parity_colouring", lambda h, ia, ib, odd: None)
+        full_solver = DistanceSolver(pt)
+        full = [full_solver.distance(phi, phi2, tol) for phi, phi2 in pairs]
         assert shapes == {(24, 24)}
         for a, b in zip(block, full):
             assert a.status == b.status == "finite"
@@ -642,7 +703,7 @@ class TestCholeskyFailure:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", failing)
-        sol = maximize_over_unit_ball(c, L, 1e-9)
+        sol = maximize_over_unit_ball(c, NormBall(L), 1e-9)
         assert len(calls) == 13 and sol.newton_steps == 12
         assert not sol.converged
         assert 0.0 < sol.lower <= want + 1e-9
