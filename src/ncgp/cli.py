@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -30,8 +31,26 @@ from .wasserstein import measure_from_json, space_from_json, w1
 # what loading and validating input files can raise; each means exit 2
 INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
 
-CATALOG_KEYS = {"two_point": {"lambda"}, "amplified_two_point": {"mu"}, "pullback": {"sign"},
-                "lattice_line": {"n", "h"}, "two_sheeted_line": {"n", "h"}}
+
+def _pullback(sign: str):
+    if sign not in ("+", "-"):
+        raise ValueError(f"pullback sign must be + or -, got {sign!r}")
+    mod = khomology.module_f_plus() if sign == "+" else khomology.module_f_minus()
+    return mod.as_spectral_triple()
+
+
+# each catalog leaf: its constructor and its keys with their defaults, in
+# argument order; a given value is parsed with its default's type
+CATALOG = {
+    "two_point": (triples.two_point, {"lambda": 1.0}),
+    "amplified_two_point": (triples.amplified_two_point, {"mu": 1.0}),
+    "pullback": (_pullback, {"sign": "+"}),
+    "lattice_line": (triples.lattice_line, {"n": 5, "h": 1.0}),
+    "two_sheeted_line": (triples.two_sheeted_line, {"n": 5, "h": 1.0}),
+}
+# a depth-0 comma separates arguments only when a constructor follows it;
+# otherwise it continues the previous leaf's parameter list
+_NEXT_ARGUMENT = re.compile(r"\s*[A-Za-z_][A-Za-z_0-9]*\s*($|[:(,])")
 
 
 def _default_seed() -> int:
@@ -47,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a named reproduction experiment")
+    check.set_defaults(run=_run_check)
     check.add_argument("experiment", choices=sorted(CHECKS))
     check.add_argument("--lambda", dest="lam", type=float, default=None)
     check.add_argument("--mu", type=float, default=None)
@@ -55,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", dest="json_path", default=None)
 
     sweep = sub.add_parser("sweep", help="run a randomized or gridded sweep")
+    sweep.set_defaults(run=_run_sweep)
     sweep.add_argument("sweep", choices=sorted(SWEEPS))
     sweep.add_argument("--trials", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
@@ -64,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--csv", dest="csv_path", default=None)
 
     dist = sub.add_parser("distance", help="spectral distance from JSON or catalog inputs")
+    dist.set_defaults(run=_run_distance)
     dist.add_argument("--triple", required=True,
                       help="triple JSON file, or a catalog expression such as "
                            "two_point:lambda=3 or product(two_point:lambda=2,"
@@ -76,12 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--json", dest="json_path", default=None)
 
     wass = sub.add_parser("w1", help="Wasserstein-1 distance from JSON inputs")
+    wass.set_defaults(run=_run_w1)
     wass.add_argument("--space", required=True)
     wass.add_argument("--mu", required=True)
     wass.add_argument("--nu", required=True)
     wass.add_argument("--json", dest="json_path", default=None)
 
     kh = sub.add_parser("khomology", help="print the catalog pairing table")
+    kh.set_defaults(run=_run_khomology)
     kh.add_argument("--json", dest="json_path", default=None)
     return parser
 
@@ -94,18 +118,15 @@ def _emit(payload: dict, json_path: str | None) -> None:
     print(text)
 
 
+def _given(args, *names) -> dict:
+    """The named options that were given, as keyword arguments: an option
+    the experiment does not take is then refused by its signature (exit 2)."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _run_check(args) -> int:
-    kwargs = {}
-    if args.lam is not None:
-        kwargs["lam"] = args.lam
-    if args.mu is not None:
-        kwargs["mu"] = args.mu
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
     try:
-        report = CHECKS[args.experiment](**kwargs)
+        report = CHECKS[args.experiment](**_given(args, "lam", "mu", "n", "tol"))
     except (TypeError, ValueError) as exc:
         print(f"ncgp: bad parameters for {args.experiment}: {exc}", file=sys.stderr)
         return 2
@@ -114,19 +135,12 @@ def _run_check(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    kwargs = {}
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.lambda_steps is not None:
-        kwargs["lambda_steps"] = args.lambda_steps
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
+    kwargs = _given(args, "trials", "lambda_steps", "tol")
     if args.csv_path and args.sweep == "lemmas":
         print("ncgp: --csv needs a sweep with rows; lemmas reports only counts", file=sys.stderr)
         return 2
     try:
-        # the W1 sweep is not seeded: its --seed, like a sweep's foreign
-        # options, is refused by the sweep's signature below (exit 2)
+        # the W1 sweep is not seeded: an explicit --seed is refused there
         if args.seed is not None or args.sweep != "wasserstein-rsquare":
             kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
         report = SWEEPS[args.sweep](**kwargs)
@@ -155,22 +169,13 @@ def parse_triple_spec(spec: str):
     if "(" in spec and spec.endswith(")"):
         name, _, rest = spec.partition("(")
         inner = rest[:-1]
-        depth, raw, start = 0, [], 0
+        depth, parts, start = 0, [], 0
         for i, ch in enumerate(inner):
-            depth += ch == "("
-            depth -= ch == ")"
-            if ch == "," and depth == 0:
-                raw.append(inner[start:i])
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0 and _NEXT_ARGUMENT.match(inner, i + 1):
+                parts.append(inner[start:i])
                 start = i + 1
-        raw.append(inner[start:])
-        # a comma only separates arguments when what follows opens a new
-        # constructor; otherwise it continues the previous parameter list
-        parts = []
-        for piece in raw:
-            if parts and not re.match(r"\s*[A-Za-z_][A-Za-z_0-9]*\s*($|[:(])", piece):
-                parts[-1] += "," + piece
-            else:
-                parts.append(piece)
+        parts.append(inner[start:])
         name = name.strip()
         if name == "amplify" and len(parts) == 1:
             return triples.amplify(parse_triple_spec(parts[0]))
@@ -185,23 +190,12 @@ def parse_triple_spec(spec: str):
             key, _, value = item.partition("=")
             params[key.strip()] = value.strip()
     name = name.strip()
-    if name not in CATALOG_KEYS:
+    if name not in CATALOG:
         raise ValueError(f"unknown catalog constructor {name!r}")
-    if not params.keys() <= CATALOG_KEYS[name]:
-        raise ValueError(f"{name} accepts only the keys {sorted(CATALOG_KEYS[name])}, got {spec!r}")
-    if name == "two_point":
-        return triples.two_point(float(params.get("lambda", 1.0)))
-    if name == "amplified_two_point":
-        return triples.amplified_two_point(float(params.get("mu", 1.0)))
-    if name == "lattice_line":
-        return triples.lattice_line(int(params.get("n", 5)), float(params.get("h", 1.0)))
-    if name == "two_sheeted_line":
-        return triples.two_sheeted_line(int(params.get("n", 5)), float(params.get("h", 1.0)))
-    sign = params.get("sign", "+")
-    if sign not in ("+", "-"):
-        raise ValueError(f"pullback sign must be + or -, got {sign!r}")
-    mod = khomology.module_f_plus() if sign == "+" else khomology.module_f_minus()
-    return mod.as_spectral_triple()
+    build, defaults = CATALOG[name]
+    if not params.keys() <= defaults.keys():
+        raise ValueError(f"{name} accepts only the keys {sorted(defaults)}, got {spec!r}")
+    return build(*(type(d)(params.get(key, d)) for key, d in defaults.items()))
 
 
 def _load_json(path: str):
@@ -282,17 +276,15 @@ def _run_khomology(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return _run_check(args)
-    if args.command == "sweep":
-        return _run_sweep(args)
-    if args.command == "distance":
-        return _run_distance(args)
-    if args.command == "w1":
-        return _run_w1(args)
-    if args.command == "khomology":
-        return _run_khomology(args)
-    return 2
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0.0 < tol < math.inf:
+        print(f"ncgp: tol must be finite and > 0, got {tol}", file=sys.stderr)
+        return 2
+    try:
+        return args.run(args)
+    except OSError as exc:     # a --json or --csv path that cannot be written
+        print(f"ncgp: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,18 +69,8 @@ class ExperimentReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return finite_json({
-            "experiment_id": self.experiment_id,
-            "inputs": self.inputs,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "prng": self.prng,
-            "details": self.details,
-        })
+        return finite_json({"pass" if f.name == "passed" else f.name: getattr(self, f.name)
+                            for f in fields(self)})
 
 
 def _report(experiment_id, inputs, claimed, computed, passed, tolerance, t0,
@@ -119,26 +109,25 @@ def random_triple(seed, blocks=(1, 1), unital: bool = True,
 # Named checks ----------------------------------------------------------------
 
 
-def check_two_point(lam: float = 1.0, tol: float = CHECK_TOL) -> ExperimentReport:
-    """d(phi+, phi-) = lam on the two-point space."""
+def _check_pure_pair(experiment_id, key, build, scale, tol) -> ExperimentReport:
+    """d(phi+, phi-) = scale between the two pure states of build(scale)."""
     t0 = time.perf_counter()
-    t = two_point(lam)
+    t = build(scale)
     plus, minus = pure_states(t.algebra)
     r = spectral_distance(t, plus, minus, tol)
-    passed = r.status == "finite" and abs(r.lower - lam) <= tol * max(1.0, lam)
-    return _report("two-point", {"lambda": lam}, lam, r.lower, passed, tol, t0,
+    passed = r.status == "finite" and abs(r.lower - scale) <= tol * max(1.0, scale)
+    return _report(experiment_id, {key: scale}, scale, r.lower, passed, tol, t0,
                    details={"upper": r.upper, "status": r.status})
+
+
+def check_two_point(lam: float = 1.0, tol: float = CHECK_TOL) -> ExperimentReport:
+    """d(phi+, phi-) = lam on the two-point space."""
+    return _check_pure_pair("two-point", "lambda", two_point, lam, tol)
 
 
 def check_amplified_two_point(mu: float = 1.0, tol: float = CHECK_TOL) -> ExperimentReport:
     """d(phi+, phi-) = mu on the amplified two-point space."""
-    t0 = time.perf_counter()
-    t = amplified_two_point(mu)
-    plus, minus = pure_states(t.algebra)
-    r = spectral_distance(t, plus, minus, tol)
-    passed = r.status == "finite" and abs(r.lower - mu) <= tol * max(1.0, mu)
-    return _report("amplified-two-point", {"mu": mu}, mu, r.lower, passed, tol, t0,
-                   details={"upper": r.upper, "status": r.status})
+    return _check_pure_pair("amplified-two-point", "mu", amplified_two_point, mu, tol)
 
 
 def check_prop_indep(lam: float = 1.0, mu: float = 1.0,
@@ -192,22 +181,32 @@ def check_pullback_infinite(tol: float = CHECK_TOL) -> ExperimentReport:
     return _report("pullback-infinite", {}, "infinite", statuses, passed, tol, t0)
 
 
+def _wasserstein_row(lam: float) -> tuple[dict, dict]:
+    """W1 on the segment and W on the product square between the lam- and
+    0-measures, as the row (lambda, W1, W2, W, ratio), and the closed forms
+    W1 = lam, W = sqrt(2) lam k_lam and ratio = k_lam, where
+    k_lam = lam + sqrt(2)(1 - lam)."""
+    seg = FiniteMetricSpace.segment()
+    m_lam, m_0 = lambda_measure(seg, lam), lambda_measure(seg, 0.0)
+    w_1 = w1(seg, m_lam, m_0).value
+    square = product_space(seg, seg)
+    w = w1(square, product_measure(m_lam, m_lam, square),
+           product_measure(m_0, m_0, square)).value
+    ratio = w / math.hypot(w_1, w_1) if w_1 > 0 else float("nan")
+    k_lam = lam + math.sqrt(2.0) * (1.0 - lam)
+    return ({"lambda": lam, "w1": w_1, "w2": w_1, "w": w, "ratio": ratio},
+            {"w1": lam, "w": math.sqrt(2.0) * lam * k_lam, "ratio": k_lam})
+
+
 def check_wasserstein_point(lam: float = 0.5, tol: float = EXACT_TOL) -> ExperimentReport:
     """W1 = lam on the segment and W = sqrt(2) lam (lam + sqrt(2)(1 - lam))
     on the product square."""
     t0 = time.perf_counter()
-    seg = FiniteMetricSpace.segment()
-    m_lam, m_0 = lambda_measure(seg, lam), lambda_measure(seg, 0.0)
-    w_seg = w1(seg, m_lam, m_0).value
-    square = product_space(seg, seg)
-    w_sq = w1(square, product_measure(m_lam, m_lam, square),
-              product_measure(m_0, m_0, square)).value
-    k_lam = lam + math.sqrt(2.0) * (1.0 - lam)
-    claimed = math.sqrt(2.0) * lam * k_lam
-    passed = abs(w_seg - lam) <= tol and abs(w_sq - claimed) <= tol
-    return _report("wasserstein-point", {"lambda": lam},
-                   {"w1": lam, "w": claimed}, {"w1": w_seg, "w": w_sq},
-                   passed, tol, t0)
+    row, claim = _wasserstein_row(lam)
+    claimed = {"w1": claim["w1"], "w": claim["w"]}
+    computed = {key: row[key] for key in claimed}
+    passed = all(abs(computed[key] - claimed[key]) <= tol for key in claimed)
+    return _report("wasserstein-point", {"lambda": lam}, claimed, computed, passed, tol, t0)
 
 
 def check_khomology(tol: float = PAIRING_INT_TOL) -> ExperimentReport:
@@ -263,22 +262,12 @@ def sweep_wasserstein(lambda_steps: int = 9, tol: float = EXACT_TOL) -> Experime
     if lambda_steps < 1:
         raise ValueError("lambda_steps must be at least 1")
     t0 = time.perf_counter()
-    seg = FiniteMetricSpace.segment()
-    square = product_space(seg, seg)
-    m_0 = lambda_measure(seg, 0.0)
     rows = []
     worst = 0.0
     for i in range(1, lambda_steps + 1):
-        lam = i / (lambda_steps + 1.0)
-        m_lam = lambda_measure(seg, lam)
-        w_1 = w1(seg, m_lam, m_0).value
-        w_prod = w1(square, product_measure(m_lam, m_lam, square),
-                    product_measure(m_0, m_0, square)).value
-        ratio = w_prod / math.hypot(w_1, w_1) if w_1 > 0 else float("nan")
-        k_lam = lam + math.sqrt(2.0) * (1.0 - lam)
-        worst = max(worst, abs(w_1 - lam), abs(w_prod - math.sqrt(2.0) * lam * k_lam),
-                    abs(ratio - k_lam))
-        rows.append({"lambda": lam, "w1": w_1, "w2": w_1, "w": w_prod, "ratio": ratio})
+        row, claim = _wasserstein_row(i / (lambda_steps + 1.0))
+        worst = max(worst, *(abs(row[key] - claim[key]) for key in claim))
+        rows.append(row)
     passed = worst <= tol
     return _report("wasserstein-rsquare", {"lambda_steps": lambda_steps},
                    "W = k_lambda*sqrt(W1^2+W2^2), k = lambda+sqrt(2)(1-lambda)",

@@ -4,15 +4,17 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ncgp
 from ncgp.algebra import random_state
-from ncgp.cli import main
+from ncgp.cli import CATALOG, main
 from ncgp.experiments import (
     CHECKS,
     check_prop_indep,
@@ -340,6 +342,36 @@ class TestCli:
                              ids=["theorem1", "lemmas", "wasserstein-rsquare"])
     def test_sweep_without_trials_is_usage_error(self, capsys, argv):
         self._assert_input_error(["sweep", *argv], capsys)
+
+    # commands whose --tol reaches no distance solve, so only the command
+    # line can refuse it
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("argv", [["check", "wasserstein-point"],
+                                      ["check", "khomology-pairings"],
+                                      ["sweep", "wasserstein-rsquare"],
+                                      ["sweep", "lemmas", "--trials", "1"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_bad_tol_is_usage_error_on_every_command(self, capsys, argv, tol):
+        self._assert_input_error([*argv, "--tol", tol], capsys)
+
+    @pytest.mark.parametrize("argv", [["check", "two-point", "--json"],
+                                      ["khomology", "--json"],
+                                      ["sweep", "wasserstein-rsquare", "--csv"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_unwritable_output_path_is_usage_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "r.json"
+        self._assert_input_error([*argv, str(path)], capsys)
+        assert not path.parent.exists()
+
+    def test_readme_leaf_table_matches_catalog(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| leaf | keys |\n| --- | --- |\n")[1].split("\n\n")[0]
+        documented = {}
+        for row in table.splitlines():
+            leaves, keys = row.strip("|").split("|")
+            for leaf in re.findall(r"`(\w+)`", leaves):
+                documented[leaf] = set(re.findall(r"`([A-Za-z_]\w*)`", keys))
+        assert documented == {leaf: set(defaults) for leaf, (_, defaults) in CATALOG.items()}
 
 
 def test_wasserstein_sweep_report():
