@@ -7,8 +7,11 @@
     ncgp w1 --space FILE --mu FILE --nu FILE [--json PATH]
     ncgp khomology [--json PATH]
 
-Exit status: 0 if every assertion passed, 1 on a failed assertion, 2 on usage
-errors and bad input.  NCGP_SEED overrides the default seed 0.
+Exit status: 0 if every assertion passed, 1 on a failed assertion, 2 on any
+usage error, bad input or refused computation, with one `ncgp: ` line on
+stderr and nothing on stdout: argparse's own errors, `--states` given together
+with `--pure` and a failed `w1` LP check included.  NCGP_SEED overrides the
+default seed 0.
 """
 
 from __future__ import annotations
@@ -28,8 +31,20 @@ from .experiments import CHECKS, SWEEPS, check_khomology
 from .tolerances import DEFAULT_TOL
 from .wasserstein import measure_from_json, space_from_json, w1
 
-# what loading and validating input files can raise; each means exit 2
+# what parsing, loading and validating input can raise; each means exit 2
 INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are raised for `main` to report;
+    its subparsers are of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _reason(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
 def _pullback(sign: str):
@@ -61,8 +76,8 @@ def _default_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ncgp", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="ncgp", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a named reproduction experiment")
@@ -90,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="triple JSON file, or a catalog expression such as "
                            "two_point:lambda=3 or product(two_point:lambda=2,"
                            "amplified_two_point:mu=1)")
-    dist.add_argument("--states", default=None,
-                      help="JSON file with a two-element list of states")
-    dist.add_argument("--pure", default=None,
-                      help="pick two pure states by index, e.g. 0,1 (commutative algebras)")
+    states = dist.add_mutually_exclusive_group(required=True)
+    states.add_argument("--states", help="JSON file with a two-element list of states")
+    states.add_argument("--pure",
+                        help="pick two pure states by index, e.g. 0,1 (commutative algebras)")
     dist.add_argument("--tol", type=float, default=DEFAULT_TOL)
     dist.add_argument("--json", dest="json_path", default=None)
 
@@ -125,11 +140,7 @@ def _given(args, *names) -> dict:
 
 
 def _run_check(args) -> int:
-    try:
-        report = CHECKS[args.experiment](**_given(args, "lam", "mu", "n", "tol"))
-    except (TypeError, ValueError) as exc:
-        print(f"ncgp: bad parameters for {args.experiment}: {exc}", file=sys.stderr)
-        return 2
+    report = CHECKS[args.experiment](**_given(args, "lam", "mu", "n", "tol"))
     _emit(report.to_json(), args.json_path)
     return 0 if report.passed else 1
 
@@ -137,16 +148,11 @@ def _run_check(args) -> int:
 def _run_sweep(args) -> int:
     kwargs = _given(args, "trials", "lambda_steps", "tol")
     if args.csv_path and args.sweep == "lemmas":
-        print("ncgp: --csv needs a sweep with rows; lemmas reports only counts", file=sys.stderr)
-        return 2
-    try:
-        # the W1 sweep is not seeded: an explicit --seed is refused there
-        if args.seed is not None or args.sweep != "wasserstein-rsquare":
-            kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
-        report = SWEEPS[args.sweep](**kwargs)
-    except (TypeError, ValueError) as exc:
-        print(f"ncgp: bad parameters for {args.sweep}: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--csv needs a sweep with rows; lemmas reports only counts")
+    # the W1 sweep is not seeded: an explicit --seed is refused there
+    if args.seed is not None or args.sweep != "wasserstein-rsquare":
+        kwargs["seed"] = args.seed if args.seed is not None else _default_seed()
+    report = SWEEPS[args.sweep](**kwargs)
     if args.csv_path:
         rows = report.details["rows"]
         with open(args.csv_path, "w", newline="") as fh:
@@ -209,26 +215,19 @@ def _load_triple(arg: str):
     return parse_triple_spec(arg)
 
 
+def _pure_pair(triple, pure: str):
+    states = pure_states(triple.algebra)
+    picks = re.fullmatch(r"\s*(\d+)\s*,\s*(\d+)\s*", pure)
+    if not picks or max(int(i) for i in picks.groups()) >= len(states):
+        raise ValueError(f"--pure needs two indices in 0..{len(states) - 1}, got {pure!r}")
+    return [states[int(i)] for i in picks.groups()]
+
+
 def _run_distance(args) -> int:
-    try:
-        triple = _load_triple(args.triple)
-    except INPUT_ERRORS as exc:
-        print(f"ncgp: {exc}", file=sys.stderr)
-        return 2
+    triple = _load_triple(args.triple)
     if args.pure is not None:
-        try:
-            i, j = (int(v) for v in args.pure.split(","))
-            if min(i, j) < 0:
-                raise ValueError(f"indices must be non-negative, got {args.pure}")
-            states = pure_states(triple.algebra)
-            phi, phi2 = states[i], states[j]
-        except (ValueError, IndexError) as exc:
-            print(f"ncgp: bad --pure selection: {exc}", file=sys.stderr)
-            return 2
+        phi, phi2 = _pure_pair(triple, args.pure)
     else:
-        if args.states is None:
-            print("ncgp: need --states FILE or --pure i,j", file=sys.stderr)
-            return 2
         try:
             raw = _load_json(args.states)
             if not isinstance(raw, list) or len(raw) != 2:
@@ -237,25 +236,16 @@ def _run_distance(args) -> int:
             if phi.algebra != triple.algebra or phi2.algebra != triple.algebra:
                 raise ValueError("states must live on the triple's algebra")
         except INPUT_ERRORS as exc:
-            print(f"ncgp: bad --states file: {exc}", file=sys.stderr)
-            return 2
-    try:
-        result = spectral_distance(triple, phi, phi2, args.tol)
-    except ValueError as exc:
-        print(f"ncgp: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"bad --states file: {_reason(exc)}") from None
+    result = spectral_distance(triple, phi, phi2, args.tol)
     _emit(distance_result_to_json(result), args.json_path)
     return 0
 
 
 def _run_w1(args) -> int:
-    try:
-        space = space_from_json(_load_json(args.space))
-        mu = measure_from_json(space, _load_json(args.mu))
-        nu = measure_from_json(space, _load_json(args.nu))
-    except INPUT_ERRORS as exc:
-        print(f"ncgp: bad w1 input: {exc}", file=sys.stderr)
-        return 2
+    space = space_from_json(_load_json(args.space))
+    mu = measure_from_json(space, _load_json(args.mu))
+    nu = measure_from_json(space, _load_json(args.nu))
     res = w1(space, mu, nu)
     _emit({"value": res.value,
            "potential": [float(v) for v in res.potential],
@@ -275,15 +265,15 @@ def _run_khomology(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0.0 < tol < math.inf:
-        print(f"ncgp: tol must be finite and > 0, got {tol}", file=sys.stderr)
-        return 2
+    """Run one command; the one place where an input error becomes exit 2."""
     try:
+        args = build_parser().parse_args(argv)
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {tol}")
         return args.run(args)
-    except OSError as exc:     # a --json or --csv path that cannot be written
-        print(f"ncgp: {exc}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        print(f"ncgp: {_reason(exc)}", file=sys.stderr)
         return 2
 
 

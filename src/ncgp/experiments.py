@@ -115,7 +115,7 @@ def _check_pure_pair(experiment_id, key, build, scale, tol) -> ExperimentReport:
     t = build(scale)
     plus, minus = pure_states(t.algebra)
     r = spectral_distance(t, plus, minus, tol)
-    passed = r.status == "finite" and abs(r.lower - scale) <= tol * max(1.0, scale)
+    passed = r.status == "finite" and abs(r.lower - scale) <= tol * scale
     return _report(experiment_id, {key: scale}, scale, r.lower, passed, tol, t0,
                    details={"upper": r.upper, "status": r.status})
 
@@ -143,8 +143,8 @@ def check_prop_indep(lam: float = 1.0, mu: float = 1.0,
     ratio = r.lower / math.hypot(lam, mu)
     ratio_claim = mu / math.hypot(lam, mu)
     passed = (r.status == "finite"
-              and abs(r.lower - mu) <= tol * max(1.0, mu)
-              and abs(ratio - ratio_claim) <= tol)
+              and abs(r.lower - mu) <= tol * mu
+              and abs(ratio - ratio_claim) <= tol * ratio_claim)
     return _report("prop-indep", {"lambda": lam, "mu": mu}, mu, r.lower,
                    passed, tol, t0,
                    details={"upper": r.upper, "ratio": ratio,

@@ -48,11 +48,22 @@ def is_grading(g: np.ndarray, tol: float = STRUCT_TOL) -> bool:
     return np.abs(g @ g - np.eye(g.shape[0])).max() <= tol
 
 
+def ldexp(X: np.ndarray, e: int) -> np.ndarray:
+    """X * 2^e, exactly (up to underflow), for real or complex X."""
+    X = np.ascontiguousarray(X)
+    return np.ldexp(X.view(np.float64), e).view(X.dtype)
+
+
 def op_norm(m) -> float:
-    """Largest singular value, via the Hermitian eigenproblem of m*m."""
+    """Largest singular value, via the Hermitian eigenproblem of m*m.  m is
+    first scaled by the power of two that brings its largest entry into
+    [1/2, 1), so m*m neither overflows nor underflows at any scale of m; the
+    scaling and its inverse on the norm are exact."""
     a = as_operator(m)
+    e = int(np.frexp(np.abs(a).max())[1])
+    a = ldexp(a, -e)
     w = np.linalg.eigvalsh(a.conj().T @ a)
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    return float(np.ldexp(np.sqrt(max(float(w[-1]), 0.0)), e))
 
 
 def tensor(a, b) -> np.ndarray:

@@ -139,6 +139,7 @@ from functools import partial
 
 import numpy as np
 
+from .linalg import ldexp
 from .tolerances import CENTERING_TOL, MIN_MU, MIN_STEP, RIDGE_TOL
 
 MAX_CENTERING = 60   # Newton steps per barrier parameter
@@ -197,12 +198,6 @@ def real_gauge(h: int, ia: np.ndarray, ib: np.ndarray, Hu: np.ndarray) -> np.nda
     if np.any(nonzero[:, 0] & nonzero[:, 1]):
         return None
     return _parity_colouring(h, ia, ib, nonzero[:, 1].tolist())
-
-
-def _ldexp(X: np.ndarray, e: int) -> np.ndarray:
-    """X * 2^e, exactly (up to underflow), for real or complex X."""
-    X = np.ascontiguousarray(X)
-    return np.ldexp(X.view(np.float64), e).view(X.dtype)
 
 
 def _log_slack(X: np.ndarray) -> float:
@@ -319,7 +314,7 @@ class NormBall:
         # times the power of two 2^-e that brings their largest entry into
         # [1/2, 1): exact, and it neither underflows nor overflows at any scale
         self.e = int(np.frexp(np.abs(Hu).max(initial=0.0))[1])
-        Bu = _ldexp(Hu, -self.e)
+        Bu = ldexp(Hu, -self.e)
         G = (Bu @ np.conj(Bu).T).real
         gram = np.linalg.eigvalsh(G)
         if gram[0] <= 0:
@@ -436,7 +431,7 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
         pass   # K singular: keep the bracket found so far
 
     scale = cnorm / ball.root
-    return LMISolution(y_best=_ldexp(y_best / ball.root, -ball.e),
+    return LMISolution(y_best=ldexp(y_best / ball.root, -ball.e),
                        lower=float(np.ldexp(lower * scale, -ball.e)),
                        upper=float(np.ldexp(upper * scale, -ball.e)),
                        converged=converged, newton_steps=steps)

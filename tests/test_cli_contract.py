@@ -1,8 +1,9 @@
 """The CLI contract on mutated input documents: `ncgp distance` and `ncgp w1`
 exit 0, 1 or 2 whatever their JSON files hold, never with a traceback, and a
-usage error is one `ncgp: ` line on stderr.  The same holds for catalog scales
-that are not finite and positive, or whose reciprocal is not finite, and a
-report of an extreme but valid scale is written as JSON."""
+usage error is one `ncgp: ` line on stderr.  The same holds for malformed
+command lines, argparse's own errors included, and for catalog scales that
+are not finite and positive, or whose reciprocal is not finite, and a report
+of an extreme but valid scale is written as JSON."""
 
 import contextlib
 import copy
@@ -10,6 +11,7 @@ import io
 import json
 import math
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgp.algebra import pure_states, state_to_json
+from ncgp import wasserstein
 from ncgp.cli import main
+from ncgp.experiments import CHECKS, SWEEPS
 from ncgp.triples import product, triple_to_json, two_point
 from ncgp.wasserstein import FiniteMetricSpace, lambda_measure, measure_to_json, space_to_json
 
@@ -86,17 +90,29 @@ def _mutated(data, doc):
     return doc
 
 
+def _main(argv):
+    """main(argv) with its exit code, stdout and stderr; an exception,
+    SystemExit included, propagates and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("ncgp: ") and len(err.splitlines()) == 1
+    assert not err.startswith("ncgp: ncgp")
+
+
 def _run(command, docs):
     with tempfile.TemporaryDirectory() as tmp:
         files = {}
         for name, doc in docs.items():
             files[name] = str(Path(tmp) / f"{name}.json")
             Path(files[name]).write_text(json.dumps(doc))
-        argv = [arg.format(**files) for arg in ARGV[command]]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    return code, err.getvalue()
+        code, _, err = _main([arg.format(**files) for arg in ARGV[command]])
+    return code, err
 
 
 @pytest.mark.parametrize("command,doc", [("distance", "triple"), ("distance", "states"),
@@ -161,3 +177,66 @@ def test_extreme_finite_scale_writes_a_json_report(argv, code, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out)["pass"] is (code == 0)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["check", "two-point", "--lambda", "abc"], "--lambda"),
+    (["check", "no-such-experiment"], "no-such-experiment"),
+    (["bogus"], "bogus"),
+    ([], "command"),
+    (["distance", "--pure", "0,1"], "--triple"),
+    (["distance", "--triple", "two_point", "--pure", "0,1", "--states", "s.json"],
+     "not allowed with"),
+    (["distance", "--triple", "two_point", "--pure", "0,5"], "--pure"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_usage_error_is_one_line_naming_it(argv, named):
+    code, out, err = _main(argv)
+    _assert_one_line(code, out, err)
+    assert named in err
+
+
+@pytest.mark.parametrize("command,doc,drop", [("w1", "mu", "weights"),
+                                              ("distance", "triple", "dirac")])
+def test_missing_json_key_reads_as_missing_key(command, doc, drop):
+    docs = {name: VALID[name] for name in VALID if "{%s}" % name in ARGV[command]}
+    docs[doc] = {key: v for key, v in docs[doc].items() if key != drop}
+    code, err = _run(command, docs)
+    assert code == 2 and err == f"ncgp: missing key '{drop}'\n"
+
+
+def test_failed_w1_lp_check_is_one_line(monkeypatch):
+    monkeypatch.setattr(wasserstein, "linprog",
+                        lambda *args, **kwargs: types.SimpleNamespace(
+                            success=False, message="the solver gave up"))
+    code, err = _run("w1", {name: VALID[name] for name in ("space", "mu", "nu")})
+    assert code == 2 and err == "ncgp: transport LP failed: the solver gave up\n"
+
+
+# a small vocabulary of command-line words, valid and not; every value keeps a
+# command fast: no --trials above 2, no --n above 4
+COMMANDS = ["check", "sweep", "distance", "w1", "khomology", "bogus"]
+NAMES = sorted(CHECKS) + sorted(SWEEPS) + ["no-such-experiment"]
+OPTIONS = ["--lambda", "--mu", "--n", "--tol", "--trials", "--seed", "--lambda-steps",
+           "--triple", "--states", "--pure", "--space", "--nu"]
+VALUES = ["abc", "-1", "nan", "1e-300", "inf", "0", "1", "2", "4", "0,1", "0,5", "-1,0",
+          "two_point", "two_point:lambda=abc", "product(two_point,two_point)",
+          "absent.json"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(COMMANDS),
+       name=st.lists(st.sampled_from(NAMES), max_size=1),
+       options=st.lists(st.tuples(st.sampled_from(OPTIONS),
+                                  st.lists(st.sampled_from(VALUES), max_size=1)),
+                        max_size=3))
+def test_malformed_argv_keeps_exit_contract(command, name, options):
+    argv = [command, *name] + [word for option, value in options for word in [option, *value]]
+    # the defaults of these two run many solves: bound them when not drawn
+    if "sweep" in argv and "--trials" not in argv:
+        argv += ["--trials", "1"]
+    if "lattice-bound" in argv and "--n" not in argv:
+        argv += ["--n", "3"]
+    code, out, err = _main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        _assert_one_line(code, out, err)

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 import ncgp
+from ncgp import experiments
 from ncgp.algebra import random_state
 from ncgp.cli import CATALOG, main
+from ncgp.distance import DistanceResult
 from ncgp.experiments import (
     CHECKS,
+    check_amplified_two_point,
     check_prop_indep,
     check_two_point,
     random_triple,
@@ -109,6 +112,18 @@ class TestReports:
         assert r.passed
         assert r.details["ratio"] == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-5)
 
+    @pytest.mark.parametrize("check,kwargs", [
+        (check_two_point, {"lam": 1e-8}),
+        (check_amplified_two_point, {"mu": 1e-8}),
+        (check_prop_indep, {"lam": 1.0, "mu": 1e-8}),
+    ], ids=["two-point", "amplified-two-point", "prop-indep"])
+    def test_closed_form_is_compared_relatively(self, monkeypatch, check, kwargs):
+        # a `finite` bracket 10 % off the closed form d = 1e-8: below scale 1,
+        # a tolerance taken on max(1, scale) would pass it
+        off = DistanceResult(1.1e-8, 1.1e-8, None, "finite")
+        monkeypatch.setattr(experiments, "spectral_distance", lambda *args: off)
+        assert not check(**kwargs).passed
+
 
 class TestCli:
     def test_check_exit_zero(self, capsys):
@@ -135,10 +150,8 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is False and out["details"]["status"] == "bracket"
 
-    def test_unknown_experiment_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "no-such-experiment"])
-        assert exc.value.code == 2
+    def test_unknown_experiment_is_usage_error(self, capsys):
+        self._assert_input_error(["check", "no-such-experiment"], capsys)
 
     def test_invalid_parameter_value_is_usage_error(self, capsys):
         assert main(["check", "prop-bound", "--lambda", "0.5"]) == 2

@@ -63,6 +63,15 @@ class TestOpNorm:
         assert op_norm(b) == pytest.approx(oracle, abs=1e-9)
         assert op_norm(b) == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    def test_exact_at_any_scale(self, scale):
+        # m*m of these underflows to 0 or overflows to inf unless m is
+        # rescaled first; a numpy overflow warning fails the suite
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert op_norm(scale * sigma_x) == scale
+        b = reduced_commutator_block((1.0, 0.0, 0.0, 0.0), lam=1.0, mu=1.0)
+        assert op_norm(scale * b) == pytest.approx(scale * np.sqrt(5.0), rel=1e-14)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             op_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
