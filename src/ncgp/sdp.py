@@ -318,7 +318,11 @@ class NormBall:
         G = (Bu @ np.conj(Bu).T).real
         gram = np.linalg.eigvalsh(G)
         if gram[0] <= 0:
-            raise ValueError("H_j must be linearly independent (project out the kernel first)")
+            # a nonzero B_j whose squared entries underflow has a Gram row of
+            # zeros, and then independence cannot be decided in double precision
+            span = np.any(np.any(Bu != 0, axis=1) & (np.diag(G) < np.finfo(float).tiny))
+            raise ValueError("the H_j's scales span more than their Gram matrix can hold" if span
+                             else "H_j must be linearly independent (project out the kernel first)")
         # unit-scale data: B_j / sigma, sigma^2 = 2^2e gram[-1] the top
         # eigenvalue of the unscaled Gram matrix, kept as the mantissa
         # sqrt(gram[-1]) and the power 2^e (it overflows at H_j near 1e308)

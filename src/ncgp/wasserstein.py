@@ -1,13 +1,22 @@
 """Wasserstein-1 distance on finite metric spaces by linear programming.
 
-One transport LP is solved: the min-cost coupling with the prescribed
-marginals.  Its equality duals give the optimal 1-Lipschitz potential: the
-c-transform f_i = min_j (d_ij - v_j) of the column duals v is 1-Lipschitz
-because d is a metric, and by Kantorovich duality f.(mu - nu) equals the
-transport cost.  The marginals, the duality gap (to 1e-9) and the Lipschitz
-bound are checked on every solve.  The LP runs on the distances divided by the
-largest one, so the last two checks, HiGHS's tolerances and the metric checks
-of `FiniteMetricSpace` are relative to the largest distance: w1(s d) = s w1(d).
+By Kantorovich-Rubinstein duality W1(mu, nu) depends on mu - nu alone: the
+mass min(mu, nu) stays where it is at no cost, and only the imbalance moves.
+So one transport LP is solved, from S+ = {mu > nu} to S- = {mu < nu}, with
+supplies a = (mu - nu)[S+] and demands b = (nu - mu)[S-]: |S+| |S-| variables,
+not n^2.  The plan is diag(min(mu, nu)) plus the LP's plan on the block
+(S+, S-).  With the LP's row duals u and column duals v, the potential is
+the c-transform f_i = min_{j in S-} (d_ij - v_j), taken at every point i.  It
+is optimal:
+  - f is 1-Lipschitz, a minimum of the 1-Lipschitz functions d_.j - v_j;
+  - f >= u on S+ (dual feasibility d_ij >= u_i + v_j) and f_j <= -v_j on S-;
+  - so f.(mu - nu) >= u.a + v.b = the LP's value >= f.(mu - nu), the last
+    step because no 1-Lipschitz f does better than a transport plan.
+The marginals of the full plan, the duality gap (to 1e-9) and the Lipschitz
+bound over all n^2 pairs are checked on every solve, against the full
+n-point measures.  The LP runs on the distances divided by the largest one,
+so the last two checks, HiGHS's tolerances and the metric checks of
+`FiniteMetricSpace` are relative to the largest distance: w1(s d) = s w1(d).
 
 HiGHS runs with feasibility tolerances of 1e-10.  At its default of 1e-7 the
 simplex may stop at a basis with reduced costs near -3e-8, whose plan costs
@@ -140,26 +149,31 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     scale = float(space.dist.max()) or 1.0   # all distances 0: scale 1
     d = space.dist / scale
 
-    # primal: min <d, P>, P >= 0, row sums mu, column sums nu
-    eye, ones = sparse.identity(n), np.ones((1, n))
-    a_eq = sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csc")
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(d.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options=HIGHS_OPTIONS)
-    if not res.success:
-        raise ValueError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(n, n)
-    if max(np.abs(plan.sum(axis=1) - mu.weights).max(),
-           np.abs(plan.sum(axis=0) - nu.weights).max()) > MARGINAL_TOL:
+    # primal: min(mu, nu) stays where it is at no cost, and the LP ships only
+    # the imbalance a = (mu - nu)[S+] to b = (nu - mu)[S-], an s x t plan whose
+    # column (i, j) has its two ones at rows i and s + j; weights may be as
+    # low as -STRUCT_TOL, so the diagonal is clipped to keep the plan >= 0
+    diff = mu.weights - nu.weights
+    sp, sm = np.flatnonzero(diff > 0), np.flatnonzero(diff < 0)
+    s, t = sp.size, sm.size
+    plan = np.diag(np.maximum(np.minimum(mu.weights, nu.weights), 0.0))
+    value, potential = 0.0, np.zeros(n)
+    if s and t:
+        rows = np.c_[np.repeat(np.arange(s), t), np.tile(np.arange(s, s + t), s)].ravel()
+        a_eq = sparse.csc_array((np.ones(2 * s * t), rows, 2 * np.arange(s * t + 1)))
+        res = linprog(d[np.ix_(sp, sm)].reshape(-1), A_eq=a_eq, b_eq=np.abs(diff[np.r_[sp, sm]]),
+                      bounds=(0, None), method="highs", options=HIGHS_OPTIONS)
+        if not res.success:
+            raise ValueError(f"transport LP failed: {res.message}")
+        plan[np.ix_(sp, sm)] = res.x.reshape(s, t)
+        value = float(res.fun)
+        # potential: c-transform of the column duals over S-, gauge f[0] = 0
+        potential = np.min(d[:, sm] - res.eqlin.marginals[s:], axis=1)
+        potential -= potential[0]
+    if np.abs(np.r_[plan.sum(1) - mu.weights, plan.sum(0) - nu.weights]).max() > MARGINAL_TOL:
         raise ValueError("transport plan violates its marginals")
-    value = float(res.fun)
 
-    # potential: c-transform of the column duals, gauge f[0] = 0
-    v = res.eqlin.marginals[n:]
-    potential = np.min(d - v[None, :], axis=1)
-    potential -= potential[0]
-
-    gap = abs(value - float(potential @ (mu.weights - nu.weights)))
+    gap = abs(value - float(potential @ diff))
     if gap > GAP_TOL:
         raise ValueError(f"duality gap {gap} times the largest distance exceeds {GAP_TOL}")
     lipschitz_excess = np.abs(potential[:, None] - potential[None, :]) - d

@@ -214,8 +214,22 @@ class TestAgainstLpOracle:
         L = np.zeros((2, 2, 2), dtype=complex)
         L[0] = np.eye(2)
         L[1] = 2.0 * np.eye(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="linearly independent"):
             NormBall(L)
+
+    @pytest.mark.parametrize("scale, refusal", [(1e-300, "scales span"), (1e-150, None)])
+    def test_generators_of_far_apart_scales(self, scale, refusal):
+        # independent generators whose entries lie 1e300 apart: the small
+        # one's Gram entry underflows to 0, and the refusal names the scales,
+        # not a dependence; 1e150 apart they are accepted
+        H = np.zeros((2, 3, 3))
+        H[0, 0, 1] = H[0, 1, 0] = 1.0
+        H[1, 2, 2] = scale
+        if refusal is None:
+            assert NormBall(H).ybound > 0
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                NormBall(H)
 
     @pytest.mark.parametrize("second", [
         [[0.0, 1.0], [-1.0, 0.0]],   # anti-Hermitian

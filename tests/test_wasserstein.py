@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import ncgp
+from ncgp import wasserstein
+from ncgp.tolerances import GAP_TOL, MARGINAL_TOL, STRUCT_TOL
 from ncgp.wasserstein import (
+    HIGHS_OPTIONS,
     TRIANGLE_ROWS,
     FiniteMetricSpace,
     Measure,
@@ -202,6 +206,188 @@ class TestDualityAndFeasibility:
                     product_measure(nu1, nu2, prod)).value
         lo = math.hypot(w_1, w_2)
         assert lo - 1e-8 <= w_prod <= SQRT2 * lo + 1e-8
+
+
+def dense_w1(d, mu, nu):
+    """The transport LP on all n^2 pairs, with w1's checks: the value, or ValueError.
+
+    min <d, P> over P >= 0 with row sums mu and column sums nu, on d over its
+    largest entry; the potential is the c-transform of all n column duals.
+    """
+    n = len(mu)
+    scale = float(d.max()) or 1.0
+    d = d / scale
+    a_eq = np.vstack([np.kron(np.eye(n), np.ones((1, n))), np.kron(np.ones((1, n)), np.eye(n))])
+    res = linprog(d.reshape(-1), A_eq=a_eq, b_eq=np.concatenate([mu, nu]), bounds=(0, None),
+                  method="highs", options=HIGHS_OPTIONS)
+    if not res.success:
+        raise ValueError(res.message)
+    plan = res.x.reshape(n, n)
+    if max(np.abs(plan.sum(axis=1) - mu).max(), np.abs(plan.sum(axis=0) - nu).max()) > MARGINAL_TOL:
+        raise ValueError("marginals")
+    f = np.min(d - res.eqlin.marginals[n:], axis=1)
+    f -= f[0]
+    if abs(res.fun - f @ (mu - nu)) > GAP_TOL or (np.abs(f[:, None] - f) - d).max() > GAP_TOL:
+        raise ValueError("duality")
+    return res.fun * scale
+
+
+def graph_metric(rng, n):
+    """Shortest paths on a random connected graph with integer edge weights 0-3.
+
+    Zero-weight edges make a pseudometric; integer lengths make many tied
+    costs, so the transport LPs are degenerate.
+    """
+    w = np.where(rng.random((n, n)) < 0.3, rng.integers(0, 4, (n, n)), np.inf)
+    w[np.arange(n - 1), np.arange(1, n)] = rng.integers(1, 4, n - 1)   # a spanning path
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    for k in range(n):
+        w = np.minimum(w, w[:, k:k + 1] + w[k:k + 1, :])
+    return FiniteMetricSpace(tuple(map(str, range(n))), np.zeros((n, 1)), w)
+
+
+def tied_pair(rng, n):
+    """Two different probability vectors with zeros and exact ties mu_i = nu_i
+    at 1 to n - 2 of the n >= 3 points."""
+    tie = rng.permutation(n) < rng.integers(1, n - 1)
+    mu, nu = np.zeros((2, n))
+    mu[tie] = nu[tie] = rng.integers(0, 4, tie.sum()) / (4.0 * n)
+    while np.array_equal(mu, nu):
+        rest = rng.integers(0, 4, (2, n - tie.sum())).astype(float)
+        rest[:, 0] += 1.0
+        mu[~tie], nu[~tie] = rest * (1.0 - mu[tie].sum()) / rest.sum(axis=1, keepdims=True)
+    return mu, nu
+
+
+def grid_space():
+    seg = FiniteMetricSpace.euclidean([str(i) for i in range(11)],
+                                      np.linspace(0.0, 1.0, 11)[:, None])
+    return product_space(seg, seg)
+
+
+class TestImbalanceReduction:
+    """w1 ships only (mu - nu)+ to (mu - nu)-; min(mu, nu) stays on the diagonal."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_dense_lp_on_graph_metrics(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 13))
+        space = graph_metric(rng, n)
+        mu, nu = tied_pair(rng, n)
+        assert np.any(mu == nu) and np.any(mu != nu)
+        res = w1(space, Measure(space, mu), Measure(space, nu))
+        assert res.value == pytest.approx(dense_w1(space.dist, mu, nu), rel=1e-12, abs=1e-15)
+        assert float(np.sum(res.plan * space.dist)) == pytest.approx(res.value, rel=1e-12)
+        assert np.diag(res.plan) == pytest.approx(np.minimum(mu, nu), abs=1e-15)
+
+    def test_equal_measures_solve_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(wasserstein, "linprog", no_lp)
+        space = grid_space()
+        weights = np.random.default_rng(3).random(space.size)
+        m = Measure(space, weights / weights.sum())
+        res = w1(space, m, Measure(space, m.weights.copy()))
+        assert res.value == 0.0
+        assert np.array_equal(res.plan, np.diag(m.weights))
+        assert np.array_equal(res.potential, np.zeros(space.size))
+
+    def test_diracs_move_their_whole_mass(self):
+        space = grid_space()
+        res = w1(space, Measure.dirac(space, 0), Measure.dirac(space, 120))
+        assert res.value == pytest.approx(SQRT2, rel=1e-14)
+        want = np.zeros((121, 121))
+        want[0, 120] = 1.0
+        assert np.array_equal(res.plan, want)
+        assert res.potential[120] == pytest.approx(-SQRT2, rel=1e-12)
+
+    def test_disjoint_supports(self):
+        rng = np.random.default_rng(5)
+        space = graph_metric(rng, 10)
+        mu = np.r_[rng.random(5), np.zeros(5)]
+        nu = np.r_[np.zeros(5), rng.random(5)]
+        mu, nu = mu / mu.sum(), nu / nu.sum()
+        res = w1(space, Measure(space, mu), Measure(space, nu))
+        assert res.value == pytest.approx(dense_w1(space.dist, mu, nu), rel=1e-12)
+        assert np.all(res.plan[5:] == 0) and np.all(res.plan[:, :5] == 0)
+
+    @pytest.mark.parametrize("shift", [0.9 * STRUCT_TOL, -0.9 * STRUCT_TOL, 0.3 * STRUCT_TOL])
+    @pytest.mark.parametrize("one_sided", [False, True])
+    def test_totals_within_struct_tol_agree_with_the_dense_lp(self, shift, one_sided):
+        # mu's total off 1 by up to STRUCT_TOL, which Measure admits; with
+        # one_sided, mu = nu except at one point, so S- or S+ is empty and no
+        # LP runs: the marginal check alone decides
+        rng = np.random.default_rng(7)
+        space = graph_metric(rng, 8)
+        nu = rng.random(8)
+        nu /= nu.sum()
+        mu = nu.copy() if one_sided else rng.permutation(nu)
+        mu[3] += shift
+        m, n = Measure(space, mu), Measure(space, nu)
+        outcomes = []
+        for solve in (lambda: w1(space, m, n).value,
+                      lambda: dense_w1(space.dist, mu, nu)):
+            try:
+                outcomes.append(solve())
+            except ValueError:
+                outcomes.append(None)
+        assert (outcomes[0] is None) == (outcomes[1] is None)
+        if outcomes[0] is not None:
+            assert outcomes[0] == pytest.approx(outcomes[1], rel=1e-9, abs=1e-11)
+
+    @pytest.mark.parametrize("same", [False, True])
+    def test_slightly_negative_weights_keep_the_plan_nonnegative(self, same):
+        # Measure admits weights down to -STRUCT_TOL; the diagonal min(mu, nu)
+        # is clipped there, as the dense LP's bounds P >= 0 did
+        space = grid_space()
+        rng = np.random.default_rng(9)
+        mu = rng.random(space.size)
+        mu /= mu.sum()
+        mu[0], mu[1] = -0.5 * STRUCT_TOL, mu[1] + mu[0] + 0.5 * STRUCT_TOL
+        nu = mu.copy() if same else rng.permutation(mu)
+        res = w1(space, Measure(space, mu), Measure(space, nu))
+        assert res.plan.min() >= 0.0
+        assert res.value == pytest.approx(dense_w1(space.dist, mu, nu), rel=1e-9, abs=1e-11)
+
+    def test_lp_is_the_imbalance_block_only(self, monkeypatch):
+        # |S+| x |S-| variables with two ones a column, not n^2 variables
+        sizes = []
+
+        def spy(c, **kwargs):
+            sizes.append((c.size, kwargs["A_eq"].nnz))
+            return linprog(c, **kwargs)
+
+        monkeypatch.setattr(wasserstein, "linprog", spy)
+        space = grid_space()
+        a, b = np.random.default_rng(1).random((2, space.size)) + 0.05
+        mu, nu = Measure(space, a / a.sum()), Measure(space, b / b.sum())
+        w1(space, mu, nu)
+        st = np.sum(mu.weights > nu.weights) * np.sum(mu.weights < nu.weights)
+        assert sizes == [(st, 2 * st)]
+        assert st < space.size ** 2 // 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=3, max_value=10),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @example(seed=0, n=3, t=1e-10)   # HiGHS returns the zero plan: the imbalance is below 1e-10
+    def test_mixing_in_a_common_measure_scales_the_distance(self, seed, n, t):
+        # Kantorovich-Rubinstein: w1 depends on mu - nu only, so
+        # w1(t mu + (1 - t) rho, t nu + (1 - t) rho) = t w1(mu, nu), up to
+        # what w1's checks vouch for: the gap to GAP_TOL and each marginal
+        # to MARGINAL_TOL, times the largest distance
+        rng = np.random.default_rng(seed)
+        space = graph_metric(rng, n)
+        mu, nu = tied_pair(rng, n)
+        rho = rng.random(n)
+        rho /= rho.sum()
+        base = w1(space, Measure(space, mu), Measure(space, nu)).value
+        mixed = w1(space, Measure(space, t * mu + (1 - t) * rho),
+                   Measure(space, t * nu + (1 - t) * rho)).value
+        slack = (GAP_TOL + n * MARGINAL_TOL) * space.dist.max()
+        assert mixed == pytest.approx(t * base, rel=1e-9, abs=slack)
 
 
 class TestValidation:
