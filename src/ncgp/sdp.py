@@ -372,9 +372,11 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
         """c_j - Re<B_j, W>, read on the union support."""
         return c - (np.conj(ball.Bu) @ W[ball.ia, ball.ib]).real
 
-    def barrier(yv: np.ndarray, mu: float) -> float:
-        """c.yv + mu log det(I - B(yv) B(yv)*), -inf off the open unit ball."""
-        return float(c @ yv) + mu * _log_slack(B_of(yv))
+    def barrier(yv: np.ndarray, mu: float) -> tuple[float, float]:
+        """(c.yv + mu s, s) with s = log det(I - B(yv) B(yv)*); both -inf off
+        the open unit ball.  s does not depend on mu, so a reduced mu reuses it."""
+        slack = _log_slack(B_of(yv))
+        return float(c @ yv) + mu * slack, slack
 
     def factor(yv: np.ndarray):
         """R, T and V at yv, g and the ridged K, none of which depends on mu;
@@ -392,9 +394,9 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
 
     try:
         R, T, V, g, K = factor(y)
-        fy = barrier(y, mu)
-        # (R, T, V, g, K) belong to y, fy to y and mu; each pass takes a
-        # centering step or computes the bounds and reduces mu
+        fy = slack = 0.0   # the barrier and log det(I) at y = 0
+        # (R, T, V, g, K) and slack belong to y, fy to y and mu; each pass
+        # takes a centering step or computes the bounds and reduces mu
         while True:
             # Newton direction (K d = grad / mu) and squared decrement at mu
             grad = c - mu * g
@@ -403,10 +405,10 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
             if lam2 > CENTERING_TOL and centering < MAX_CENTERING:
                 gd = lam2 * mu   # equals grad.d by definition of the decrement
                 t = 1.0
-                while t > MIN_STEP and (ft := barrier(y + t * d, mu)) < fy + 0.01 * t * gd:
+                while t > MIN_STEP and (trial := barrier(y + t * d, mu))[0] < fy + 0.01 * t * gd:
                     t *= 0.5
                 if t > MIN_STEP:
-                    y, fy = y + t * d, ft
+                    y, (fy, slack) = y + t * d, trial
                     steps, centering = steps + 1, centering + 1
                     R, T, V, g, K = factor(y)
                     continue
@@ -430,7 +432,7 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
             if converged or mu <= MIN_MU:
                 break
             mu, centering = mu * 0.15, 0
-            fy = barrier(y, mu)
+            fy = float(c @ y) + mu * slack   # barrier(y, mu) without refactoring B(y)
     except np.linalg.LinAlgError:
         pass   # K singular: keep the bracket found so far
 

@@ -158,6 +158,26 @@ class TestDualityAndFeasibility:
         excess = np.abs(res.potential[:, None] - res.potential[None, :]) - grid.dist
         assert excess.max() <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_imbalance_below_the_feasibility_tolerance(self, scale, seed):
+        # mu - nu = 1e-11 (e_i - e_j), below HiGHS's 1e-10 feasibility
+        # tolerance: HiGHS may return the zero plan, so the value carries only
+        # the absolute accuracy that w1 documents, not a relative one
+        seg = FiniteMetricSpace.euclidean([str(i) for i in range(11)],
+                                          scale * np.linspace(0.0, 1.0, 11)[:, None])
+        grid = product_space(seg, seg)
+        rng = np.random.default_rng(seed)
+        a = rng.random(grid.size) + 0.05
+        mu = a / a.sum()
+        nu = mu.copy()
+        i, j = rng.choice(grid.size, 2, replace=False)
+        nu[i] -= 1e-11
+        nu[j] += 1e-11
+        res = w1(grid, Measure(grid, mu), Measure(grid, nu))
+        bound = (GAP_TOL + grid.size * MARGINAL_TOL) * grid.dist.max()
+        assert abs(res.value - (mu[i] - nu[i]) * grid.dist[i, j]) <= bound
+
     @pytest.mark.parametrize("cloud", [False, True])
     def test_value_scales_with_the_distances(self, cloud):
         # w1(s d) = s w1(d) at every scale: the LP, the duality-gap check and
@@ -388,6 +408,56 @@ class TestImbalanceReduction:
                    Measure(space, t * nu + (1 - t) * rho)).value
         slack = (GAP_TOL + n * MARGINAL_TOL) * space.dist.max()
         assert mixed == pytest.approx(t * base, rel=1e-9, abs=slack)
+
+
+class TestDegenerateClosedForms:
+    """Transport LPs with the most ties for the simplex, against closed forms.
+
+    The discrete metric prices every arc alike, and points on a line with
+    repeated gaps make many plans optimal.  The comparison is to 1e-9
+    relative, plus the absolute slack that w1's checks vouch for.
+    """
+
+    @staticmethod
+    def measures(rng, n, tied):
+        """tied_pair (zeros and exact ties) or two full-support measures."""
+        if tied and n >= 3:
+            return tied_pair(rng, n)
+        a, b = rng.random((2, n)) + 0.05
+        return a / a.sum(), b / b.sum()
+
+    @staticmethod
+    def assert_w1(space, mu, nu, want):
+        value = w1(space, Measure(space, mu), Measure(space, nu)).value
+        slack = (GAP_TOL + space.size * MARGINAL_TOL) * space.dist.max()
+        assert value == pytest.approx(want, rel=1e-9, abs=slack)
+
+    def discrete(self, rng, n, tied):
+        # d_ij = 1 for i != j: W1 = ||mu - nu||_1 / 2
+        space = FiniteMetricSpace(tuple(map(str, range(n))), np.zeros((n, 1)), 1.0 - np.eye(n))
+        mu, nu = self.measures(rng, n, tied)
+        self.assert_w1(space, mu, nu, 0.5 * np.abs(mu - nu).sum())
+
+    def line(self, rng, n, tied):
+        # x_0 < ... < x_{n-1}, gaps drawn from {1/2, 1, 2}: W1 is the sum over
+        # k of |F_mu(x_k) - F_nu(x_k)| (x_{k+1} - x_k), F the distribution functions
+        x = np.r_[0.0, np.cumsum(rng.choice([0.5, 1.0, 2.0], n - 1))]
+        space = FiniteMetricSpace.euclidean(tuple(map(str, range(n))), x[:, None])
+        mu, nu = self.measures(rng, n, tied)
+        cdf_gap = np.abs(np.cumsum(mu)[:-1] - np.cumsum(nu)[:-1])
+        self.assert_w1(space, mu, nu, float(cdf_gap @ np.diff(x)))
+
+    @pytest.mark.parametrize("metric", ["discrete", "line"])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("seed, n", [(0, 2), (1, 3), (2, 7), (3, 16), (4, 31), (5, 60)])
+    def test_seeded(self, metric, tied, seed, n):
+        getattr(self, metric)(np.random.default_rng(seed), n, tied)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["discrete", "line"]), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 31 - 1), st.integers(min_value=2, max_value=60))
+    def test_drawn(self, metric, tied, seed, n):
+        getattr(self, metric)(np.random.default_rng(seed), n, tied)
 
 
 class TestValidation:
