@@ -44,7 +44,9 @@ class DistanceResult:
     upper: float
     optimizer: AlgebraElement
     status: str
-    newton_steps: int = 0   # interior-point steps; 0 when no solve ran
+    # interior-point steps: 0 when no solve ran, and when the ball has one
+    # generator, whose solve is in closed form
+    newton_steps: int = 0
 
     @property
     def value(self) -> float:

@@ -10,8 +10,9 @@ the H_j alone is derived once, by `NormBall(H)`, before any solve: the union
 support, the exact Hermiticity check on it, the linear-independence check,
 the gauge and the grading below, the block, its scale, its Gram matrix and
 ybound, and the contraction order.  `maximize_over_unit_ball(c, ball, tol)`
-then only normalizes c and follows the path; a `DistanceSolver` builds one
-ball per triple and reuses it for every pair of states.  The solve works on one
+then only normalizes c and either reads the optimum off one SVD, when there
+is one generator, or follows the path; a `DistanceSolver` builds one ball per
+triple and reuses it for every pair of states.  The solve works on one
 p x q block B_j of each H_j with ||B(y)|| = ||H(y)|| for every y, and on the
 single problem max c.y s.t. ||B(y)|| <= 1:
 
@@ -91,26 +92,39 @@ parameter starts at mu = 1 / (p + q): a centered pair has duality gap
 2 mu sum_i s_i / (1 + s_i) < p mu <= 1/2 over the singular values s_i of
 B(y), so the first bracket is already within a factor of 2 of the optimum.
 
-Once per outer iteration, two SVDs give the bracket.  The strictly feasible
-iterate scaled to the boundary by its exact norm sigma_max(B(y)) gives a
-certified lower bound.  Any p x q matrix W gives a certified upper bound:
-with r_j = c_j - Re <B_j, W>, every feasible y has
+`certify(c, ball, y, W)` is the only code that computes a bound, from two
+SVDs.  Any point y with B(y) != 0, scaled to the boundary by its exact norm
+sigma_max(B(y)), gives the certified lower bound c.y / sigma_max(B(y)),
+which that boundary point attains.  Any p x q matrix W gives a certified
+upper bound: with r_j = c_j - Re <B_j, W>, every feasible y has
 c.y = Re <B(y), W> + r.y <= ||W||_* + ||r|| ybound, where ||W||_* is the
 nuclear norm and ybound = sqrt(p lambda_max(G) / lambda_min(G)) bounds ||y||,
-since ||B(y)||_F <= sqrt(p) ||B(y)||.  The solve takes the Newton-corrected
-dual W = 2 mu (T + R E V + T E* T), E = B(d) for the Newton direction d,
-whose residual r is zero by the Newton equations up to the ridge and
-roundoff, and projects it onto its constraint, W += B(G^-1 r), which leaves a
-residual of roundoff size.  No positivity condition is needed, so the bracket
-is certified at any centering accuracy.  Centering at one mu is loose, as in
-long-step path following (Nesterov and Nemirovski, *Interior-Point
-Polynomial Algorithms in Convex Programming* (1994); Boyd and Vandenberghe,
-ch. 11): it ends when the squared Newton decrement lambda^2 = d.K.d is at
-most CENTERING_TOL = 0.2, the line search finds no ascent or MAX_CENTERING
-steps were taken; then mu falls by 0.15, until the bracket closes or mu
-reaches MIN_MU (at most 17 outer iterations).  A Newton system that is not
-positive definite to working precision ends the solve with the bracket it
-has.
+since ||B(y)||_F <= sqrt(p) ||B(y)||.  In exact arithmetic the upper end is
+at least the lower end; when roundoff puts it below, the two agree to a few
+ulps and `certify` raises it to the lower end.  The path calls `certify`
+once per outer iteration, at the iterate and at the Newton-corrected dual
+W = 2 mu (T + R E V + T E* T), E = B(d) for the Newton direction d, whose
+residual r is zero by the Newton equations up to the ridge and roundoff,
+projected onto its constraint, W += B(G^-1 r), which leaves a residual of
+roundoff size; it keeps the largest lower and the smallest upper end.  No
+positivity condition is needed, so the bracket is certified at any centering
+accuracy.  Centering at one mu is loose, as in long-step path following
+(Nesterov and Nemirovski, *Interior-Point Polynomial Algorithms in Convex
+Programming* (1994); Boyd and Vandenberghe, ch. 11): it ends when the
+squared Newton decrement lambda^2 = d.K.d is at most CENTERING_TOL = 0.2,
+the line search finds no ascent or MAX_CENTERING steps were taken; then mu
+falls by 0.15, until the bracket closes or mu reaches MIN_MU (at most 17
+outer iterations).  A Newton system that is not positive definite to working
+precision ends the solve with the bracket it has.
+
+One generator (k = 1, a commutator map of rank 1, as on the two-point space)
+makes the ball a segment, |y| ||B_1|| <= 1, and the optimum |c| / ||B_1||
+needs no path: with c = +-1 after normalization, sigma = ||B(c)|| and
+(u_1, v_1) its top singular pair, y = c / sigma attains it and
+W = u_1 v_1* / sigma certifies it, as Re <B_1, W> = c Re <B(c), W> = c.  The
+solve divides u_1 v_1* by its computed Re <B(c), u_1 v_1*> rather than by
+sigma, which leaves the residual at roundoff, takes both ends from `certify`
+at y = c and that W, and reports no Newton step.
 
 Every step runs unchanged on real B_j, in real arithmetic, which is faster
 for every factorization, inverse, SVD and GEMM.  `real_gauge` finds, from the
@@ -348,29 +362,35 @@ class NormBall:
         out[self.ia, self.ib] = yv @ self.Bu
         return out
 
+    def re_inner(self, W: np.ndarray) -> np.ndarray:
+        """Re<B_j, W> for every j at unit scale, read on the union support."""
+        return (np.conj(self.Bu) @ W[self.ia, self.ib]).real
 
-def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISolution:
-    """Path-following solve of max c.y s.t. ||sum_j y_j H_j|| <= 1 on the
-    reduced generators of `ball`.
 
-    Requires c != 0; returns a certified bracket [lower, upper] with
-    `lower` attained by `y_best`, converged when upper - lower <= tol * lower.
-    The solve ends unconverged, with the bracket it has, when mu reaches
-    `MIN_MU` first or a Newton system is not positive definite to working
-    precision.
-    """
-    c = np.asarray(c, dtype=float)
-    if not c.any():
-        raise ValueError("c must be nonzero")
-    # unit-scale objective c / ||c||; the bracket scales back by
-    # ||c|| / sigma, y_best by 1 / sigma
-    cnorm = float(np.linalg.norm(c))
-    c = c / cnorm
+def certify(c: np.ndarray, ball: NormBall, y: np.ndarray,
+            W: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Certified ends lower <= max c.y' s.t. ||B(y')|| <= 1 <= upper on the
+    unit-scale block of `ball`, from any point y and any p x q matrix W
+    (module docstring):
+
+      * lower = c.y / sigma_max(B(y)), attained by the boundary point
+        y / sigma_max(B(y)), returned third; 0, with y itself, at B(y) = 0;
+      * upper = ||W||_* + ||r|| ybound, r_j = c_j - Re<B_j, W>.
+
+    An upper end that roundoff puts below the lower end, which then agrees
+    with it to a few ulps, is raised to it."""
+    norm = float(np.linalg.svd(ball.B_of(y), compute_uv=False)[0])
+    lower, point = (float(c @ y) / norm, y / norm) if norm > 0 else (0.0, y)
+    upper = (float(np.linalg.svd(W, compute_uv=False).sum())
+             + float(np.linalg.norm(c - ball.re_inner(W))) * ball.ybound)
+    return lower, max(upper, lower), point
+
+
+def _follow_path(c: np.ndarray, ball: NormBall,
+                 tol: float) -> tuple[float, float, np.ndarray, int]:
+    """The barrier loop on unit-scale c and `ball`: (lower, upper, y_best,
+    Newton steps), with both ends from `certify` once per outer iteration."""
     B_of, k = ball.B_of, c.size
-
-    def residual(W: np.ndarray) -> np.ndarray:
-        """c_j - Re<B_j, W>, read on the union support."""
-        return c - (np.conj(ball.Bu) @ W[ball.ia, ball.ib]).real
 
     def barrier(yv: np.ndarray, mu: float) -> tuple[float, float]:
         """(c.yv + mu s, s) with s = log det(I - B(yv) B(yv)*); both -inf off
@@ -388,7 +408,7 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
         return R, T, V, g, K
 
     y, y_best = np.zeros(k), np.zeros(k)
-    lower, upper, steps, centering, converged = 0.0, np.inf, 0, 0, False
+    lower, upper, steps, centering = 0.0, np.inf, 0, 0
     # the first duality gap is at most p mu <= 1/2 <= the optimum
     mu = 1.0 / (ball.P.size + ball.Q.size)
 
@@ -413,34 +433,59 @@ def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISol
                     R, T, V, g, K = factor(y)
                     continue
 
-            # primal bound: scale the strictly feasible iterate to the boundary
-            # (skipped at y = 0, where B(y) = 0: no step has been taken yet)
-            norm = float(np.linalg.svd(B_of(y), compute_uv=False)[0])
-            if norm > 0 and (cand := float(c @ y) / norm) > lower:
-                lower, y_best = cand, y / norm
-
-            # dual bound: any W gives c.y = Re<B(y), W> + r.y <= ||W||_* + ||r|| ybound
-            # for feasible y, r = residual(W).  The Newton-corrected dual
-            # W = 2 mu (T + R E V + T E* T), E = B(d), has r = 0 up to the ridge
-            # and roundoff; adding B(G^-1 r) projects it onto r = 0
+            # the Newton-corrected dual W = 2 mu (T + R E V + T E* T), E = B(d),
+            # has r = 0 up to the ridge and roundoff; adding B(G^-1 r)
+            # projects it onto r = 0
             W = 2.0 * mu * (T + R @ B_of(d) @ V + T @ np.conj(B_of(d).T) @ T)
-            W += B_of(np.linalg.solve(ball.G, residual(W)))
-            upper = min(upper, float(np.linalg.svd(W, compute_uv=False).sum())
-                        + float(np.linalg.norm(residual(W))) * ball.ybound)
+            W += B_of(np.linalg.solve(ball.G, c - ball.re_inner(W)))
+            cand, bound, point = certify(c, ball, y, W)
+            if cand > lower:
+                lower, y_best = cand, point
+            upper = min(upper, bound)
 
-            converged = bool(upper - lower <= tol * lower)
-            if converged or mu <= MIN_MU:
+            if upper - lower <= tol * lower or mu <= MIN_MU:
                 break
             mu, centering = mu * 0.15, 0
             fy = float(c @ y) + mu * slack   # barrier(y, mu) without refactoring B(y)
     except np.linalg.LinAlgError:
         pass   # K singular: keep the bracket found so far
+    return lower, upper, y_best, steps
+
+
+def maximize_over_unit_ball(c: np.ndarray, ball: NormBall, tol: float) -> LMISolution:
+    """Certified solve of max c.y s.t. ||sum_j y_j H_j|| <= 1 on the reduced
+    generators of `ball`: in closed form on one generator, by path following
+    on more.
+
+    Requires c != 0; returns a certified bracket [lower, upper] with
+    `lower` attained by `y_best`, converged when upper - lower <= tol * lower.
+    The path ends unconverged, with the bracket it has, when mu reaches
+    `MIN_MU` first or a Newton system is not positive definite to working
+    precision.
+    """
+    c = np.asarray(c, dtype=float)
+    if not c.any():
+        raise ValueError("c must be nonzero")
+    # unit-scale objective c / ||c||; the bracket scales back by
+    # ||c|| / sigma, y_best by 1 / sigma
+    cnorm = float(np.linalg.norm(c))
+    c = c / cnorm
+    if c.size == 1:
+        # the segment |y| ||B_1|| <= 1 (module docstring): W = u_1 v_1* over
+        # its computed Re<B(c), u_1 v_1*>, not over sigma, has a residual at
+        # roundoff
+        u, _, vh = np.linalg.svd(ball.B_of(c), full_matrices=False)
+        W = np.outer(u[:, 0], vh[0])
+        lower, upper, y_best = certify(c, ball, c, W / float(c @ ball.re_inner(W)))
+        steps = 0
+    else:
+        lower, upper, y_best, steps = _follow_path(c, ball, tol)
 
     scale = cnorm / ball.root
     return LMISolution(y_best=ldexp(y_best / ball.root, -ball.e),
                        lower=float(np.ldexp(lower * scale, -ball.e)),
                        upper=float(np.ldexp(upper * scale, -ball.e)),
-                       converged=converged, newton_steps=steps)
+                       converged=bool(upper - lower <= tol * lower), newton_steps=steps)
 
 
 def ratio_ascent(c: np.ndarray, L: np.ndarray, seed: int = 0,

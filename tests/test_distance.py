@@ -117,7 +117,8 @@ class TestCatalogDistances:
         # scales it by a power of two first, so that the Gram matrix of the
         # H_j neither underflows (d = 1e300) nor overflows (d = 1e-300); at
         # d = 1e-308, D near 1e308, the set-up's SVD, the Hermitian part and
-        # the solver's scale sigma would each overflow without the same care
+        # the solver's scale sigma would each overflow without the same care;
+        # the ball has one generator, solved in closed form to roundoff
         tol = 1e-6
         for lam in (1e-308, 1e-300, 1e-200, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e10,
                     1e13, 1e200, 1e300):
@@ -125,6 +126,8 @@ class TestCatalogDistances:
             assert r.status == "finite"
             assert abs(r.lower - lam) <= tol * lam
             assert r.upper <= (1.0 + tol) * r.lower
+            assert r.newton_steps == 0 and r.lower <= r.upper
+            assert r.lower == pytest.approx(lam, rel=1e-15)
 
     def test_amplified_two_point(self):
         t = amplified_two_point(0.75)
@@ -628,12 +631,25 @@ class TestAscentOracle:
 
 
 def test_distance_result_json():
-    t = two_point(2.0)
-    r = spectral_distance(t, PLUS, MINUS, 1e-7)
+    # the product of two two-point spaces has a ball of k = 3 generators,
+    # which the barrier loop solves; phi+ x phi+ and phi- x phi+ differ in
+    # the first factor only, at distance lambda = 2
+    pt = product(two_point(2.0), two_point(3.0))
+    solver = DistanceSolver(pt)
+    assert len(solver.ball.Bu) == 3
+    r = solver.distance(product_state(PLUS, PLUS, pt.algebra),
+                        product_state(MINUS, PLUS, pt.algebra), 1e-7)
     obj = json.loads(json.dumps(distance_result_to_json(r)))
     assert obj["status"] == "finite"
     assert obj["lower"] == pytest.approx(2.0, abs=1e-6)
     assert obj["newton_steps"] == r.newton_steps > 0
+    # two_point's ball has one generator, solved in closed form: no Newton
+    # step, and a closed bracket
+    r1 = spectral_distance(two_point(2.0), PLUS, MINUS, 1e-7)
+    obj = json.loads(json.dumps(distance_result_to_json(r1)))
+    assert obj["status"] == "finite" and obj["newton_steps"] == r1.newton_steps == 0
+    assert obj["lower"] == pytest.approx(2.0, rel=1e-15)
+    assert r1.lower <= r1.upper and r1.upper - r1.lower <= 1e-7 * r1.lower
     rinf = spectral_distance(ncgp.module_f_plus().as_spectral_triple(), PLUS, MINUS)
     assert distance_result_to_json(rinf)["upper"] == "inf"
     assert distance_result_to_json(rinf)["newton_steps"] == 0

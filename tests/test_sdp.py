@@ -12,10 +12,10 @@ from scipy.optimize import linprog
 import ncgp.distance
 import ncgp.sdp
 from ncgp.algebra import product_state, pure_states, random_state
-from ncgp.distance import DistanceSolver, spectral_distance
+from ncgp.distance import DistanceSolver
 from ncgp.experiments import random_triple
 from ncgp.sdp import (MAX_CENTERING, QUARTER_TURNS, NormBall, _log_slack, _newton_dense,
-                      _newton_support, _resolvents, _support_order_is_cheaper,
+                      _newton_support, _resolvents, _support_order_is_cheaper, certify,
                       maximize_over_unit_ball, ratio_ascent)
 from ncgp.tolerances import CENTERING_TOL, MIN_MU
 from ncgp.triples import (SpectralTriple, amplified_two_point, lattice_line, product,
@@ -36,6 +36,20 @@ def lp_oracle_diagonal(c, diags):
                   bounds=[(None, None)] * V.shape[1], method="highs")
     assert res.status in (0, 3)
     return np.inf if res.status == 3 else -res.fun
+
+
+def lp_dual_diagonal(c, diags):
+    """(optimum, W) for diagonal L_j = diag(v_j): the LP's multipliers
+    lam+, lam- >= 0 of V y <= 1 and -V y <= 1 have V^T (lam+ - lam-) = c and
+    sum(lam+ + lam-) = the optimum, so W = diag(lam+ - lam-) has
+    Re<L_j, W> = c_j and ||W||_* <= the optimum: an optimal dual certificate."""
+    V = np.stack(diags).T
+    n = V.shape[0]
+    res = linprog(-np.asarray(c), A_ub=np.concatenate([V, -V]), b_ub=np.ones(2 * n),
+                  bounds=[(None, None)] * V.shape[1], method="highs")
+    assert res.status == 0
+    lam = -res.ineqlin.marginals
+    return -res.fun, np.diag(lam[:n] - lam[n:])
 
 
 def diagonal_instance(seed):
@@ -724,12 +738,144 @@ class TestCholeskyFailure:
         assert want - 1e-9 <= sol.upper < np.inf
 
     def test_distance_reports_bracket(self, monkeypatch):
+        # on a ball of k = 3 generators, which the barrier loop solves: the
+        # first factorization fails, and no bound was computed yet
         def failing(a):
             raise np.linalg.LinAlgError("not positive definite")
 
+        t = product(two_point(3.0), two_point(2.0))
+        solver = DistanceSolver(t)
+        assert len(solver.ball.Bu) == 3
+        plus, minus = pure_states(t.algebra.factors[0])
         monkeypatch.setattr(np.linalg, "cholesky", failing)
-        t = two_point(3.0)
-        plus, minus = pure_states(t.algebra)
-        r = spectral_distance(t, plus, minus, 1e-6)
+        r = solver.distance(product_state(plus, plus, t.algebra),
+                            product_state(minus, plus, t.algebra), 1e-6)
         assert r.status == "bracket"
         assert r.lower == 0.0 and r.upper == np.inf
+
+
+class TestSegment:
+    """One generator: max c.y over |y| ||B_1|| <= 1 is |c| / ||B_1||, which
+    `maximize_over_unit_ball` returns in closed form."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("shape", [("full", 1, 1), ("full", 2, 2),
+                                       ("chiral", 1, 2), ("chiral", 1, 3)],
+                             ids=["full 1x1", "full 2x2", "chiral 1x2", "chiral 1x3"])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_closed_form(self, field, shape, sign, scale, monkeypatch):
+        """The bracket against |c| / np.linalg.norm(H_1, 2), with no Newton
+        step and no factorization, at tol 1e-15.
+
+        Both ends come from `certify`, which raises an upper end that
+        roundoff puts below the lower end (they then agree to a few ulps) to
+        the lower end, so lower <= upper holds exactly.  The reference is an
+        SVD too: the closed form's lower end and numpy's norm each lie within
+        5 ulps of a 40-digit value on these shapes, so both ends are held to
+        12 ulps of the reference (at most 7 and 9 over 40,000 draws)."""
+        # H_1 is all of a full p x p generator, diagonal included, or holds
+        # the p x q block of a chiral [[0, B_1], [B_1*, 0]] with p < q
+        kind, p, q = shape
+        rng = np.random.default_rng([p, q, kind == "chiral", field is complex])
+        X = rng.normal(size=(p, q)) + (1j * rng.normal(size=(p, q)) if field is complex else 0.0)
+        H = (chiral_embedding(X[None]) if kind == "chiral" else (X + np.conj(X.T))[None] / 2.0)
+        H = scale * H.astype(complex)
+        c = np.array([sign * rng.uniform(0.5, 2.0)])
+        ref = abs(c[0]) / np.linalg.norm(H[0], 2)
+        ball = NormBall(H)
+        assert (grading(ball) is not None) is (kind == "chiral")
+        calls = collections.Counter()
+        for name in ("cholesky", "inv"):
+            def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sol = maximize_over_unit_ball(c, ball, 1e-15)
+        assert not calls
+        assert sol.converged and sol.newton_steps == 0
+        assert sol.lower <= sol.upper
+        for end in (sol.lower, sol.upper):
+            assert abs(end - ref) <= 12 * np.spacing(ref)
+        # y_best is c / ||B_1|| up to roundoff: on the boundary, attaining lower
+        assert np.sign(sol.y_best[0]) == sign
+        assert abs(sol.y_best[0]) * np.linalg.norm(H[0], 2) == pytest.approx(1.0, rel=1e-15)
+        assert float(c @ sol.y_best) == pytest.approx(sol.lower, rel=1e-15)
+
+
+class TestCertify:
+    """`certify` at arbitrary points: upper >= optimum >= lower for any y in
+    the open ball and any W, checked against the LP's exact optimum."""
+
+    @staticmethod
+    def instances():
+        """(c, generators, optimum, optimal W) for the diagonal instances and
+        their chiral embeddings, whose blocks are the same diagonal L_j."""
+        for seed in range(12):
+            instance = diagonal_instance(seed)
+            if instance is None:
+                continue
+            c, L, want = instance
+            diags = [np.diagonal(Lj).real for Lj in L]
+            opt, W = lp_dual_diagonal(c, diags)
+            assert opt == pytest.approx(want, rel=1e-12)
+            yield seed, c, L, opt, W
+            yield seed, c, chiral_embedding(L), opt, W
+
+    def test_bounds_at_uncentered_points(self):
+        # certify reads unit-scale data: max c.y over ||B(y)|| <= 1, with
+        # B_j = L_j / s and s = 2^e root, is s times the optimum, and s W
+        # meets Re<B_j, s W> = c_j
+        checked = 0
+        for seed, c, L, opt, W in self.instances():
+            ball = NormBall(L)
+            s = np.ldexp(ball.root, ball.e)
+            want, Ws = s * opt, s * W
+            rng = np.random.default_rng(seed)
+            for _ in range(8):
+                # strictly feasible, uncentered: a random direction scaled
+                # to a random fraction of the way to the boundary
+                y = rng.normal(size=len(c))
+                y *= rng.uniform(0.01, 0.999) / np.linalg.norm(ball.B_of(y), 2)
+                noise = rng.normal(size=W.shape) * rng.uniform(1e-6, 1.0) * np.abs(Ws).max()
+                for Wp in (Ws, Ws + noise, (1.0 - rng.uniform()) * Ws,
+                           (1.0 + rng.uniform()) * Ws, np.zeros_like(Ws), noise):
+                    lower, upper, point = certify(c, ball, y, Wp)
+                    assert lower <= want * (1 + 1e-12)
+                    assert upper >= want * (1 - 1e-12)
+                    assert lower <= upper
+                    # the boundary point that attains lower
+                    assert np.linalg.norm(ball.B_of(point), 2) == pytest.approx(1.0, rel=1e-12)
+                    assert float(c @ point) == pytest.approx(lower, rel=1e-12, abs=1e-12 * want)
+                    checked += 1
+            # the optimal certificate closes the bracket from above
+            assert certify(c, ball, np.zeros(len(c)), Ws)[1] == pytest.approx(want, rel=1e-9)
+        assert checked >= 16 * 8 * 6
+
+    def test_lower_is_zero_at_the_centre(self):
+        ball = NormBall(np.diag([2.0, -1.0, 0.5])[None].astype(complex))
+        lower, upper, point = certify(np.array([1.0]), ball, np.zeros(1), np.zeros((3, 3)))
+        assert lower == 0.0 and not point.any()
+        assert upper == ball.ybound
+
+    @pytest.mark.parametrize("chiral", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_residual_term_is_tight(self, k, chiral):
+        # orthonormal 4 x 4 generators (G = I) whose B(c) has four equal
+        # singular values, so ||y|| = ybound ||B(y)|| along c and the
+        # optimum is ||c|| ybound = 2 ||c||: at W = 0, or at the optimal
+        # W = B(c) shrunk, the upper end is all or part residual term, and
+        # every factor of ybound and every component of r counts
+        D = np.stack([np.eye(4), np.diag([1.0, -1.0, 1.0, -1.0])]) / 2.0
+        L = D[:1] if k == 1 else np.stack([D[0] + D[1], D[0] - D[1]]) / np.sqrt(2.0)
+        ball = NormBall((chiral_embedding(L) if chiral else L).astype(complex))
+        assert ball.P.size == 4 and ball.ybound == 2.0
+        c = np.ones(k)
+        want = float(np.linalg.norm(c)) * ball.ybound
+        Wopt = ball.B_of(c)   # Re<B_j, B(c)> = (G c)_j = c_j, ||B(c)||_* = want
+        assert certify(c, ball, 0.5 * c, Wopt)[0] == pytest.approx(want, rel=1e-15)
+        for t in (0.0, 0.5, 0.9):
+            # at y = 0, where lower = 0 does not raise the upper end
+            upper = certify(c, ball, np.zeros(k), t * Wopt)[1]
+            assert upper >= want * (1 - 1e-15)
+            assert upper == pytest.approx(want, rel=1e-12)
