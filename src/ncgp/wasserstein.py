@@ -23,8 +23,15 @@ simplex may stop at a basis with reduced costs near -3e-8, whose plan costs
 a few 1e-9 more than the optimum: the duality-gap check then rightly fails.
 Presolve is off.  On a balanced transport LP the only row it can remove is the
 one balance equation that every such LP has (sum a = sum b), and postsolve
-then runs the simplex a second time on the original LP.  On the 11 x 11 grid,
-turning presolve off nearly halves each `linprog` call, at the same optimum.
+then runs the simplex a second time on the original LP.
+
+The LP goes to HiGHS through the binding that scipy's `linprog` itself calls
+(`scipy.optimize._highspy`), as one model in CSC form, with the options and
+simplex strategy `linprog(method="highs")` would set: the same plan, value
+and duals, bit for bit.  `linprog`'s own wrapper loops in Python over every
+column to build bound marginals that `w1` never reads; on the 11 x 11 grid
+(about 3,650 columns) that loop and its input cleaning took longer than the
+simplex itself.
 
 scipy is imported by the first `w1` call, not with this module: importing it
 takes about half a second, and nothing else in ncgp uses it.
@@ -39,15 +46,54 @@ import numpy as np
 from .tolerances import GAP_TOL, MARGINAL_TOL, STRUCT_TOL, TRIANGLE_TOL
 
 TRIANGLE_ROWS = 4   # rows of the triangle check per pass: O(n^2) memory, not O(n^3)
-HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
-                 "presolve": False}
+# output_flag first, so that no later setting can print; simplex_strategy 1
+# is the dual simplex, as scipy's linprog(method="highs") sets it
+HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10, "presolve": "off", "simplex_strategy": 1}
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call."""
-    from scipy import optimize
+@dataclass(frozen=True, eq=False)
+class TransportLP:
+    """What `linprog` returns: on success, the plan, its cost and the row duals."""
 
-    return optimize.linprog(*args, **kwargs)
+    success: bool
+    message: str                      # HiGHS's model status, e.g. "Optimal" or "Infeasible"
+    x: np.ndarray | None = None       # the s x t plan, row-major
+    fun: float | None = None          # its cost
+    duals: np.ndarray | None = None   # row duals: the s supply rows, then the t demand rows
+
+
+def linprog(cost, supply, demand) -> TransportLP:
+    """min cost.x over x >= 0, the s x t plan x with row sums supply and
+    column sums demand, by HiGHS with HIGHS_OPTIONS; scipy's HiGHS binding is
+    imported on the first call.  Column (i, j) has its two ones at rows i and
+    s + j, passed to HiGHS in CSC form.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    s, t = supply.size, demand.size
+    st = s * t
+    rows = np.c_[np.repeat(np.arange(s), t), np.tile(np.arange(s, s + t), s)].ravel()
+    rhs = np.concatenate([supply, demand])
+    h = highs._Highs()
+    for key, val in HIGHS_OPTIONS.items():
+        if h.setOptionValue(key, val) != highs.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejects the option {key} = {val!r}")
+    # the array form of passModel; the integrality array marks every column
+    # continuous, and HiGHS refuses an empty one
+    status = h.passModel(st, s + t, 2 * st, highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize,
+                         0.0, cost, np.zeros(st), np.full(st, np.inf), rhs, rhs,
+                         2 * np.arange(st + 1, dtype=np.int32), rows.astype(np.int32),
+                         np.ones(2 * st), np.zeros(st, np.int32))
+    model = highs.HighsModelStatus.kModelError
+    if status != highs.HighsStatus.kError:
+        h.run()
+        model = h.getModelStatus()
+    if model != highs.HighsModelStatus.kOptimal:
+        return TransportLP(False, h.modelStatusToString(model))
+    solution = h.getSolution()
+    return TransportLP(True, h.modelStatusToString(model), np.array(solution.col_value),
+                       h.getInfo().objective_function_value, np.array(solution.row_dual))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +197,6 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     values of about MARGINAL_TOL times the largest distance, or less, carry no
     relative accuracy.
     """
-    from scipy import sparse
-
     if mu.space is not space and not np.array_equal(mu.space.dist, space.dist):
         raise ValueError("mu does not live on the given space")
     if nu.space is not space and not np.array_equal(nu.space.dist, space.dist):
@@ -171,16 +215,13 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     plan = np.diag(np.maximum(np.minimum(mu.weights, nu.weights), 0.0))
     value, potential = 0.0, np.zeros(n)
     if s and t:
-        rows = np.c_[np.repeat(np.arange(s), t), np.tile(np.arange(s, s + t), s)].ravel()
-        a_eq = sparse.csc_array((np.ones(2 * s * t), rows, 2 * np.arange(s * t + 1)))
-        res = linprog(d[np.ix_(sp, sm)].reshape(-1), A_eq=a_eq, b_eq=np.abs(diff[np.r_[sp, sm]]),
-                      bounds=(0, None), method="highs", options=HIGHS_OPTIONS)
+        res = linprog(d[np.ix_(sp, sm)].reshape(-1), diff[sp], -diff[sm])
         if not res.success:
             raise ValueError(f"transport LP failed: {res.message}")
         plan[np.ix_(sp, sm)] = res.x.reshape(s, t)
         value = float(res.fun)
         # potential: c-transform of the column duals over S-, gauge f[0] = 0
-        potential = np.min(d[:, sm] - res.eqlin.marginals[s:], axis=1)
+        potential = np.min(d[:, sm] - res.duals[s:], axis=1)
         potential -= potential[0]
     if np.abs(np.r_[plan.sum(1) - mu.weights, plan.sum(0) - nu.weights]).max() > MARGINAL_TOL:
         raise ValueError("transport plan violates its marginals")

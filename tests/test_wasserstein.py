@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 import ncgp
@@ -33,6 +34,11 @@ from ncgp.wasserstein import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# HIGHS_OPTIONS in scipy linprog's form: the same tolerances, presolve off;
+# linprog(method="highs") sets the dual simplex and no output itself
+LINPROG_OPTIONS = {key: HIGHS_OPTIONS[key]
+                   for key in ("primal_feasibility_tolerance", "dual_feasibility_tolerance")}
+LINPROG_OPTIONS["presolve"] = False
 
 
 def k_lambda(lam):
@@ -239,7 +245,7 @@ def dense_w1(d, mu, nu):
     d = d / scale
     a_eq = np.vstack([np.kron(np.eye(n), np.ones((1, n))), np.kron(np.ones((1, n)), np.eye(n))])
     res = linprog(d.reshape(-1), A_eq=a_eq, b_eq=np.concatenate([mu, nu]), bounds=(0, None),
-                  method="highs", options=HIGHS_OPTIONS)
+                  method="highs", options=LINPROG_OPTIONS)
     if not res.success:
         raise ValueError(res.message)
     plan = res.x.reshape(n, n)
@@ -372,21 +378,26 @@ class TestImbalanceReduction:
         assert res.value == pytest.approx(dense_w1(space.dist, mu, nu), rel=1e-9, abs=1e-11)
 
     def test_lp_is_the_imbalance_block_only(self, monkeypatch):
-        # |S+| x |S-| variables with two ones a column, not n^2 variables
-        sizes = []
+        # |S+| x |S-| variables with two ones a column, not n^2 variables, as
+        # HiGHS holds the model
+        from scipy.optimize._highspy import _core as highs
 
-        def spy(c, **kwargs):
-            sizes.append((c.size, kwargs["A_eq"].nnz))
-            return linprog(c, **kwargs)
+        models = []
 
-        monkeypatch.setattr(wasserstein, "linprog", spy)
+        class Recorder(highs._Highs):
+            def passModel(self, *args):
+                status = super().passModel(*args)
+                models.append((self.getNumCol(), self.getNumRow(), self.getNumNz()))
+                return status
+
+        monkeypatch.setattr(highs, "_Highs", Recorder)
         space = grid_space()
         a, b = np.random.default_rng(1).random((2, space.size)) + 0.05
         mu, nu = Measure(space, a / a.sum()), Measure(space, b / b.sum())
         w1(space, mu, nu)
-        st = np.sum(mu.weights > nu.weights) * np.sum(mu.weights < nu.weights)
-        assert sizes == [(st, 2 * st)]
-        assert st < space.size ** 2 // 3
+        s, t = np.sum(mu.weights > nu.weights), np.sum(mu.weights < nu.weights)
+        assert models == [(s * t, s + t, 2 * s * t)]
+        assert s * t < space.size ** 2 // 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -408,6 +419,47 @@ class TestImbalanceReduction:
                    Measure(space, t * nu + (1 - t) * rho)).value
         slack = (GAP_TOL + n * MARGINAL_TOL) * space.dist.max()
         assert mixed == pytest.approx(t * base, rel=1e-9, abs=slack)
+
+
+class TestHighsBinding:
+    """wasserstein.linprog calls scipy's private HiGHS binding; these tests
+    fail if a scipy release changes what that binding returns."""
+
+    @staticmethod
+    def grid_lp(seed):
+        """The imbalance LP of w1 on one w1-grid-shaped input: cost, supply, demand."""
+        space = grid_space()
+        a, b = np.random.default_rng(seed).random((2, space.size)) + 0.05
+        diff = a / a.sum() - b / b.sum()
+        sp, sm = np.flatnonzero(diff > 0), np.flatnonzero(diff < 0)
+        d = space.dist / space.dist.max()
+        return d[np.ix_(sp, sm)].reshape(-1), diff[sp], -diff[sm]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_scipy_linprog_bit_for_bit(self, seed):
+        cost, supply, demand = self.grid_lp(seed)
+        s, t = supply.size, demand.size
+        rows = np.c_[np.repeat(np.arange(s), t), np.tile(np.arange(s, s + t), s)].ravel()
+        a_eq = sparse.csc_array((np.ones(2 * s * t), rows, 2 * np.arange(s * t + 1)))
+        want = linprog(cost, A_eq=a_eq, b_eq=np.r_[supply, demand], bounds=(0, None),
+                       method="highs", options=LINPROG_OPTIONS)
+        got = wasserstein.linprog(cost, supply, demand)
+        assert want.success and got.success and got.message == "Optimal"
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+        assert got.duals.tobytes() == want.eqlin.marginals.tobytes()
+
+    def test_infeasible_lp_reports_highs_status(self):
+        # Measure admits totals 1 +- STRUCT_TOL; a total raised by 1e-6 after
+        # the check leaves a transport LP whose supply exceeds its demand
+        from scipy.optimize._highspy import _core as highs
+
+        space = grid_space()
+        mu, nu = Measure.dirac(space, 0), Measure.dirac(space, 120)
+        mu.weights[0] += 1e-6
+        status = highs._Highs().modelStatusToString(highs.HighsModelStatus.kInfeasible)
+        with pytest.raises(ValueError, match=f"^transport LP failed: {status}$"):
+            w1(space, mu, nu)
 
 
 class TestDegenerateClosedForms:
