@@ -26,20 +26,29 @@ one balance equation that every such LP has (sum a = sum b), and postsolve
 then runs the simplex a second time on the original LP.
 
 The LP goes to HiGHS through the binding that scipy's `linprog` itself calls
-(`scipy.optimize._highspy`), as one model in CSC form, with the options and
-simplex strategy `linprog(method="highs")` would set: the same plan, value
-and duals, bit for bit.  `linprog`'s own wrapper loops in Python over every
-column to build bound marginals that `w1` never reads; on the 11 x 11 grid
-(about 3,650 columns) that loop and its input cleaning took longer than the
-simplex itself.
+(the extension `scipy.optimize._highspy._core`), as one model in CSC form,
+with the options and simplex strategy `linprog(method="highs")` would set:
+the same plan, value and duals, bit for bit.  `linprog`'s own wrapper loops in
+Python over every column to build bound marginals that `w1` never reads; on
+the 11 x 11 grid (about 3,650 columns) that loop and its input cleaning took
+longer than the simplex itself.
 
-scipy is imported by the first `w1` call, not with this module: importing it
-takes about half a second, and nothing else in ncgp uses it.
+The first `w1` call loads that extension by its file, after `import scipy`
+(a lazy package: about 1 MB and 10 ms), and registers it in `sys.modules`
+under its own name; nothing else in ncgp uses scipy.  A plain import would
+run `scipy.optimize`'s `__init__`: about 320 modules, 50 MB and 0.35 s, and
+scipy's own second OpenBLAS, none of which the binding needs (it links only
+the C and C++ runtimes).  A later `import scipy.optimize` finds the
+registered module and shares it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +59,33 @@ TRIANGLE_ROWS = 4   # rows of the triangle check per pass: O(n^2) memory, not O(
 # is the dual simplex, as scipy's linprog(method="highs") sets it
 HIGHS_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10, "presolve": "off", "simplex_strategy": 1}
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's HiGHS binding, the module `HIGHS_MODULE`, loaded from its file
+    in scipy's tree on the first call, without running `scipy.optimize`'s
+    `__init__`, and registered in `sys.modules`; later calls, and any import
+    of it by scipy itself, get the same module.
+    """
+    module = sys.modules.get(HIGHS_MODULE)
+    if module is not None:
+        return module
+    where, spec = "any scipy on sys.path", None
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        where = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        finder = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(HIGHS_MODULE)
+    if spec is None:
+        raise ImportError(f"w1 needs scipy >= 1.15: no HiGHS binding _core in {where}")
+    module = module_from_spec(spec)
+    sys.modules[HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +101,11 @@ class TransportLP:
 
 def linprog(cost, supply, demand) -> TransportLP:
     """min cost.x over x >= 0, the s x t plan x with row sums supply and
-    column sums demand, by HiGHS with HIGHS_OPTIONS; scipy's HiGHS binding is
-    imported on the first call.  Column (i, j) has its two ones at rows i and
-    s + j, passed to HiGHS in CSC form.
+    column sums demand, by HiGHS with HIGHS_OPTIONS through scipy's binding,
+    which `_highs` loads on the first call.  Column (i, j) has its two ones at
+    rows i and s + j, passed to HiGHS in CSC form.
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     s, t = supply.size, demand.size
     st = s * t
     rows = np.c_[np.repeat(np.arange(s), t), np.tile(np.arange(s, s + t), s)].ravel()
@@ -98,17 +133,19 @@ def linprog(cost, supply, demand) -> TransportLP:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Labelled points with coordinates and a (possibly custom) metric."""
+    """Labelled points with coordinates and a (possibly custom) metric; coords
+    and dist are read-only copies of the arrays passed in, so a validated
+    space cannot change afterwards."""
 
     labels: tuple[str, ...]
     coords: np.ndarray
     dist: np.ndarray
 
     def __post_init__(self):
-        coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
+        coords = np.atleast_2d(np.array(self.coords, dtype=float))
         if coords.shape[0] != len(self.labels):
             raise ValueError("one coordinate vector per label required")
-        d = np.asarray(self.dist, dtype=float)
+        d = np.array(self.dist, dtype=float)
         n = len(self.labels)
         if d.shape != (n, n):
             raise ValueError(f"distance matrix must be {n} x {n}")
@@ -125,6 +162,7 @@ class FiniteMetricSpace:
             rows = d[i:i + TRIANGLE_ROWS]
             if (rows - np.min(rows[:, :, None] + d[None, :, :], axis=1)).max() > tol:
                 raise ValueError("triangle inequality violated")
+        coords.flags.writeable = d.flags.writeable = False
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dist", d)
@@ -152,11 +190,13 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
+    """Weights on the points of a space; weights is a read-only copy."""
+
     space: FiniteMetricSpace
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.shape != (self.space.size,):
             raise ValueError("one weight per point required")
         if not np.all(np.isfinite(w)):
@@ -165,6 +205,7 @@ class Measure:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > STRUCT_TOL:
             raise ValueError(f"weights must sum to 1, got {w.sum()}")
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @classmethod

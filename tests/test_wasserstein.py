@@ -380,8 +380,7 @@ class TestImbalanceReduction:
     def test_lp_is_the_imbalance_block_only(self, monkeypatch):
         # |S+| x |S-| variables with two ones a column, not n^2 variables, as
         # HiGHS holds the model
-        from scipy.optimize._highspy import _core as highs
-
+        highs = wasserstein._highs()
         models = []
 
         class Recorder(highs._Highs):
@@ -449,14 +448,19 @@ class TestHighsBinding:
         assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
         assert got.duals.tobytes() == want.eqlin.marginals.tobytes()
 
-    def test_infeasible_lp_reports_highs_status(self):
-        # Measure admits totals 1 +- STRUCT_TOL; a total raised by 1e-6 after
-        # the check leaves a transport LP whose supply exceeds its demand
-        from scipy.optimize._highspy import _core as highs
+    def test_binding_is_searched_for_once(self, monkeypatch):
+        # later calls return the registered module without a directory search
+        first = wasserstein._highs()
+        monkeypatch.setattr(wasserstein, "FileFinder", None)
+        assert wasserstein._highs() is first is sys.modules[wasserstein.HIGHS_MODULE]
 
+    def test_infeasible_lp_reports_highs_status(self):
+        # Measure admits totals 1 +- STRUCT_TOL; weights of total 1 + 1e-6 set
+        # past its check leave a transport LP whose supply exceeds its demand
+        highs = wasserstein._highs()
         space = grid_space()
         mu, nu = Measure.dirac(space, 0), Measure.dirac(space, 120)
-        mu.weights[0] += 1e-6
+        object.__setattr__(mu, "weights", np.r_[1.0 + 1e-6, np.zeros(space.size - 1)])
         status = highs._Highs().modelStatusToString(highs.HighsModelStatus.kInfeasible)
         with pytest.raises(ValueError, match=f"^transport LP failed: {status}$"):
             w1(space, mu, nu)
@@ -582,6 +586,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             FiniteMetricSpace.euclidean(("a", "b"), [[0.0], [bad]])
 
+    def test_validated_arrays_are_read_only_copies(self):
+        # a space or measure cannot change after its checks, and the caller's
+        # own arrays stay writable and independent of it
+        x = np.linspace(0.0, 1.0, 3)[:, None]
+        d, w = np.abs(x - x.T), np.full(3, 1.0 / 3.0)
+        space = FiniteMetricSpace(("a", "b", "c"), x, d)
+        mu = Measure(space, w)
+        for arr in (space.coords, space.dist, mu.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 1.0
+        x[0, 0] = d[0, 1] = w[0] = 7.0
+        assert (space.coords[0, 0], space.dist[0, 1], mu.weights[0]) == (0.0, 0.5, 1.0 / 3.0)
+
     def test_measure_space_mismatch(self):
         seg = FiniteMetricSpace.segment()
         line3 = FiniteMetricSpace.euclidean(("a", "b", "c"), [[0.0], [1.0], [2.0]])
@@ -599,12 +616,23 @@ def test_json_round_trip():
     assert np.array_equal(back_m.weights, m.weights)
 
 
+def run_fresh(code, *path):
+    """Run code in a fresh interpreter with ncgp's source, after the
+    directories path, first on sys.path; its stripped stdout."""
+    dirs = [*map(str, path), str(Path(ncgp.__file__).resolve().parents[1])]
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path[:0] = {dirs!r}\n"
+                          + textwrap.dedent(code)], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
 def test_scipy_is_imported_only_by_w1():
     # a fresh interpreter: importing ncgp, a distance solve and the theorem-1
-    # sweep of the CLI load no scipy (about half a second of import); the
-    # first w1 call loads it and solves as before
-    code = textwrap.dedent("""
-        import contextlib, io, sys
+    # sweep of the CLI load no scipy; the first w1 call loads the scipy package
+    # and the HiGHS binding, and not scipy.optimize (about 320 modules, 50 MB
+    # and scipy's own OpenBLAS), and solves as before
+    loaded = json.loads(run_fresh("""
+        import contextlib, io, json
         import ncgp
         from ncgp.cli import main
         t = ncgp.two_point(2.0)
@@ -615,10 +643,50 @@ def test_scipy_is_imported_only_by_w1():
         assert not loaded, loaded[:3]
         seg = ncgp.FiniteMetricSpace.segment()
         r = ncgp.w1(seg, ncgp.lambda_measure(seg, 0.3), ncgp.lambda_measure(seg, 0.0))
-        assert abs(r.value - 0.3) <= 1e-9 and "scipy.optimize" in sys.modules
+        assert abs(r.value - 0.3) <= 1e-9
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """))
+    package = json.loads(run_fresh("""
+        import json, scipy
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    """))
+    core = wasserstein.HIGHS_MODULE
+    assert "scipy" in loaded and core in loaded and "scipy.optimize" not in loaded
+    extra = [m for m in loaded if m not in package]
+    assert [m for m in extra if m != core and not m.startswith(core + ".")] == []
+
+
+def test_scipy_optimize_imported_after_w1_shares_the_binding():
+    # w1 loads the binding first; this module's own import of scipy.optimize
+    # then finds that same module, and linprog(method="highs") still solves a
+    # grid LP to wasserstein.linprog's bits
+    assert run_fresh("""
+        import ncgp
+        from ncgp import wasserstein
+        seg = ncgp.FiniteMetricSpace.segment()
+        ncgp.w1(seg, ncgp.lambda_measure(seg, 0.3), ncgp.lambda_measure(seg, 0.0))
+        import test_wasserstein
+        from scipy.optimize._highspy import _core, _highs_wrapper
+        assert _core is wasserstein._highs() is _highs_wrapper._h
+        test_wasserstein.TestHighsBinding().test_equals_scipy_linprog_bit_for_bit(0)
         print("ok")
-    """)
-    src = str(Path(ncgp.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
+    """, Path(__file__).parent) == "ok"
+
+
+@pytest.mark.parametrize("fake", [True, False])
+def test_missing_binding_is_one_import_error(tmp_path, fake):
+    # a scipy package without optimize/_highspy/_core* (an older scipy or a
+    # changed layout) first on sys.path, or no importable scipy at all
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
+    message = run_fresh(f"""
+        {"" if fake else "sys.modules['scipy'] = None"}
+        import ncgp
+        seg = ncgp.FiniteMetricSpace.segment()
+        try:
+            ncgp.w1(seg, ncgp.lambda_measure(seg, 0.3), ncgp.lambda_measure(seg, 0.0))
+        except ImportError as exc:
+            print(exc)
+    """, tmp_path)
+    where = tmp_path / "scipy" / "optimize" / "_highspy" if fake else "any scipy on sys.path"
+    assert message == f"w1 needs scipy >= 1.15: no HiGHS binding _core in {where}"
