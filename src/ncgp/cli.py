@@ -10,7 +10,8 @@
 Exit status: 0 if every assertion passed, 1 on a failed assertion, 2 on any
 usage error, bad input or refused computation, with one `ncgp: ` line on
 stderr and nothing on stdout: argparse's own errors, `--states` given together
-with `--pure` and a failed `w1` LP check included.  NCGP_SEED overrides the
+with `--pure`, a failed `w1` LP check and a `w1` without a loadable HiGHS
+binding (scipy missing or older than 1.15) included.  NCGP_SEED overrides the
 default seed 0.
 """
 
@@ -31,8 +32,9 @@ from .experiments import CHECKS, SWEEPS, check_khomology
 from .tolerances import DEFAULT_TOL
 from .wasserstein import measure_from_json, space_from_json, w1
 
-# what parsing, loading and validating input can raise; each means exit 2
-INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError)
+# what parsing, loading and validating input can raise, and a missing
+# dependency (a computation refused, not a claim failed); each means exit 2
+INPUT_ERRORS = (ValueError, KeyError, TypeError, OSError, ImportError)
 
 
 class _Parser(argparse.ArgumentParser):

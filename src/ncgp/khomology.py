@@ -8,7 +8,6 @@ pairing with a projection p in M_n(A) is the plain trace formula
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .algebra import (
     State,
     pure_states,
 )
-from .linalg import as_operator, commutator
+from .linalg import as_operator, block_diag, commutator
 from .tolerances import INVERTIBLE_TOL, PAIRING_INT_TOL, PAIRING_REAL_TOL, STRUCT_TOL
 from .triples import SpectralTriple, amplified_two_point, two_point
 
@@ -69,10 +68,8 @@ class Projection:
             for e in row:
                 if e.algebra != alg:
                     raise ValueError("all entries must share one algebra")
-        for b, nb in enumerate(alg.blocks):
-            big = np.zeros((n * nb, n * nb), dtype=complex)
-            for i, j in itertools.product(range(n), repeat=2):
-                big[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = self.entries[i][j].blocks[b]
+        for b in range(len(alg.blocks)):
+            big = np.block([[e.blocks[b] for e in row] for row in self.entries])
             if np.abs(big - big.conj().T).max() > STRUCT_TOL:
                 raise ValueError("projection is not self-adjoint")
             if np.abs(big @ big - big).max() > STRUCT_TOL:
@@ -91,13 +88,9 @@ def chern_pairing(module: FredholmModule, p: Projection) -> float:
     """<[F], [p]> = (1/2) Tr_{H (x) C^n}(gamma F [F, pi(p)])."""
     if p.algebra != module.algebra:
         raise ValueError("projection lives on a different algebra")
-    h = module.rep.hilbert_dim
-    n = p.n
-    pi_p = np.zeros((n * h, n * h), dtype=complex)
-    for i, j in itertools.product(range(n), repeat=2):
-        pi_p[i * h:(i + 1) * h, j * h:(j + 1) * h] = module.rep.apply(p.entries[i][j])
-    f_ext = np.kron(np.eye(n), module.f_op)
-    g_ext = np.kron(np.eye(n), module.grading)
+    pi_p = np.block([[module.rep.apply(e) for e in row] for row in p.entries])
+    f_ext = np.kron(np.eye(p.n), module.f_op)
+    g_ext = np.kron(np.eye(p.n), module.grading)
     value = 0.5 * np.trace(g_ext @ f_ext @ commutator(f_ext, pi_p))
     if abs(value.imag) > PAIRING_REAL_TOL:
         raise ValueError(f"pairing is not real: {value}")
@@ -123,17 +116,9 @@ def direct_sum(m1: FredholmModule, m2: FredholmModule) -> FredholmModule:
     """Block-diagonal sum of two modules over the same algebra."""
     if m1.algebra != m2.algebra:
         raise ValueError("modules must share their algebra")
-    h1, h2 = m1.rep.hilbert_dim, m2.rep.hilbert_dim
-    h = h1 + h2
-    rep = Representation(m1.algebra, h, np.pad(m1.rep.units, ((0, 0), (0, h2), (0, h2)))
-                         + np.pad(m2.rep.units, ((0, 0), (h1, 0), (h1, 0))))
-    f = np.zeros((h, h), dtype=complex)
-    f[:h1, :h1] = m1.f_op
-    f[h1:, h1:] = m2.f_op
-    g = np.zeros((h, h), dtype=complex)
-    g[:h1, :h1] = m1.grading
-    g[h1:, h1:] = m2.grading
-    return FredholmModule(rep, f, g)
+    rep = Representation(m1.algebra, m1.rep.hilbert_dim + m2.rep.hilbert_dim,
+                         block_diag(m1.rep.units, m2.rep.units))
+    return FredholmModule(rep, block_diag(m1.f_op, m2.f_op), block_diag(m1.grading, m2.grading))
 
 
 def conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:

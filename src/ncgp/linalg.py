@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: operator norms, Kronecker products, commutators
-and grading parity splits.
+"""Dense complex-matrix kernel: operator norms, Kronecker products, block
+diagonals, commutators and grading parity splits.
 
 All operators in the package are plain ``numpy`` arrays of dtype complex128.
 Structural checks (hermiticity, gradings) use absolute entrywise tolerances:
@@ -69,6 +69,18 @@ def op_norm(m) -> float:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; entry ((i1,i2),(j1,j2)) = a[i1,j1] * b[i2,j2]."""
     return np.kron(as_operator(a), as_operator(b))
+
+
+def block_diag(a, b) -> np.ndarray:
+    """diag(a, b) on the last two axes, zeros elsewhere; any leading axes
+    (a stack of unit images) are shared.  The blocks are assigned, not added,
+    so every entry, signed zeros included, is copied as it is."""
+    *lead, p, q = np.shape(a)
+    r, s = np.shape(b)[-2:]
+    out = np.zeros((*lead, p + r, q + s), dtype=np.result_type(a, b))
+    out[..., :p, :q] = a
+    out[..., p:, q:] = b
+    return out
 
 
 def commutator(d, a) -> np.ndarray:

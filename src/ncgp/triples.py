@@ -23,6 +23,7 @@ from .algebra import (
 )
 from .linalg import (
     as_operator,
+    block_diag,
     commutator,
     is_grading,
     is_hermitian,
@@ -120,18 +121,11 @@ def amplify(t: SpectralTriple) -> SpectralTriple:
     is even; it realizes the product with the rank-one module over C.
     """
     h = t.hilbert_dim
-    rep2 = t.rep.padded(h)
-    dirac = np.zeros((2 * h, 2 * h), dtype=complex)
-    dirac[:h, :h] = t.dirac
-    dirac[h:, h:] = -t.dirac
-    dirac[:h, h:] = np.eye(h)
-    dirac[h:, :h] = np.eye(h)
-    grading = None
-    if t.grading is not None:
-        grading = np.zeros((2 * h, 2 * h), dtype=complex)
-        grading[:h, :h] = t.grading
-        grading[h:, h:] = -t.grading
-    return SpectralTriple(rep2, dirac, grading)
+    dirac = block_diag(t.dirac, -t.dirac)
+    # assigned, not added: 0.0 + -0.0 would turn the -0.0 entries of -D into +0.0
+    dirac[:h, h:] = dirac[h:, :h] = np.eye(h)
+    grading = None if t.grading is None else block_diag(t.grading, -t.grading)
+    return SpectralTriple(t.rep.padded(h), dirac, grading)
 
 
 def amplified_two_point(mu: float) -> SpectralTriple:
@@ -145,8 +139,7 @@ def amplified_two_point(mu: float) -> SpectralTriple:
         np.zeros((2, 2), dtype=complex),
         np.eye(2, dtype=complex),
     )
-    amp = amplify(base)
-    return SpectralTriple(amp.rep, (2.0 / mu) * amp.dirac, amp.grading)
+    return amplify(base).scaled(2.0 / mu)
 
 
 def lattice_line(n: int, h: float = 1.0) -> SpectralTriple:
@@ -171,8 +164,7 @@ def two_sheeted_line(n: int, h: float = 1.0) -> SpectralTriple:
     """Amplified lattice line with Dirac doubled (D = 2F), the second factor of
     the two-sheeted geometry."""
     _check_scale("h", h, 0.5)
-    amp = amplify(lattice_line(n, h))
-    return SpectralTriple(amp.rep, 2.0 * amp.dirac, amp.grading)
+    return amplify(lattice_line(n, h)).scaled(2.0)
 
 
 def triple_to_json(t: SpectralTriple) -> dict:

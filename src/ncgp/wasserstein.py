@@ -31,7 +31,9 @@ with the options and simplex strategy `linprog(method="highs")` would set:
 the same plan, value and duals, bit for bit.  `linprog`'s own wrapper loops in
 Python over every column to build bound marginals that `w1` never reads; on
 the 11 x 11 grid (about 3,650 columns) that loop and its input cleaning took
-longer than the simplex itself.
+longer than the simplex itself.  The module's own `linprog` returns just the
+plan, its cost and the row duals, and raises ValueError("transport LP
+failed: <HiGHS model status>") itself when HiGHS does not report an optimum.
 
 The first `w1` call loads that extension by its file, after `import scipy`
 (a lazy package: about 1 MB and 10 ms), and registers it in `sys.modules`
@@ -88,22 +90,15 @@ def _highs():
     return module
 
 
-@dataclass(frozen=True, eq=False)
-class TransportLP:
-    """What `linprog` returns: on success, the plan, its cost and the row duals."""
-
-    success: bool
-    message: str                      # HiGHS's model status, e.g. "Optimal" or "Infeasible"
-    x: np.ndarray | None = None       # the s x t plan, row-major
-    fun: float | None = None          # its cost
-    duals: np.ndarray | None = None   # row duals: the s supply rows, then the t demand rows
-
-
-def linprog(cost, supply, demand) -> TransportLP:
+def linprog(cost, supply, demand) -> tuple[np.ndarray, float, np.ndarray]:
     """min cost.x over x >= 0, the s x t plan x with row sums supply and
     column sums demand, by HiGHS with HIGHS_OPTIONS through scipy's binding,
     which `_highs` loads on the first call.  Column (i, j) has its two ones at
     rows i and s + j, passed to HiGHS in CSC form.
+
+    Returns the optimal plan x (row-major), its cost and the row duals (the s
+    supply rows, then the t demand rows); raises ValueError with HiGHS's model
+    status ("Infeasible", ...) when the model is not solved to optimality.
     """
     highs = _highs()
     s, t = supply.size, demand.size
@@ -125,10 +120,10 @@ def linprog(cost, supply, demand) -> TransportLP:
         h.run()
         model = h.getModelStatus()
     if model != highs.HighsModelStatus.kOptimal:
-        return TransportLP(False, h.modelStatusToString(model))
+        raise ValueError(f"transport LP failed: {h.modelStatusToString(model)}")
     solution = h.getSolution()
-    return TransportLP(True, h.modelStatusToString(model), np.array(solution.col_value),
-                       h.getInfo().objective_function_value, np.array(solution.row_dual))
+    return (np.array(solution.col_value), h.getInfo().objective_function_value,
+            np.array(solution.row_dual))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,13 +251,11 @@ def w1(space: FiniteMetricSpace, mu: Measure, nu: Measure) -> W1Result:
     plan = np.diag(np.maximum(np.minimum(mu.weights, nu.weights), 0.0))
     value, potential = 0.0, np.zeros(n)
     if s and t:
-        res = linprog(d[np.ix_(sp, sm)].reshape(-1), diff[sp], -diff[sm])
-        if not res.success:
-            raise ValueError(f"transport LP failed: {res.message}")
-        plan[np.ix_(sp, sm)] = res.x.reshape(s, t)
-        value = float(res.fun)
+        x, fun, duals = linprog(d[np.ix_(sp, sm)].reshape(-1), diff[sp], -diff[sm])
+        plan[np.ix_(sp, sm)] = x.reshape(s, t)
+        value = float(fun)
         # potential: c-transform of the column duals over S-, gauge f[0] = 0
-        potential = np.min(d[:, sm] - res.duals[s:], axis=1)
+        potential = np.min(d[:, sm] - duals[s:], axis=1)
         potential -= potential[0]
     if np.abs(np.r_[plan.sum(1) - mu.weights, plan.sum(0) - nu.weights]).max() > MARGINAL_TOL:
         raise ValueError("transport plan violates its marginals")

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 import ncgp.distance
@@ -28,3 +29,16 @@ def generators(monkeypatch):
             ncgp.distance.DistanceSolver(triple)
         return seen[0]
     return capture
+
+
+def _np_block_diag(a, b):
+    if a.ndim == 3:
+        return np.stack([_np_block_diag(x, y) for x, y in zip(a, b)])
+    return np.block([[a, np.zeros((len(a), len(b)))], [np.zeros((len(b), len(a))), b]])
+
+
+@pytest.fixture
+def np_block_diag():
+    """The oracle for ncgp.linalg.block_diag: [[a, 0], [0, b]] by np.block,
+    slice by slice along a leading axis; it shares no code with block_diag."""
+    return _np_block_diag

@@ -11,7 +11,6 @@ import io
 import json
 import math
 import tempfile
-import types
 from pathlib import Path
 
 import pytest
@@ -205,9 +204,10 @@ def test_missing_json_key_reads_as_missing_key(command, doc, drop):
 
 
 def test_failed_w1_lp_check_is_one_line(monkeypatch):
-    monkeypatch.setattr(wasserstein, "linprog",
-                        lambda *args, **kwargs: types.SimpleNamespace(
-                            success=False, message="the solver gave up"))
+    def gave_up(*args, **kwargs):
+        raise ValueError("transport LP failed: the solver gave up")
+
+    monkeypatch.setattr(wasserstein, "linprog", gave_up)
     code, err = _run("w1", {name: VALID[name] for name in ("space", "mu", "nu")})
     assert code == 2 and err == "ncgp: transport LP failed: the solver gave up\n"
 

@@ -1,5 +1,7 @@
 """Fredholm modules and the Chern-Connes index pairing."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,19 @@ class TestC2Catalog:
     def test_pairing_vector_needs_c2(self):
         with pytest.raises(ValueError):
             pairing_vector(generator_module())
+
+
+CATALOG = {"F1": module_f1, "F2": module_f2, "F+": module_f_plus, "F-": module_f_minus}
+
+
+@pytest.mark.parametrize("first,second", itertools.product(CATALOG, repeat=2))
+def test_direct_sum_matches_np_block(first, second, np_block_diag):
+    # units, F and gamma of m1 (+) m2 are [[x1, 0], [0, x2]], byte for byte
+    m1, m2 = CATALOG[first](), CATALOG[second]()
+    summed = direct_sum(m1, m2)
+    assert summed.rep.units.tobytes() == np_block_diag(m1.rep.units, m2.rep.units).tobytes()
+    assert summed.f_op.tobytes() == np_block_diag(m1.f_op, m2.f_op).tobytes()
+    assert summed.grading.tobytes() == np_block_diag(m1.grading, m2.grading).tobytes()
 
 
 class TestPullback:

@@ -1,4 +1,5 @@
-"""Operator kernel: norms, Kronecker products, commutators, parity splits."""
+"""Operator kernel: norms, Kronecker products, block diagonals, commutators,
+parity splits."""
 
 import json
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgp.linalg import (
+    block_diag,
     commutator,
     finite_json,
     matrix_from_json,
@@ -118,6 +120,28 @@ class TestTensor:
         for _ in range(25):
             a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
             assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+
+
+class TestBlockDiag:
+    """Against np.block, which shares no code with block_diag; compared by
+    bytes, so a -0.0 that turned into +0.0 fails."""
+
+    def test_stack_matches_np_block_slice_by_slice(self):
+        rng = np.random.default_rng(11)
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for shape in ((5, 2, 3), (5, 4, 1)))
+        a.real[:, 0] = b.imag[:, 1] = -0.0
+        got = block_diag(a, b)
+        assert got.shape == (5, 6, 4)
+        for k in range(5):
+            want = np.block([[a[k], np.zeros((2, 1))], [np.zeros((4, 3)), b[k]]])
+            assert got[k].tobytes() == want.tobytes()
+
+    def test_matrix_keeps_signed_zeros(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        got = block_diag(a, -a)
+        want = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), -a]])
+        assert np.signbit(got.real[2, 2]) and got.tobytes() == want.tobytes()
 
 
 class TestCommutator:

@@ -106,6 +106,33 @@ class TestAmplify:
         assert amp.grading is None and two.grading is None
 
 
+AMPLIFIED = {"two_point(3)": lambda: two_point(3.0),
+             "lattice_line(5)": lambda: lattice_line(5),
+             "amplified_two_point(0.7)": lambda: amplified_two_point(0.7),
+             "two_sheeted_line(6)": lambda: two_sheeted_line(6),
+             **{f"random_triple({blocks}, unital={unital}, even={even})":
+                (lambda blocks=blocks, unital=unital, even=even:
+                 random_triple(3, blocks, unital=unital, even=even))
+                for blocks in ((1, 1), (2,), (2, 1)) for unital in (True, False)
+                for even in (True, False)}}
+
+
+@pytest.mark.parametrize("name", AMPLIFIED)
+def test_amplify_matches_np_block(name, np_block_diag):
+    # D' = [[D, 1], [1, -D]], gamma' = gamma (+) -gamma and pi' = pi (+) 0, byte
+    # for byte: the -0.0 entries of -D and -gamma stay -0.0
+    t = AMPLIFIED[name]()
+    amp = amplify(t)
+    eye = np.eye(t.hilbert_dim)
+    assert amp.dirac.tobytes() == np.block([[t.dirac, eye], [eye, -t.dirac]]).tobytes()
+    if t.grading is None:
+        assert amp.grading is None
+    else:
+        assert amp.grading.tobytes() == np_block_diag(t.grading, -t.grading).tobytes()
+    zero = np.zeros_like(t.rep.units)
+    assert amp.rep.units.tobytes() == np_block_diag(t.rep.units, zero).tobytes()
+
+
 class TestProduct:
     def test_eight_by_eight_block_form(self):
         lam, mu = 0.5, 2.0

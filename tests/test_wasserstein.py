@@ -442,11 +442,11 @@ class TestHighsBinding:
         a_eq = sparse.csc_array((np.ones(2 * s * t), rows, 2 * np.arange(s * t + 1)))
         want = linprog(cost, A_eq=a_eq, b_eq=np.r_[supply, demand], bounds=(0, None),
                        method="highs", options=LINPROG_OPTIONS)
-        got = wasserstein.linprog(cost, supply, demand)
-        assert want.success and got.success and got.message == "Optimal"
-        assert got.x.tobytes() == want.x.tobytes()
-        assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
-        assert got.duals.tobytes() == want.eqlin.marginals.tobytes()
+        x, fun, duals = wasserstein.linprog(cost, supply, demand)
+        assert want.success
+        assert x.tobytes() == want.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(want.fun).tobytes()
+        assert duals.tobytes() == want.eqlin.marginals.tobytes()
 
     def test_binding_is_searched_for_once(self, monkeypatch):
         # later calls return the registered module without a directory search
@@ -676,17 +676,36 @@ def test_scipy_optimize_imported_after_w1_shares_the_binding():
 @pytest.mark.parametrize("fake", [True, False])
 def test_missing_binding_is_one_import_error(tmp_path, fake):
     # a scipy package without optimize/_highspy/_core* (an older scipy or a
-    # changed layout) first on sys.path, or no importable scipy at all
+    # changed layout) first on sys.path, or no importable scipy at all; the
+    # CLI refuses the computation: exit 2, one `ncgp: ` line, empty stdout
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "1.14.1"\n')
-    message = run_fresh(f"""
+    seg = FiniteMetricSpace.segment()
+    files = {"space": space_to_json(seg), "mu": measure_to_json(lambda_measure(seg, 0.3)),
+             "nu": measure_to_json(lambda_measure(seg, 0.0))}
+    w1_argv = ["w1"]
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        w1_argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    out = json.loads(run_fresh(f"""
         {"" if fake else "sys.modules['scipy'] = None"}
+        import contextlib, io, json
         import ncgp
+        from ncgp import cli
         seg = ncgp.FiniteMetricSpace.segment()
         try:
             ncgp.w1(seg, ncgp.lambda_measure(seg, 0.3), ncgp.lambda_measure(seg, 0.0))
         except ImportError as exc:
-            print(exc)
-    """, tmp_path)
+            message = str(exc)
+        runs = []
+        for argv in (["check", "wasserstein-point"], {w1_argv!r}):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            runs.append([code, stdout.getvalue(), stderr.getvalue()])
+        print(json.dumps({{"message": message, "runs": runs}}))
+    """, tmp_path))
     where = tmp_path / "scipy" / "optimize" / "_highspy" if fake else "any scipy on sys.path"
-    assert message == f"w1 needs scipy >= 1.15: no HiGHS binding _core in {where}"
+    message = f"w1 needs scipy >= 1.15: no HiGHS binding _core in {where}"
+    assert out["message"] == message
+    assert out["runs"] == [[2, "", f"ncgp: {message}\n"]] * 2
