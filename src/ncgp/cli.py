@@ -52,8 +52,7 @@ def _reason(exc: Exception) -> str:
 def _pullback(sign: str):
     if sign not in ("+", "-"):
         raise ValueError(f"pullback sign must be + or -, got {sign!r}")
-    mod = khomology.module_f_plus() if sign == "+" else khomology.module_f_minus()
-    return mod.as_spectral_triple()
+    return khomology.module_f_plus() if sign == "+" else khomology.module_f_minus()
 
 
 # each catalog leaf: its constructor and its keys with their defaults, in

@@ -49,10 +49,6 @@ class DistanceResult:
     newton_steps: int = 0
 
     @property
-    def value(self) -> float:
-        return self.lower
-
-    @property
     def is_infinite(self) -> bool:
         return self.status == "infinite"
 

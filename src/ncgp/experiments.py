@@ -35,7 +35,8 @@ from .khomology import (
     pairing_vector,
 )
 from .linalg import commutator, finite_json, op_norm, parity_split, tensor
-from .tolerances import CHECK_TOL, EXACT_TOL, LATTICE_TOL, PAIRING_INT_TOL, SWEEP_TOL
+from .tolerances import (CHECK_TOL, EXACT_TOL, LATTICE_TOL, PAIRING_INT_TOL, ROUNDOFF_TOL,
+                         SWEEP_TOL)
 from .triples import (
     SpectralTriple,
     amplified_two_point,
@@ -175,7 +176,7 @@ def check_pullback_infinite(tol: float = CHECK_TOL) -> ExperimentReport:
     plus, minus = pure_states(FiniteAlgebra((1, 1)))
     statuses = {}
     for name, mod in (("F+", module_f_plus()), ("F-", module_f_minus())):
-        r = spectral_distance(mod.as_spectral_triple(), plus, minus, tol)
+        r = spectral_distance(mod, plus, minus, tol)
         statuses[name] = r.status
     passed = all(s == "infinite" for s in statuses.values())
     return _report("pullback-infinite", {}, "infinite", statuses, passed, tol, t0)
@@ -281,8 +282,11 @@ _BLOCK_CHOICES = ((1, 1), (2,))
 def sweep_theorem1(trials: int = 200, seed: int = 0,
                    tol: float = SWEEP_TOL) -> ExperimentReport:
     """Random unital products with separable states: the spectral distance obeys
-    d <= d1 + d2, d >= sqrt(d1^2 + d2^2) and d <= sqrt(2) sqrt(d1^2 + d2^2)
-    within the solver brackets."""
+    d <= d1 + d2, d >= sqrt(d1^2 + d2^2) and d <= sqrt(2) sqrt(d1^2 + d2^2).
+
+    Each inequality compares the certified ends of the brackets that bound
+    it, with no additive slack: only ROUNDOFF_TOL, relative, for the
+    roundoff of the sum, hypot and sqrt."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     t0 = time.perf_counter()
@@ -301,9 +305,10 @@ def sweep_theorem1(trials: int = 200, seed: int = 0,
         r2 = spectral_distance(t2, phi2, phi2p, tol)
         r = spectral_distance(pt, product_state(phi1, phi2, pt.algebra),
                               product_state(phi1p, phi2p, pt.algebra), tol)
-        ok = (r.lower <= r1.upper + r2.upper + 3 * tol
-              and r.upper >= math.hypot(r1.lower, r2.lower) - 3 * tol
-              and r.lower <= math.sqrt(2.0) * math.hypot(r1.upper, r2.upper) + 3 * tol)
+        # certified ends only: r.lower <= d <= r.upper, and the same for d1, d2
+        ok = (r.lower <= (r1.upper + r2.upper) * (1.0 + ROUNDOFF_TOL)
+              and r.upper >= math.hypot(r1.lower, r2.lower) * (1.0 - ROUNDOFF_TOL)
+              and r.lower <= math.sqrt(2.0) * math.hypot(r1.upper, r2.upper) * (1.0 + ROUNDOFF_TOL))
         row = {"trial": trial, "blocks": [list(bl1), list(bl2)],
                "d1": r1.lower, "d2": r2.lower, "d": r.lower, "ok": ok}
         rows.append(row)

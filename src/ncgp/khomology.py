@@ -1,6 +1,11 @@
 """Even Fredholm modules, pullbacks along characters, and the Chern-Connes
 index pairing with K-theory projections.
 
+A Fredholm module is a spectral triple whose Dirac operator F has F^2 = 1,
+so its spectral distance is that of any triple.  The pullback modules have a
+representation with a kernel, and their distance between distinct pure
+states is infinite.
+
 In finite dimensions every Fredholm module here is 1-summable, so the
 pairing with a projection p in M_n(A) is the plain trace formula
 (1/2) Tr(gamma F [F, pi(p)]) on H (x) C^n.
@@ -25,31 +30,22 @@ from .triples import SpectralTriple, amplified_two_point, two_point
 
 
 @dataclass(frozen=True, eq=False)
-class FredholmModule:
-    """(A, H, F, gamma) with F = F*, F^2 = 1, gamma a grading commuting with
-    the algebra and anticommuting with F."""
+class FredholmModule(SpectralTriple):
+    """(A, H, F, gamma): an even spectral triple whose Dirac operator F has
+    F^2 = 1, used wherever a triple is.
 
-    rep: Representation
-    f_op: np.ndarray
-    grading: np.ndarray
+    Built as FredholmModule(rep, F, gamma) and validated once: the grading is
+    required, the spectral-triple axioms hold for F (F = F*, gamma commutes
+    with the algebra and anticommutes with F), and F^2 = 1.  F is `dirac`;
+    `scaled` returns a plain SpectralTriple, since sF has (sF)^2 = s^2.
+    """
 
     def __post_init__(self):
         if self.grading is None:
             raise ValueError("a Fredholm module needs a grading")
-        # F = F*, the shapes and the grading axioms are the spectral-triple ones
-        t = SpectralTriple(self.rep, self.f_op, self.grading)
-        if np.abs(t.dirac @ t.dirac - np.eye(t.hilbert_dim)).max() > STRUCT_TOL:
+        super().__post_init__()
+        if np.abs(self.dirac @ self.dirac - np.eye(self.hilbert_dim)).max() > STRUCT_TOL:
             raise ValueError("F^2 must be the identity")
-        object.__setattr__(self, "f_op", t.dirac)
-        object.__setattr__(self, "grading", t.grading)
-
-    @property
-    def algebra(self) -> FiniteAlgebra:
-        return self.rep.algebra
-
-    def as_spectral_triple(self) -> SpectralTriple:
-        """View F as a (possibly metrically degenerate) Dirac operator."""
-        return SpectralTriple(self.rep, self.f_op, self.grading)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +85,7 @@ def chern_pairing(module: FredholmModule, p: Projection) -> float:
     if p.algebra != module.algebra:
         raise ValueError("projection lives on a different algebra")
     pi_p = np.block([[module.rep.apply(e) for e in row] for row in p.entries])
-    f_ext = np.kron(np.eye(p.n), module.f_op)
+    f_ext = np.kron(np.eye(p.n), module.dirac)
     g_ext = np.kron(np.eye(p.n), module.grading)
     value = 0.5 * np.trace(g_ext @ f_ext @ commutator(f_ext, pi_p))
     if abs(value.imag) > PAIRING_REAL_TOL:
@@ -118,7 +114,7 @@ def direct_sum(m1: FredholmModule, m2: FredholmModule) -> FredholmModule:
         raise ValueError("modules must share their algebra")
     rep = Representation(m1.algebra, m1.rep.hilbert_dim + m2.rep.hilbert_dim,
                          block_diag(m1.rep.units, m2.rep.units))
-    return FredholmModule(rep, block_diag(m1.f_op, m2.f_op), block_diag(m1.grading, m2.grading))
+    return FredholmModule(rep, block_diag(m1.dirac, m2.dirac), block_diag(m1.grading, m2.grading))
 
 
 def conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:
@@ -128,7 +124,7 @@ def conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:
     if u.shape != (h, h) or np.abs(u @ u.conj().T - np.eye(h)).max() > STRUCT_TOL:
         raise ValueError("u must be unitary on H")
     rep = Representation(module.algebra, h, u @ module.rep.units @ u.conj().T)
-    return FredholmModule(rep, u @ module.f_op @ u.conj().T, u @ module.grading @ u.conj().T)
+    return FredholmModule(rep, u @ module.dirac @ u.conj().T, u @ module.grading @ u.conj().T)
 
 
 def pullback_module(algebra: FiniteAlgebra, chi: State) -> FredholmModule:

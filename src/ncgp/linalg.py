@@ -41,11 +41,7 @@ def is_hermitian(m: np.ndarray, tol: float = STRUCT_TOL) -> bool:
 def is_grading(g: np.ndarray, tol: float = STRUCT_TOL) -> bool:
     """A grading is a self-adjoint involution: g = g*, g^2 = 1."""
     g = np.asarray(g)
-    if g.shape[0] != g.shape[1]:
-        return False
-    if not is_hermitian(g, tol):
-        return False
-    return np.abs(g @ g - np.eye(g.shape[0])).max() <= tol
+    return is_hermitian(g, tol) and np.abs(g @ g - np.eye(g.shape[0])).max() <= tol
 
 
 def ldexp(X: np.ndarray, e: int) -> np.ndarray:

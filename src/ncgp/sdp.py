@@ -436,7 +436,8 @@ def _follow_path(c: np.ndarray, ball: NormBall,
             # the Newton-corrected dual W = 2 mu (T + R E V + T E* T), E = B(d),
             # has r = 0 up to the ridge and roundoff; adding B(G^-1 r)
             # projects it onto r = 0
-            W = 2.0 * mu * (T + R @ B_of(d) @ V + T @ np.conj(B_of(d).T) @ T)
+            E = B_of(d)
+            W = 2.0 * mu * (T + R @ E @ V + T @ np.conj(E.T) @ T)
             W += B_of(np.linalg.solve(ball.G, c - ball.re_inner(W)))
             cand, bound, point = certify(c, ball, y, W)
             if cand > lower:

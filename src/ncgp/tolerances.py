@@ -20,6 +20,8 @@ DEFAULT_TOL = 1e-6          # "finite": upper - lower <= DEFAULT_TOL * lower
 KERNEL_SVD_TOL = 1e-12      # singular values up to this times the largest span the kernel
 INFINITY_TOL = 1e-10        # kernel overlap above this times ||c|| proves d = +inf ...
 ROUNDOFF_TOL = 1e-15        # ... once it also exceeds this times ||phi|| + ||phi'||, c's roundoff
+                            # (second use, relative) the roundoff allowed to the sum, hypot
+                            # and sqrt when the Theorem-1 sweep compares certified bracket ends
 
 # Interior-point method, on data normalized to ||c|| = 1, lambda_max(Gram) = 1
 

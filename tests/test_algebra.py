@@ -586,3 +586,23 @@ def test_json_round_trips_exact():
     assert back.hilbert_dim == rep.hilbert_dim
     for a1, a2 in zip(back.basis_images, rep.basis_images):
         assert np.array_equal(a1, a2)
+
+
+C3 = FiniteAlgebra((1, 1, 1))
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: FiniteAlgebra((2,)).diagonal_element([1.0] * 4),
+                 "requires all blocks of size 1", id="diagonal_element-on-M2"),
+    pytest.param(lambda: C2.outer_order, "does not carry a tensor-product factorization",
+                 id="outer_order-of-a-non-product"),
+    pytest.param(lambda: product_state(*pure_states(C2)[:2], FiniteAlgebra((1,) * 4)),
+                 "does not factor through the states", id="product_state-non-factoring"),
+    pytest.param(lambda: Representation.defining(C2).apply(C3.unit()),
+                 "element lives on a different algebra", id="apply-foreign-element"),
+    pytest.param(lambda: slice_map(C2.tensor(C3).unit(), pure_states(C2)[0], "right"),
+                 "state must live on the right factor", id="slice_map-wrong-factor"),
+])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -19,10 +19,16 @@ from hypothesis import strategies as st
 
 from ncgp.algebra import pure_states, state_to_json
 from ncgp import wasserstein
-from ncgp.cli import main
+from ncgp.cli import main, parse_triple_spec
 from ncgp.experiments import CHECKS, SWEEPS
 from ncgp.triples import product, triple_to_json, two_point
-from ncgp.wasserstein import FiniteMetricSpace, lambda_measure, measure_to_json, space_to_json
+from ncgp.wasserstein import (
+    FiniteMetricSpace,
+    Measure,
+    lambda_measure,
+    measure_to_json,
+    space_to_json,
+)
 
 _SEG = FiniteMetricSpace.segment()
 _PT = product(two_point(2.0), two_point(1.0))   # its algebra JSON carries factors
@@ -194,6 +200,11 @@ def test_usage_error_is_one_line_naming_it(argv, named):
     assert named in err
 
 
+def test_amplify_takes_one_argument():
+    with pytest.raises(ValueError, match=r"unknown composite constructor 'amplify\(two_point,"):
+        parse_triple_spec("amplify(two_point,two_point)")
+
+
 @pytest.mark.parametrize("command,doc,drop", [("w1", "mu", "weights"),
                                               ("distance", "triple", "dirac")])
 def test_missing_json_key_reads_as_missing_key(command, doc, drop):
@@ -210,6 +221,27 @@ def test_failed_w1_lp_check_is_one_line(monkeypatch):
     monkeypatch.setattr(wasserstein, "linprog", gave_up)
     code, err = _run("w1", {name: VALID[name] for name in ("space", "mu", "nu")})
     assert code == 2 and err == "ncgp: transport LP failed: the solver gave up\n"
+
+
+_LINE3 = FiniteMetricSpace.euclidean(("a", "b", "c"), [[0.0], [1.0], [2.0]])
+# a Dirac mass at a against half at b and half at c: two demand rows, so the
+# column duals shape the potential (with one, its gauge f[0] = 0 removes them)
+W1_LINE3 = {"space": space_to_json(_LINE3),
+            "mu": measure_to_json(Measure.dirac(_LINE3, 0)),
+            "nu": measure_to_json(Measure(_LINE3, [0.0, 0.5, 0.5]))}
+
+
+@pytest.mark.parametrize("perturb,message", [
+    pytest.param(lambda x, fun, duals: (x * (1.0 + 1e-6), fun, duals),
+                 "transport plan violates its marginals", id="plan"),
+    pytest.param(lambda x, fun, duals: (x, fun, duals + [0.0, 0.5, 0.0]),
+                 "duality gap 0.25 times the largest distance exceeds", id="duals"),
+])
+def test_failed_w1_check_is_one_line(monkeypatch, perturb, message):
+    solve = wasserstein.linprog
+    monkeypatch.setattr(wasserstein, "linprog", lambda *args: perturb(*solve(*args)))
+    code, err = _run("w1", W1_LINE3)
+    assert code == 2 and err.startswith(f"ncgp: {message}") and err.count("\n") == 1
 
 
 # a small vocabulary of command-line words, valid and not; every value keeps a

@@ -156,16 +156,15 @@ class TestCatalogDistances:
 
     def test_pullback_modules_infinite(self):
         for mod in (ncgp.module_f_plus(), ncgp.module_f_minus()):
-            r = spectral_distance(mod.as_spectral_triple(), PLUS, MINUS)
+            r = spectral_distance(mod, PLUS, MINUS)
             assert r.is_infinite and r.status == "infinite"
             assert math.isinf(r.upper)
             # the witness commutes with F and separates the states
-            t = mod.as_spectral_triple()
-            assert op_norm(t.commutator_with_dirac(r.optimizer)) < 1e-9
+            assert op_norm(mod.commutator_with_dirac(r.optimizer)) < 1e-9
             assert (PLUS(r.optimizer) - MINUS(r.optimizer)).real == pytest.approx(r.lower)
         # states that differ by t on the kernel of pi are infinitely far
         # apart at every t > 0: the kernel test is relative to ||c||
-        t = ncgp.module_f_plus().as_spectral_triple()
+        t = ncgp.module_f_plus()
         for eps in (1e-11, 1e-13):
             near = State(C2, (np.array([[1.0 - eps]]), np.array([[eps]])))
             r = spectral_distance(t, PLUS, near)
@@ -650,7 +649,7 @@ def test_distance_result_json():
     assert obj["status"] == "finite" and obj["newton_steps"] == r1.newton_steps == 0
     assert obj["lower"] == pytest.approx(2.0, rel=1e-15)
     assert r1.lower <= r1.upper and r1.upper - r1.lower <= 1e-7 * r1.lower
-    rinf = spectral_distance(ncgp.module_f_plus().as_spectral_triple(), PLUS, MINUS)
+    rinf = spectral_distance(ncgp.module_f_plus(), PLUS, MINUS)
     assert distance_result_to_json(rinf)["upper"] == "inf"
     assert distance_result_to_json(rinf)["newton_steps"] == 0
 
@@ -692,6 +691,6 @@ def test_distance_result_reports_the_solves_newton_steps(monkeypatch):
     # no solve runs for infinite and zero-objective results
     plus = product_state(PLUS, deltas[1], pt.algebra)
     assert solver.distance(plus, plus).newton_steps == 0
-    rinf = spectral_distance(ncgp.module_f_plus().as_spectral_triple(), PLUS, MINUS)
+    rinf = spectral_distance(ncgp.module_f_plus(), PLUS, MINUS)
     assert rinf.is_infinite and rinf.newton_steps == 0
     assert len(solves) == 1

@@ -1,6 +1,7 @@
 """Experiment registry, reports, random triple generator, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from ncgp.experiments import (
     sweep_theorem1,
     sweep_wasserstein,
 )
+from ncgp.tolerances import ROUNDOFF_TOL
 from ncgp.triples import product, triple_to_json
 from ncgp.wasserstein import space_to_json, measure_to_json, lambda_measure, FiniteMetricSpace
 
@@ -70,8 +72,28 @@ class TestRandomTriple:
         r2 = ncgp.spectral_distance(t2, phi2, phi2p, tol)
         r = ncgp.spectral_distance(pt, ncgp.product_state(phi1, phi2, pt.algebra),
                                    ncgp.product_state(phi1p, phi2p, pt.algebra), tol)
-        assert math.hypot(r1.lower, r2.lower) - 3 * tol <= r.lower
-        assert r.lower <= r1.upper + r2.upper + 3 * tol
+        # certified ends: r.lower <= d <= r.upper, and the same for d1 and d2
+        assert r.upper >= math.hypot(r1.lower, r2.lower) * (1.0 - ROUNDOFF_TOL)
+        assert r.lower <= (r1.upper + r2.upper) * (1.0 + ROUNDOFF_TOL)
+        assert r.lower <= math.sqrt(2.0) * math.hypot(r1.upper, r2.upper) * (1.0 + ROUNDOFF_TOL)
+
+    def test_sweep_has_no_additive_slack(self, monkeypatch):
+        """A product whose upper end is 1e-9 relative below sqrt(d1^2 + d2^2)
+        is a violation: the sweep allows only ROUNDOFF_TOL of roundoff."""
+        solved = []
+
+        def solve(t, phi, phi2, tol):
+            r = ncgp.spectral_distance(t, phi, phi2, tol)
+            if len(solved) == 2:   # the product, solved after its two factors
+                upper = math.hypot(solved[0].lower, solved[1].lower) * (1.0 - 1e-9)
+                r = dataclasses.replace(r, lower=min(r.lower, upper), upper=upper)
+            solved.append(r)
+            return r
+
+        monkeypatch.setattr(experiments, "spectral_distance", solve)
+        report = sweep_theorem1(trials=1, seed=0)
+        assert len(solved) == 3
+        assert not report.passed and report.computed == {"violations": 1}
 
 
 class TestReports:

@@ -1,6 +1,8 @@
 """Fredholm modules and the Chern-Connes index pairing."""
 
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -91,7 +93,7 @@ def test_direct_sum_matches_np_block(first, second, np_block_diag):
     m1, m2 = CATALOG[first](), CATALOG[second]()
     summed = direct_sum(m1, m2)
     assert summed.rep.units.tobytes() == np_block_diag(m1.rep.units, m2.rep.units).tobytes()
-    assert summed.f_op.tobytes() == np_block_diag(m1.f_op, m2.f_op).tobytes()
+    assert summed.dirac.tobytes() == np_block_diag(m1.dirac, m2.dirac).tobytes()
     assert summed.grading.tobytes() == np_block_diag(m1.grading, m2.grading).tobytes()
 
 
@@ -130,8 +132,8 @@ class TestNormalization:
     def test_sign_rounding_recovers_f1(self):
         for lam in (0.5, 1.0, 4.0):
             mod = fredholm_from_dirac(two_point(lam))
-            assert np.allclose(mod.f_op, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
-            assert np.abs(mod.f_op @ mod.f_op - np.eye(2)).max() < 1e-12
+            assert np.allclose(mod.dirac, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
+            assert np.abs(mod.dirac @ mod.dirac - np.eye(2)).max() < 1e-12
 
     def test_rejects_singular_dirac(self):
         rep = ncgp.Representation.defining(C2)
@@ -153,7 +155,7 @@ class TestNormalization:
 class TestModuleValidation:
     def test_f_squared_must_be_identity(self):
         rep = ncgp.Representation.defining(C2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"F\^2 must be the identity"):
             FredholmModule(rep, 2.0 * np.array([[0.0, 1.0], [1.0, 0.0]]),
                            np.diag([1.0, -1.0]))
 
@@ -164,7 +166,7 @@ class TestModuleValidation:
 
     def test_grading_is_required(self):
         rep = ncgp.Representation.defining(C2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a Fredholm module needs a grading"):
             FredholmModule(rep, np.array([[0.0, 1.0], [1.0, 0.0]]), None)
 
     def test_projection_must_be_idempotent(self):
@@ -185,3 +187,62 @@ def test_pairings_are_integers_within_tolerance():
             p = Projection.from_element(C2.diagonal_element(coords))
             v = chern_pairing(mod, p)
             assert abs(v - round(v)) < 1e-8
+
+
+C1 = FiniteAlgebra((1,))
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: Projection(2, ((C2.unit(),),)), "entries must form an n x n array",
+                 id="projection-wrong-shape"),
+    pytest.param(lambda: Projection(2, ((C2.unit(), C2.zero()), (C1.zero(), C2.unit()))),
+                 "all entries must share one algebra", id="projection-mixed-algebras"),
+    pytest.param(lambda: Projection(2, ((C1.zero(), C1.unit()), (C1.zero(), C1.zero()))),
+                 "projection is not self-adjoint", id="projection-not-self-adjoint"),
+    pytest.param(lambda: direct_sum(module_f1(), generator_module()),
+                 "modules must share their algebra", id="direct_sum-two-algebras"),
+    pytest.param(lambda: conjugate(module_f1(), 2.0 * np.eye(2)), "u must be unitary on H",
+                 id="conjugate-by-non-unitary"),
+    pytest.param(lambda: pullback_module(C2, ncgp.pure_states(C1)[0]),
+                 "character must be a state on the given algebra",
+                 id="pullback-foreign-state"),
+])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+class TestModuleIsATriple:
+    """A Fredholm module is a SpectralTriple with F as its Dirac operator;
+    test_distance's test_pullback_modules_infinite passes one straight to
+    spectral_distance."""
+
+    def test_every_module_is_a_triple(self):
+        for mod in (*(build() for build in CATALOG.values()), generator_module(),
+                    direct_sum(module_f1(), module_f2())):
+            assert isinstance(mod, ncgp.SpectralTriple)
+            assert np.abs(mod.dirac @ mod.dirac - np.eye(mod.hilbert_dim)).max() <= 1e-12
+
+    def test_module_adds_no_attributes(self):
+        for name in ("as_spectral_triple", "algebra", "f_op"):
+            assert name not in vars(FredholmModule)
+        assert [f.name for f in dataclasses.fields(FredholmModule)] == ["rep", "dirac",
+                                                                      "grading"]
+
+    def test_product_with_a_module_builds(self):
+        pt = ncgp.product(module_f1(), two_point(1.0))
+        assert type(pt) is ncgp.SpectralTriple and pt.hilbert_dim == 4
+
+    def test_json_round_trip_gives_an_equal_triple(self):
+        mod = module_f2()
+        back = ncgp.triple_from_json(json.loads(json.dumps(ncgp.triple_to_json(mod))))
+        assert back.algebra == mod.algebra
+        for x, y in ((back.rep.units, mod.rep.units), (back.dirac, mod.dirac),
+                     (back.grading, mod.grading)):
+            assert np.array_equal(x, y)
+
+    def test_scaling_gives_a_plain_triple(self):
+        # (sF)^2 = s^2, so a scaled module is no longer a Fredholm module
+        scaled = module_f1().scaled(2.0)
+        assert type(scaled) is ncgp.SpectralTriple
+        assert np.array_equal(scaled.dirac, 2.0 * module_f1().dirac)

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgp.linalg import (
+    as_operator,
     block_diag,
     commutator,
     finite_json,
+    is_grading,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -250,3 +252,21 @@ def test_matrix_json_schema():
     assert obj == {"rows": 1, "cols": 1, "entries": [[1.0, 2.0]]}
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: as_operator(np.ones(3)), "expected a matrix, got ndim=1",
+                 id="as_operator-of-a-vector"),
+    pytest.param(lambda: parity_split(np.eye(3), np.diag([1.0, -1.0])),
+                 "dimension mismatch", id="parity_split-mismatched-grading"),
+    pytest.param(lambda: matrix_from_json({"rows": 0, "cols": 2, "entries": []}),
+                 "matrix dimensions must be positive", id="matrix_from_json-zero-rows"),
+])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_is_grading_refuses_non_square():
+    assert not is_grading(np.ones((2, 3)))
+    assert is_grading(np.diag([1.0, -1.0]))

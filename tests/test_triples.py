@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ncgp
-from ncgp.algebra import FiniteAlgebra, random_state, slice_map, tensor_element
+from ncgp.algebra import FiniteAlgebra, algebra_to_json, random_state, slice_map, tensor_element
 from ncgp.experiments import random_triple
 from ncgp.linalg import commutator, op_norm, tensor
 from ncgp.triples import (
@@ -187,7 +187,7 @@ class TestUnitality:
     def test_catalog(self):
         assert two_point(2.0).is_unital
         assert not amplified_two_point(1.0).is_unital
-        assert not ncgp.module_f_plus().as_spectral_triple().is_unital
+        assert not ncgp.module_f_plus().is_unital
 
 
 class TestLatticeLine:
@@ -314,3 +314,23 @@ def test_triple_json_round_trip():
         else:
             assert np.array_equal(back.grading, t.grading)
         assert back.algebra == t.algebra
+
+
+def _foreign_algebra_json():
+    obj = triple_to_json(two_point(1.0))
+    obj["algebra"] = algebra_to_json(FiniteAlgebra((1, 1, 1)))
+    return obj
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: ncgp.SpectralTriple(ncgp.Representation.defining(FiniteAlgebra((1, 1))),
+                                             np.zeros((3, 3))),
+                 r"Dirac operator shape \(3, 3\) does not match hilbert_dim 2",
+                 id="dirac-wrong-shape"),
+    pytest.param(lambda: triple_from_json(_foreign_algebra_json()),
+                 "triple algebra does not match its representation",
+                 id="triple_from_json-foreign-algebra"),
+])
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -709,3 +709,34 @@ def test_missing_binding_is_one_import_error(tmp_path, fake):
     message = f"w1 needs scipy >= 1.15: no HiGHS binding _core in {where}"
     assert out["message"] == message
     assert out["runs"] == [[2, "", f"ncgp: {message}\n"]] * 2
+
+
+class TestRefusals:
+    LINE3 = FiniteMetricSpace.euclidean(("a", "b", "c"), [[0.0], [1.0], [2.0]])
+
+    def test_negative_distances(self):
+        with pytest.raises(ValueError, match="distances must be nonnegative"):
+            FiniteMetricSpace(("a", "b"), np.zeros((2, 1)),
+                              np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    def test_lambda_measure_needs_two_points(self):
+        with pytest.raises(ValueError, match="lambda_measure lives on a two-point space"):
+            lambda_measure(self.LINE3, 0.5)
+
+    def test_nu_on_another_space(self):
+        seg = FiniteMetricSpace.segment()
+        with pytest.raises(ValueError, match="nu does not live on the given space"):
+            w1(seg, Measure.dirac(seg, 0), Measure.dirac(self.LINE3, 0))
+
+
+def test_euclidean_reads_a_flat_coordinate_list_as_points_on_a_line():
+    line = FiniteMetricSpace.euclidean(("a", "b", "c"), [0.0, 1.0, 3.0])
+    assert line.coords.shape == (3, 1)
+    assert np.array_equal(line.dist, [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+
+
+def test_product_measure_builds_its_space():
+    seg = FiniteMetricSpace.segment()
+    m = product_measure(lambda_measure(seg, 0.25), lambda_measure(seg, 0.5))
+    assert np.array_equal(m.space.dist, product_space(seg, seg).dist)
+    assert np.array_equal(m.weights, [0.375, 0.375, 0.125, 0.125])
